@@ -1,5 +1,5 @@
 //! Criterion benches over the execution substrate: interpreter
-//! throughput per platform model (decoded vs reference engine, across
+//! throughput per platform model (threaded vs reference engine, across
 //! ALU-, memory-, and call-heavy workloads), the core retire path, and
 //! the branch predictor.
 //!

@@ -6,43 +6,39 @@
 //!
 //! ```text
 //! bench_trajectory [--out PATH] [--sweep-out PATH] [--jobs N] [--full]
-//!                  [--no-fuse] [--no-regalloc] [--check]
+//!                  [--no-regalloc] [--check]
 //! ```
 //!
 //! `--full` uses the normal (longer) measurement budget; default is
 //! quick mode (~40 ms per bench, a scaled-down sweep matrix). `--jobs`
 //! caps the largest worker count the sweep-scaling section measures
 //! (default: 4, the trajectory baseline; thread counts beyond the
-//! host's cores are still measured and simply won't scale). `--no-fuse`
-//! and `--no-regalloc` are the bisection escape hatches: the decoded
-//! configurations running the escaped pass are not measured (and its
-//! guards don't apply), leaving the remaining decoded flavour plus
-//! `reference`/`seed`.
+//! host's cores are still measured and simply won't scale).
+//! `--no-regalloc` is the bisection escape hatch: the threaded row
+//! running the escaped pass is not measured (and its guards don't
+//! apply), leaving `threaded-noregalloc` plus `reference`/`seed`.
 //!
 //! `--check` is the CI gate: it runs only the guard-relevant rows
-//! (`threaded`, `decoded`, `decoded-noregalloc`, `seed`) on the short
-//! workloads, enforces the perf guards (`speedup_vs_seed ≥ 2`
-//! everywhere; on spin `≥ 3.5` for the threaded headline and `≥ 3` for
-//! decoded) and the regalloc copy-reduction guard (≥ 80% of dynamic
+//! (`threaded`, `threaded-noregalloc`, `seed`) on the short workloads,
+//! enforces the perf guards (`speedup_vs_seed ≥ 2` everywhere, `≥ 3.5`
+//! on spin) and the regalloc copy-reduction guard (≥ 80% of dynamic
 //! `Copy` traffic elided on spin/call-tree), prints ONE machine-
 //! readable JSON line to stdout, and exits 0/1. Human detail goes to
 //! stderr; no files are written.
 //!
 //! The interp JSON reports MIR ops/sec per workload × platform ×
-//! engine plus the threaded/decoded-over-reference/seed speedups, the
-//! per-pass `speedup_vs_nofuse`/`speedup_vs_noregalloc` ratios (rows
-//! where a pass *slows down* its engine get `"regression": true` and a
-//! stderr warning instead of being checked in silently), per-pattern
-//! fusion coverage, the `regalloc` copy-traffic section, the cache
-//! `mru` fast-probe hit rates, and ns/op for the retire microbenches;
-//! the sweep JSON
-//! reports wall-clock and speedup per worker count — for both the
-//! in-process thread pool and the multi-process sharded supervisor
-//! (this binary re-entered as a sweep worker via `MPERF_SWEEP_WORKER`)
-//! — after asserting every configuration is bit-identical to the
-//! serial sweep. Both
-//! reports embed (and the runner prints) the engine configuration they
-//! actually ran, so checked-in baselines are self-describing.
+//! engine plus the threaded-over-reference/seed speedups, the
+//! `speedup_vs_noregalloc` ratio (rows where register allocation *slows
+//! down* the engine get `"regression": true` and a stderr warning
+//! instead of being checked in silently), the `regalloc` copy-traffic
+//! section, the cache `mru` fast-probe hit rates, and ns/op for the
+//! retire microbenches; the sweep JSON reports wall-clock and speedup
+//! per worker count — for both the in-process thread pool and the
+//! multi-process sharded supervisor (this binary re-entered as a sweep
+//! worker via `MPERF_SWEEP_WORKER`) — after asserting every
+//! configuration is bit-identical to the serial sweep. Both reports
+//! embed (and the runner prints) the engine configuration they actually
+//! ran, so checked-in baselines are self-describing.
 
 use criterion::Criterion;
 use miniperf::cli::{self, JobKind, JobSpec};
@@ -55,7 +51,7 @@ use mperf_bench::sweep_bench::SweepMatrix;
 use mperf_sim::Platform;
 use mperf_sweep::proto::Msg;
 use mperf_sweep::serve::ClientSession;
-use mperf_vm::{Engine, ExecConfig, FusePattern};
+use mperf_vm::{Engine, ExecConfig};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -91,7 +87,6 @@ struct Opts {
     out_path: String,
     sweep_out_path: String,
     full: bool,
-    fuse: bool,
     regalloc: bool,
     check: bool,
     max_jobs: usize,
@@ -100,14 +95,12 @@ struct Opts {
 }
 
 impl Opts {
-    /// The headline configuration this run measures (the threaded
-    /// template engine; the decoded rows stay measured for bisection).
+    /// The headline configuration this run measures.
     fn headline(&self) -> &'static str {
-        match (self.fuse, self.regalloc) {
-            (true, true) => "threaded",
-            (false, true) => "threaded-nofuse",
-            (true, false) => "threaded-noregalloc",
-            (false, false) => unreachable!("rejected at parse time"),
+        if self.regalloc {
+            "threaded"
+        } else {
+            "threaded-noregalloc"
         }
     }
 
@@ -118,7 +111,6 @@ impl Opts {
     fn config_line(&self) -> String {
         let exec = ExecConfig {
             engine: Engine::Threaded,
-            fuse: self.fuse,
             regalloc: self.regalloc,
         };
         format!(
@@ -141,7 +133,6 @@ fn parse_opts() -> Opts {
         out_path: String::from("BENCH_interp.json"),
         sweep_out_path: String::from("BENCH_sweep.json"),
         full: false,
-        fuse: true,
         regalloc: true,
         check: false,
         max_jobs: 4,
@@ -152,7 +143,7 @@ fn parse_opts() -> Opts {
         eprintln!("bench_trajectory: {msg}");
         eprintln!(
             "usage: bench_trajectory [--out PATH] [--sweep-out PATH] [--jobs N] [--full] \
-             [--no-fuse] [--no-regalloc] [--journal PATH] [--resume] [--check]"
+             [--no-regalloc] [--journal PATH] [--resume] [--check]"
         );
         std::process::exit(2);
     };
@@ -173,7 +164,6 @@ fn parse_opts() -> Opts {
                 None => usage("--jobs needs a value"),
             },
             "--full" => opts.full = true,
-            "--no-fuse" => opts.fuse = false,
             "--no-regalloc" => opts.regalloc = false,
             "--journal" => match args.next() {
                 Some(p) => opts.journal = Some(std::path::PathBuf::from(p)),
@@ -184,11 +174,8 @@ fn parse_opts() -> Opts {
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
-    if !opts.fuse && !opts.regalloc {
-        usage("--no-fuse and --no-regalloc are exclusive escape hatches; pick one");
-    }
-    if opts.check && (!opts.fuse || !opts.regalloc) {
-        usage("--check gates the production configuration; drop the --no-* flags");
+    if opts.check && !opts.regalloc {
+        usage("--check gates the production configuration; drop --no-regalloc");
     }
     if opts.resume && opts.journal.is_none() {
         usage("--resume requires --journal");
@@ -208,9 +195,8 @@ fn ns_lookup<'a>(c: &'a Criterion) -> impl Fn(&str) -> f64 + 'a {
 }
 
 /// The speedup guards over one engine's rows: `speedup_vs_seed ≥ 2`
-/// everywhere, plus a per-engine spin floor for fully-optimized rows
-/// (`≥ 3` for the decoded engine, `≥ 3.5` for the threaded headline;
-/// `None` when the run escapes a pass).
+/// everywhere, plus a spin floor for the fully-optimized headline
+/// (`≥ 3.5`; `None` when the run escapes a pass).
 fn speedup_guards(
     infos: &[InterpBenchInfo],
     ns_of: &impl Fn(&str) -> f64,
@@ -244,12 +230,12 @@ fn speedup_guards(
 /// mode.
 fn copy_reduction_guards(infos: &[InterpBenchInfo]) -> Vec<Guard> {
     let mut guards = Vec::new();
-    for info in infos.iter().filter(|i| i.engine == "decoded") {
+    for info in infos.iter().filter(|i| i.engine == "threaded") {
         if info.workload != "spin" && info.workload != "call-tree" {
             continue;
         }
         let Some(off) = infos.iter().find(|i| {
-            i.engine == "decoded-noregalloc"
+            i.engine == "threaded-noregalloc"
                 && i.workload == info.workload
                 && i.platform == info.platform
         }) else {
@@ -268,24 +254,27 @@ fn copy_reduction_guards(infos: &[InterpBenchInfo]) -> Vec<Guard> {
     guards
 }
 
-/// `--check`: the CI gate. Measures only the guard-relevant rows with a
-/// small budget, evaluates every guard, prints one JSON line to stdout
 /// One `--check` measurement pass at the given per-bench budget.
 fn measure_check(budget_ms: u64) -> Vec<Guard> {
     // Quiet: stdout carries exactly one machine-readable JSON line.
     let mut c = Criterion::default().quiet(true);
     c.measurement_time(Duration::from_millis(budget_ms));
-    let infos = register_interp_benches_filter(&mut c, |cfg: &EngineConfig| {
-        matches!(
-            cfg.name,
-            "threaded" | "decoded" | "decoded-noregalloc" | "seed"
-        )
-    });
+    let infos =
+        register_interp_benches_filter(&mut c, |cfg: &EngineConfig| cfg.name != "reference");
     let ns_of = ns_lookup(&c);
-    // Threaded (the headline) carries the raised spin floor; the decoded
-    // guards are unchanged from PR 4.
+    // Register allocation slowing the engine down is flagged, not gated.
+    for info in infos.iter().filter(|i| i.engine == "threaded") {
+        let ns = ns_of(&info.id);
+        let vs_noregalloc = ns_of(&info.id.replace("-threaded", "-threaded-noregalloc")) / ns;
+        if vs_noregalloc < 0.95 {
+            eprintln!(
+                "  warning: pass regression on {}/{}: speedup_vs_noregalloc \
+                 {vs_noregalloc:.2} (floor 0.95)",
+                info.workload, info.platform
+            );
+        }
+    }
     let mut guards = speedup_guards(&infos, &ns_of, "threaded", Some(3.5));
-    guards.extend(speedup_guards(&infos, &ns_of, "decoded", Some(3.0)));
     guards.extend(copy_reduction_guards(&infos));
     guards
 }
@@ -313,9 +302,11 @@ fn baseline_headline(path: &str) -> Result<String, String> {
     Ok(text[start..start + end].to_string())
 }
 
+/// `--check`: the CI gate. Measures only the guard-relevant rows with a
+/// small budget, evaluates every guard, prints one JSON line to stdout
 /// and human detail to stderr, then exits 0 (all pass) or 1.
 fn run_check(opts: &Opts) -> ! {
-    eprintln!("bench_trajectory --check: measuring threaded/decoded/decoded-noregalloc/seed rows");
+    eprintln!("bench_trajectory --check: measuring threaded/threaded-noregalloc/seed rows");
     // The guards measure fresh timings, so a missing/corrupt baseline
     // is a diagnostic, never a panic or a gate failure.
     match baseline_headline(&opts.out_path) {
@@ -349,7 +340,7 @@ fn run_check(opts: &Opts) -> ! {
     let rows: Vec<String> = guards.iter().map(Guard::json).collect();
     println!(
         "{{\"schema\": \"mperf-bench-check/v1\", \"pass\": {pass}, \"config\": \
-         {{\"engine\": \"threaded\", \"fuse\": true, \"regalloc\": true}}, \
+         {{\"engine\": \"threaded\", \"regalloc\": true}}, \
          \"guards\": [{}]}}",
         rows.join(", ")
     );
@@ -373,11 +364,11 @@ fn main() {
     let mut c = Criterion::default();
     c.measurement_time(Duration::from_millis(if opts.full { 600 } else { 40 }));
 
-    // Threaded/decoded configs running an escaped pass are dropped;
-    // reference and seed always run (they are the speedup denominators).
-    let (fuse, regalloc) = (opts.fuse, opts.regalloc);
+    // The threaded config running an escaped pass is dropped; reference
+    // and seed always run (they are the speedup denominators).
+    let regalloc = opts.regalloc;
     let infos = register_interp_benches_filter(&mut c, |cfg: &EngineConfig| {
-        cfg.engine == Engine::Reference || ((fuse || !cfg.fuse) && (regalloc || !cfg.regalloc))
+        cfg.engine == Engine::Reference || regalloc || !cfg.regalloc
     });
     register_retire_benches(&mut c);
     let ns_of = ns_lookup(&c);
@@ -388,8 +379,7 @@ fn main() {
     let _ = writeln!(json, "  \"quick\": {},", !opts.full);
     let _ = writeln!(
         json,
-        "  \"config\": {{\"fuse\": {}, \"regalloc\": {}, \"headline\": \"{}\"}},",
-        opts.fuse,
+        "  \"config\": {{\"regalloc\": {}, \"headline\": \"{}\"}},",
         opts.regalloc,
         opts.headline()
     );
@@ -397,14 +387,14 @@ fn main() {
     for (i, info) in infos.iter().enumerate() {
         let ns = ns_of(&info.id);
         let ops_per_sec = info.mir_ops_per_call as f64 * 1e9 / ns;
-        // Speedups only reported on decoded rows, vs the reference and
+        // Speedups only reported on threaded rows, vs the reference and
         // seed (pre-PR) rows of the same workload/platform — and, for
-        // the fully-optimized row, vs its single-pass-escaped siblings.
+        // the fully-optimized row, vs its regalloc-escaped sibling.
         let base_id = |engine: &str| {
             info.id
                 .replace(&format!("-{}", info.engine), &format!("-{engine}"))
         };
-        let fast_row = info.engine.starts_with("decoded") || info.engine.starts_with("threaded");
+        let fast_row = info.engine.starts_with("threaded");
         let _ = write!(
             json,
             "    {{\"workload\": \"{}\", \"platform\": \"{}\", \"engine\": \"{}\", \
@@ -419,23 +409,17 @@ fn main() {
                 ", \"speedup_vs_reference\": {vs_ref:.2}, \"speedup_vs_seed\": {vs_seed:.2}"
             );
         }
-        if matches!(info.engine, "decoded" | "threaded") && opts.fuse && opts.regalloc {
-            let family = info.engine;
-            let vs_nofuse = ns_of(&base_id(&format!("{family}-nofuse"))) / ns;
-            let vs_noregalloc = ns_of(&base_id(&format!("{family}-noregalloc"))) / ns;
-            let _ = write!(
-                json,
-                ", \"speedup_vs_nofuse\": {vs_nofuse:.2}, \"speedup_vs_noregalloc\": {vs_noregalloc:.2}"
-            );
-            // A pass that *slows down* its engine on a workload is a
+        if info.engine == "threaded" {
+            let vs_noregalloc = ns_of(&base_id("threaded-noregalloc")) / ns;
+            let _ = write!(json, ", \"speedup_vs_noregalloc\": {vs_noregalloc:.2}");
+            // A pass that *slows down* the engine on a workload is a
             // regression, and gets flagged instead of checked in
-            // silently (the PR 3 mem-stream 0.86 lesson).
-            if vs_nofuse < 0.95 || vs_noregalloc < 0.95 {
+            // silently.
+            if vs_noregalloc < 0.95 {
                 let _ = write!(json, ", \"regression\": true");
                 eprintln!(
                     "warning: pass regression on {}/{} ({}): \
-                     speedup_vs_nofuse {vs_nofuse:.2}, speedup_vs_noregalloc {vs_noregalloc:.2} \
-                     (floor 0.95)",
+                     speedup_vs_noregalloc {vs_noregalloc:.2} (floor 0.95)",
                     info.workload, info.platform, info.engine
                 );
             }
@@ -444,66 +428,18 @@ fn main() {
         json.push_str(if i + 1 < infos.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
-    // Per-pattern fusion coverage of the fused decoded rows: static
-    // sites/coverage from the decode pass, dynamic coverage from one
-    // call (what fraction of executed MIR ops ran inside a fused fast
-    // path).
-    json.push_str("  \"fusion\": [\n");
-    let fused_rows: Vec<_> = infos
-        .iter()
-        .filter(|i| i.engine == "decoded" && opts.fuse)
-        .collect();
-    for (i, info) in fused_rows.iter().enumerate() {
-        let st = &info.fusion_static;
-        let dynv = &info.fusion_dyn;
-        let _ = write!(
-            json,
-            "    {{\"workload\": \"{}\", \"platform\": \"{}\", \"sites\": {{",
-            info.workload, info.platform
-        );
-        for (pi, p) in FusePattern::ALL.iter().enumerate() {
-            let _ = write!(
-                json,
-                "\"{}\": {}{}",
-                p.name(),
-                st.sites[p.index()],
-                if pi + 1 < FusePattern::ALL.len() {
-                    ", "
-                } else {
-                    ""
-                }
-            );
-        }
-        let _ = write!(
-            json,
-            "}}, \"static_coverage\": {:.3}, \"dynamic_coverage\": {:.3}, \
-             \"ineligible_mid_target\": {}}}",
-            st.static_coverage(),
-            dynv.coverage(info.mir_ops_per_call),
-            st.ineligible_mid_target
-        );
-        json.push_str(if i + 1 < fused_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
     // Register-allocation copy traffic: static coalescing from the
     // decode pass, dynamic `Copy` data movement with the pass on vs off
     // (deterministic counts, no timing).
     json.push_str("  \"regalloc\": [\n");
-    let ra_rows: Vec<_> = infos
-        .iter()
-        .filter(|i| i.engine == "decoded" && opts.regalloc && opts.fuse)
-        .collect();
+    let ra_rows: Vec<_> = infos.iter().filter(|i| i.engine == "threaded").collect();
     for (i, info) in ra_rows.iter().enumerate() {
         let st = &info.regalloc_static;
         let dynv = &info.regalloc_dyn;
         let moved_off = infos
             .iter()
             .find(|o| {
-                o.engine == "decoded-noregalloc"
+                o.engine == "threaded-noregalloc"
                     && o.workload == info.workload
                     && o.platform == info.platform
             })
@@ -535,8 +471,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     // Per-level cache MRU fast-probe hit rates (deterministic counts
-    // from the threaded rows' sanity runs; the probe is what recovered
-    // the mem-stream fusion regression).
+    // from the threaded rows' sanity runs).
     json.push_str("  \"mru\": [\n");
     let mru_rows: Vec<_> = infos.iter().filter(|i| i.engine == "threaded").collect();
     for (i, info) in mru_rows.iter().enumerate() {
@@ -591,7 +526,7 @@ fn main() {
     std::fs::write(&opts.out_path, &json).expect("write trajectory json");
     println!("wrote {}", opts.out_path);
 
-    // Surface the headline numbers (and fail loudly if the decoded
+    // Surface the headline numbers (and fail loudly if the threaded
     // engine ever regresses below parity with the reference engine).
     let headline = opts.headline();
     for info in &infos {
@@ -613,22 +548,12 @@ fn main() {
             info.platform
         );
     }
-    // The ROADMAP's interpreter guards: every fast engine stays ≥ 2x
-    // the seed configuration — and, with both passes on, the spin floor
-    // is ≥ 3.5x for the threaded headline and ≥ 3x for decoded. Hard in
-    // --full mode; quick mode (40 ms budgets) only warns, since it
-    // exists to smoke-test the flow.
-    let both = opts.fuse && opts.regalloc;
-    let mut all_guards = speedup_guards(
-        &infos,
-        &ns_of,
-        headline,
-        if both { Some(3.5) } else { None },
-    );
-    if both {
-        all_guards.extend(speedup_guards(&infos, &ns_of, "decoded", Some(3.0)));
-    }
-    for g in all_guards {
+    // The ROADMAP's interpreter guards: the headline stays ≥ 2x the seed
+    // configuration — and, with register allocation on, ≥ 3.5x on spin.
+    // Hard in --full mode; quick mode (40 ms budgets) only warns, since
+    // it exists to smoke-test the flow.
+    let spin_floor = opts.regalloc.then_some(3.5);
+    for g in speedup_guards(&infos, &ns_of, headline, spin_floor) {
         if !g.pass() {
             let msg = format!(
                 "interpreter guard: only {:.2}x seed on {}/{} (need >= {})",
@@ -649,42 +574,15 @@ fn main() {
             g.platform
         );
     }
-    // Per-pattern fusion coverage of the fused engine.
-    for info in &infos {
-        if info.engine != "decoded" || !opts.fuse {
-            continue;
-        }
-        let st = &info.fusion_static;
-        let dynv = &info.fusion_dyn;
-        let pats: Vec<String> = FusePattern::ALL
-            .iter()
-            .filter(|p| dynv.executed[p.index()] > 0)
-            .map(|p| format!("{} x{}", p.name(), dynv.executed[p.index()]))
-            .collect();
+    for info in infos.iter().filter(|i| i.engine == "threaded") {
+        let ra = &info.regalloc_dyn;
         println!(
-            "{:<40} fusion: {:.1}% of dynamic MIR ops ({})",
+            "{:<40} regalloc: {} copies moved, {} elided ({:.1}% of copy traffic)",
             format!("{}/{}", info.workload, info.platform),
-            dynv.coverage(info.mir_ops_per_call) * 100.0,
-            if pats.is_empty() {
-                "no sites hit".to_string()
-            } else {
-                pats.join(", ")
-            },
+            ra.copies_moved,
+            ra.copies_elided,
+            ra.elision_rate() * 100.0,
         );
-        assert_eq!(
-            st.ineligible_mid_target, 0,
-            "block flattening should never place a branch target mid-pattern"
-        );
-        if opts.regalloc {
-            let ra = &info.regalloc_dyn;
-            println!(
-                "{:<40} regalloc: {} copies moved, {} elided ({:.1}% of copy traffic)",
-                format!("{}/{}", info.workload, info.platform),
-                ra.copies_moved,
-                ra.copies_elided,
-                ra.elision_rate() * 100.0,
-            );
-        }
     }
 
     run_sweep_scaling(&opts);

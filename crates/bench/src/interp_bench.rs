@@ -6,10 +6,10 @@
 //!   emitting `BENCH_interp.json`).
 //!
 //! Three interpreter workloads cover the three hot-path shapes the
-//! pre-decoded engine optimizes: a pure int-ALU `spin` loop, a
+//! threaded engine optimizes: a pure int-ALU `spin` loop, a
 //! memory-heavy streaming kernel (exercises the batched-retire path on
 //! cache-missing loads/stores), and a call-heavy tree (exercises the
-//! decoded call/return path and the contiguous register stack).
+//! call/return templates and the contiguous register stack).
 
 use criterion::Criterion;
 use mperf_sim::machine_op::{MachineOp, MemRef, OpClass};
@@ -113,13 +113,8 @@ pub struct InterpBenchInfo {
     pub engine: &'static str,
     /// MIR ops executed by a single benched call.
     pub mir_ops_per_call: u64,
-    /// Decode-time fusion stats of the module this config ran (zeros for
-    /// unfused/reference/seed configs).
-    pub fusion_static: mperf_vm::FusionStats,
-    /// Runtime fusion coverage of one call (zeros when not fused).
-    pub fusion_dyn: mperf_vm::FusionDynamics,
     /// Decode-time register-allocation stats (zeros when regalloc was
-    /// off for this config or the engine is not decoded).
+    /// off for this config or the engine is the reference).
     pub regalloc_static: mperf_vm::RegallocStats,
     /// Runtime copy-traffic split of one call.
     pub regalloc_dyn: mperf_vm::RegallocDynamics,
@@ -144,78 +139,46 @@ pub struct MemStats {
 /// `seed` reproduces the pre-PR execution stack: the structure-walking
 /// interpreter plus the per-op 32-counter PMU scan. `threaded` is the
 /// production default (template dispatch + superblock retire, with
-/// superinstruction fusion and register allocation on);
-/// `threaded-nofuse` / `threaded-noregalloc` isolate each decode pass
-/// under the template engine, and the `decoded*` rows keep the
-/// first-generation match-dispatch engine measurable for bisection.
+/// register allocation on); `threaded-noregalloc` isolates the decode
+/// pass.
 #[derive(Clone, Copy)]
 pub struct EngineConfig {
     pub name: &'static str,
     pub engine: Engine,
-    pub fuse: bool,
     pub regalloc: bool,
     pub pmu_batched: bool,
 }
 
+/// The seed configuration every sanity run is checked against.
+const SEED: EngineConfig = EngineConfig {
+    name: "seed",
+    engine: Engine::Reference,
+    regalloc: true,
+    pmu_batched: false,
+};
+
 /// The benchmarked engine configurations, fastest first.
-pub fn engine_configs() -> [EngineConfig; 8] {
+pub fn engine_configs() -> [EngineConfig; 4] {
     [
         EngineConfig {
             name: "threaded",
             engine: Engine::Threaded,
-            fuse: true,
-            regalloc: true,
-            pmu_batched: true,
-        },
-        EngineConfig {
-            name: "threaded-nofuse",
-            engine: Engine::Threaded,
-            fuse: false,
             regalloc: true,
             pmu_batched: true,
         },
         EngineConfig {
             name: "threaded-noregalloc",
             engine: Engine::Threaded,
-            fuse: true,
-            regalloc: false,
-            pmu_batched: true,
-        },
-        EngineConfig {
-            name: "decoded",
-            engine: Engine::Decoded,
-            fuse: true,
-            regalloc: true,
-            pmu_batched: true,
-        },
-        EngineConfig {
-            name: "decoded-nofuse",
-            engine: Engine::Decoded,
-            fuse: false,
-            regalloc: true,
-            pmu_batched: true,
-        },
-        EngineConfig {
-            name: "decoded-noregalloc",
-            engine: Engine::Decoded,
-            fuse: true,
             regalloc: false,
             pmu_batched: true,
         },
         EngineConfig {
             name: "reference",
             engine: Engine::Reference,
-            fuse: true,
             regalloc: true,
             pmu_batched: true,
         },
-        EngineConfig {
-            name: "seed",
-            engine: Engine::Reference,
-            fuse: true,
-            regalloc: true,
-            pmu_batched: false,
-        },
+        SEED,
     ]
 }
 
@@ -223,7 +186,6 @@ pub fn engine_configs() -> [EngineConfig; 8] {
 pub struct WorkloadRun {
     pub out: Vec<Value>,
     pub mir_ops: u64,
-    pub fusion_dyn: mperf_vm::FusionDynamics,
     pub regalloc_dyn: mperf_vm::RegallocDynamics,
     pub mem: MemStats,
 }
@@ -242,7 +204,6 @@ fn run_workload(
     if let Some(d) = decoded {
         vm.set_decoded(Arc::clone(d));
     }
-    vm.set_fusion(cfg.fuse);
     vm.set_regalloc(cfg.regalloc);
     let mut args = Vec::new();
     if w.buf_words > 0 {
@@ -269,7 +230,6 @@ fn run_workload(
     WorkloadRun {
         out,
         mir_ops: vm.stats().mir_ops,
-        fusion_dyn: vm.fusion_dynamics(),
         regalloc_dyn: vm.regalloc_dynamics(),
         mem,
     }
@@ -283,9 +243,9 @@ pub fn register_interp_benches(c: &mut Criterion) -> Vec<InterpBenchInfo> {
 
 /// [`register_interp_benches`] with the engine-configuration set
 /// selectable: `keep` decides which [`engine_configs`] rows are
-/// measured. `bench_trajectory --no-fuse` / `--no-regalloc` drop the
-/// configs running the escaped pass so its regressions can be bisected
-/// out of the picture; `--check` keeps only the guard-relevant rows.
+/// measured. `bench_trajectory --no-regalloc` drops the configs running
+/// the escaped pass so its regressions can be bisected out of the
+/// picture; `--check` keeps only the guard-relevant rows.
 pub fn register_interp_benches_filter(
     c: &mut Criterion,
     keep: impl Fn(&EngineConfig) -> bool,
@@ -299,34 +259,20 @@ pub fn register_interp_benches_filter(
                 mperf_workloads::compile_for("b", w.src, platform, false).expect("bench compiles");
             // Decode once per flavour outside the timed loop (the
             // roofline-sweep usage pattern: many short-lived VMs, one
-            // decode). Configs pick the decode matching their pass
-            // flags so no re-decode lands inside the measurement.
-            let decode_of = |fuse: bool, regalloc: bool| {
-                mperf_vm::decode_module_cfg(&module, mperf_vm::DecodeConfig { fuse, regalloc })
+            // decode). Configs pick the decode matching their pass flag
+            // so no re-decode lands inside the measurement.
+            let decode_of = |regalloc: bool| {
+                mperf_vm::decode_module_cfg(&module, mperf_vm::DecodeConfig { regalloc })
             };
-            let full = decode_of(true, true);
-            let nofuse = decode_of(false, true);
-            let noregalloc = decode_of(true, false);
+            let (full, noregalloc) = (decode_of(true), decode_of(false));
             for cfg in engine_configs() {
                 if !keep(&cfg) {
                     continue;
                 }
-                let decoded = match (cfg.fuse, cfg.regalloc) {
-                    (true, true) => &full,
-                    (false, true) => &nofuse,
-                    (true, false) => &noregalloc,
-                    (false, false) => unreachable!("no benched config escapes both passes"),
-                };
+                let decoded = if cfg.regalloc { &full } else { &noregalloc };
                 // Sanity-run once, outside timing: configs must agree.
                 let run = run_workload(&module, spec.clone(), cfg, Some(decoded), &w);
-                let seed_cfg = EngineConfig {
-                    name: "seed",
-                    engine: Engine::Reference,
-                    fuse: true,
-                    regalloc: true,
-                    pmu_batched: false,
-                };
-                let seed_run = run_workload(&module, spec.clone(), seed_cfg, None, &w);
+                let seed_run = run_workload(&module, spec.clone(), SEED, None, &w);
                 assert_eq!(
                     run.out, seed_run.out,
                     "engine configs diverge on {}",
@@ -337,20 +283,14 @@ pub fn register_interp_benches_filter(
                 g.bench_function(&id, |b| {
                     b.iter(|| run_workload(&module, spec.clone(), cfg, Some(decoded), &w).out)
                 });
-                let is_decoded = cfg.engine != Engine::Reference;
+                let is_threaded = cfg.engine == Engine::Threaded;
                 infos.push(InterpBenchInfo {
                     id: format!("vm/interp-throughput/{id}"),
                     workload: w.name,
                     platform: spec.name,
                     engine: cfg.name,
                     mir_ops_per_call: run.mir_ops,
-                    fusion_static: if is_decoded && cfg.fuse {
-                        decoded.fusion
-                    } else {
-                        mperf_vm::FusionStats::default()
-                    },
-                    fusion_dyn: run.fusion_dyn,
-                    regalloc_static: if is_decoded && cfg.regalloc {
+                    regalloc_static: if is_threaded && cfg.regalloc {
                         decoded.regalloc
                     } else {
                         mperf_vm::RegallocStats::default()

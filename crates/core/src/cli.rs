@@ -102,13 +102,10 @@ options:
   --jobs <N>                     worker threads for `roofline`'s sweep jobs
                                  (default: available parallelism; 1 = serial;
                                  results are identical at any value)
-  --engine <threaded|decoded|reference>
-                                 execution engine (default: threaded — template
-                                 dispatch with superblock PMU retire; all are
-                                 observably identical — decoded/reference are
-                                 the bisection baselines)
-  --no-fuse                      disable decode-time superinstruction fusion
-                                 (identical measurements, slower execution)
+  --engine <threaded|reference>  execution engine (default: threaded — template
+                                 dispatch with superblock PMU retire; both are
+                                 observably identical — reference is the
+                                 bisection baseline)
   --no-regalloc                  disable decode-time register allocation /
                                  copy coalescing (identical measurements,
                                  slower execution)
@@ -144,8 +141,8 @@ options:
                                  the same key after a daemon crash to resume
   -h, --help                     print this help
 
-Every report starts with a `config:` line naming the engine, fusion, and
-regalloc settings it actually ran, so captured output is self-describing.
+Every report starts with a `config:` line naming the engine and regalloc
+settings it actually ran, so captured output is self-describing.
 ";
 
 /// Options shared by every measuring command (the old hand-rolled `Opts`
@@ -179,9 +176,9 @@ impl Default for CommonOpts {
 }
 
 impl CommonOpts {
-    /// The `config:` report header: the engine/fusion/regalloc
-    /// configuration this run *actually* used, so checked-in or piped
-    /// output is self-describing.
+    /// The `config:` report header: the engine/regalloc configuration
+    /// this run *actually* used, so checked-in or piped output is
+    /// self-describing.
     pub fn config_line(&self) -> String {
         format!(
             "config: platform={} {} jobs={}",
@@ -272,16 +269,10 @@ fn parse_opts(args: &[String], allow_socket: bool) -> Result<(CommonOpts, PathBu
             },
             "--engine" => match it.next().map(String::as_str) {
                 Some("threaded") => opts.exec.engine = Engine::Threaded,
-                Some("decoded") => opts.exec.engine = Engine::Decoded,
                 Some("reference") => opts.exec.engine = Engine::Reference,
-                Some(v) => {
-                    return Err(format!(
-                        "unknown engine {v:?} (use threaded | decoded | reference)"
-                    ))
-                }
+                Some(v) => return Err(format!("unknown engine {v:?} (use threaded | reference)")),
                 None => return Err("--engine needs a value".into()),
             },
-            "--no-fuse" => opts.exec.fuse = false,
             "--no-regalloc" => opts.exec.regalloc = false,
             "--journal" => match it.next() {
                 Some(v) => opts.journal = Some(PathBuf::from(v)),
@@ -483,8 +474,9 @@ pub enum JobKind {
 
 /// Job-description codec schema (independent of the framing protocol's
 /// version: specs carry their own schema byte so a daemon can reject a
-/// stale description precisely). Schema 2 added the sweep `job_key`.
-pub const JOB_SCHEMA: u32 = 2;
+/// stale description precisely). Schema 2 added the sweep `job_key`;
+/// schema 3 dropped the fusion flag from the engine configuration.
+pub const JOB_SCHEMA: u32 = 3;
 
 /// A parsed job description: everything the daemon needs to execute a
 /// `record`/`stat`/`roofline`/`sweep` request. The CLI parser builds
@@ -539,9 +531,7 @@ impl JobSpec {
         e.u64(self.period);
         e.u32(self.jobs as u32);
         e.u32(self.retries);
-        e.u8(engine_code(self.exec.engine));
-        e.u8(self.exec.fuse as u8);
-        e.u8(self.exec.regalloc as u8);
+        enc_exec(&mut e, self.exec);
         e.u64(self.n);
         e.str(&self.job_key);
         e.into_bytes()
@@ -568,9 +558,7 @@ impl JobSpec {
             let period = d.u64()?;
             let jobs = d.u32()? as usize;
             let retries = d.u32()?;
-            let engine = engine_from_code(d.u8()?).ok_or(WireError::Truncated)?;
-            let fuse = d.u8()? != 0;
-            let regalloc = d.u8()? != 0;
+            let exec = dec_exec(d)?;
             let n = d.u64()?;
             let job_key = d.str()?;
             Ok(JobSpec {
@@ -579,11 +567,7 @@ impl JobSpec {
                 period,
                 jobs,
                 retries,
-                exec: ExecConfig {
-                    engine,
-                    fuse,
-                    regalloc,
-                },
+                exec,
                 n,
                 job_key,
             })
@@ -614,21 +598,27 @@ pub(crate) fn platform_from_code(b: u8) -> Option<Platform> {
     }
 }
 
-pub(crate) fn engine_code(e: Engine) -> u8 {
-    match e {
+/// The one wire form of an [`ExecConfig`], shared by the job-spec,
+/// sharded-cell, and decode-cache codecs: engine code, then regalloc.
+pub(crate) fn enc_exec(e: &mut Enc, exec: ExecConfig) {
+    e.u8(match exec.engine {
         Engine::Threaded => 0,
-        Engine::Decoded => 1,
-        Engine::Reference => 2,
-    }
+        Engine::Reference => 1,
+    });
+    e.u8(exec.regalloc as u8);
 }
 
-pub(crate) fn engine_from_code(b: u8) -> Option<Engine> {
-    match b {
-        0 => Some(Engine::Threaded),
-        1 => Some(Engine::Decoded),
-        2 => Some(Engine::Reference),
-        _ => None,
-    }
+/// Inverse of [`enc_exec`]; an unknown engine code is malformed.
+pub(crate) fn dec_exec(d: &mut Dec) -> Result<ExecConfig, WireError> {
+    let engine = match d.u8()? {
+        0 => Engine::Threaded,
+        1 => Engine::Reference,
+        _ => return Err(WireError::Truncated),
+    };
+    Ok(ExecConfig {
+        engine,
+        regalloc: d.u8()? != 0,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -946,7 +936,9 @@ impl SweepOutcome {
     ) -> Result<SweepOutcome, String> {
         let mut d = Dec::new(bytes);
         let inner = |d: &mut Dec| -> Result<SweepOutcome, WireError> {
-            let nf = d.u32()? as usize;
+            // Element floors: u64 + u32 + u8 + string length; u64 + u32;
+            // u64; u64.
+            let nf = d.count(17)?;
             let mut failed = Vec::with_capacity(nf);
             for _ in 0..nf {
                 failed.push(SweepFailure {
@@ -956,17 +948,17 @@ impl SweepOutcome {
                     error: d.str()?,
                 });
             }
-            let nr = d.u32()? as usize;
+            let nr = d.count(12)?;
             let mut retried = Vec::with_capacity(nr);
             for _ in 0..nr {
                 retried.push((d.u64()? as usize, d.u32()?));
             }
-            let ns = d.u32()? as usize;
+            let ns = d.count(8)?;
             let mut skipped = Vec::with_capacity(ns);
             for _ in 0..ns {
                 skipped.push(d.u64()? as usize);
             }
-            let nz = d.u32()? as usize;
+            let nz = d.count(8)?;
             let mut resumed = Vec::with_capacity(nz);
             for _ in 0..nz {
                 resumed.push(d.u64()? as usize);
@@ -1389,8 +1381,7 @@ mod tests {
                 retries: 7,
                 exec: ExecConfig {
                     engine: Engine::Reference,
-                    fuse: false,
-                    regalloc: true,
+                    regalloc: false,
                 },
                 n: 2048,
                 job_key: "nightly-sweep".into(),

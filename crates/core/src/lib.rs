@@ -39,8 +39,6 @@ pub use detect::{detect, probe_sampling, Detected, SamplingStrategy, SamplingSup
 pub use hotspot::{hotspot_table, HotspotRow};
 pub use profile::{ProfSample, Profile};
 pub use record::{record, RecordConfig};
-#[allow(deprecated)]
-pub use roofline_runner::{run_roofline, run_roofline_jobs, run_roofline_jobs_cfg};
 pub use roofline_runner::{
     run_roofline_sweep, PhaseObservables, RegionMeasurement, RooflineJob, RooflineRequest,
     RooflineRun, SetupFn,
@@ -51,6 +49,4 @@ pub use shard_exec::{
     ShardedSweep, ShardedSweepOptions,
 };
 pub use stat::{stat, StatReport};
-#[allow(deprecated)]
-pub use sweep_supervisor::run_roofline_sweep_supervised;
-pub use sweep_supervisor::{SupervisedSweep, SweepCellError, SweepOptions};
+pub use sweep_supervisor::{SupervisedSweep, SweepCellError};

@@ -24,12 +24,10 @@
 //!
 //! ## One entry point
 //!
-//! [`RooflineRequest`] is a builder over every knob the historical
-//! `run_roofline` / `run_roofline_jobs` / `run_roofline_jobs_cfg` /
-//! `run_roofline_sweep_supervised` family accumulated: worker threads,
-//! engine configuration, retry policy, journal path, resume. Defaults
-//! reproduce the old zero-argument behavior exactly; the old functions
-//! survive as deprecated one-line shims.
+//! [`RooflineRequest`] is a builder over every knob of a measurement:
+//! worker threads, engine configuration, retry policy, journal path,
+//! resume. Defaults are a serial run on the default engine with no
+//! journal.
 
 use crate::sweep_supervisor::{SupervisedSweep, SweepOptions};
 use mperf_ir::Module;
@@ -310,9 +308,8 @@ pub(crate) fn correlate(
 /// ([`RooflineRequest::run`]) and supervised sweeps
 /// ([`RooflineRequest::run_supervised`]), with every knob defaulted.
 ///
-/// `RooflineRequest::new()` reproduces the historical `run_roofline`
-/// behavior exactly: serial (`jobs = 1`), default [`ExecConfig`],
-/// default [`RetryPolicy`], no journal, no resume.
+/// `RooflineRequest::new()` is serial (`jobs = 1`) with the default
+/// [`ExecConfig`] and [`RetryPolicy`], no journal, and no resume.
 ///
 /// ```no_run
 /// # use miniperf::RooflineRequest;
@@ -345,10 +342,10 @@ impl RooflineRequest {
         self
     }
 
-    /// Engine configuration (the `--engine` / `--no-fuse` /
-    /// `--no-regalloc` plumbing for regression bisection). Every
-    /// configuration is observably identical: engine choice and decode
-    /// passes change speed, never measurements.
+    /// Engine configuration (the `--engine` / `--no-regalloc` plumbing
+    /// for regression bisection). Every configuration is observably
+    /// identical: engine choice and decode passes change speed, never
+    /// measurements.
     pub fn config(mut self, cfg: ExecConfig) -> RooflineRequest {
         self.cfg = cfg;
         self
@@ -476,63 +473,15 @@ impl RooflineRequest {
     }
 }
 
-/// Run the two-phase workflow serially (one job at a time).
-///
-/// # Errors
-/// Propagates guest traps from either phase.
-#[deprecated(note = "use RooflineRequest::new().run(...)")]
-pub fn run_roofline(
-    module: &Module,
-    spec: &PlatformSpec,
-    entry: &str,
-    setup: SetupFn,
-) -> Result<RooflineRun, VmError> {
-    RooflineRequest::new().run(module, spec, entry, setup)
-}
-
-/// Two-phase workflow over a worker pool of `jobs` threads.
-///
-/// # Errors
-/// See [`RooflineRequest::run`].
-#[deprecated(note = "use RooflineRequest::new().jobs(n).run(...)")]
-pub fn run_roofline_jobs(
-    module: &Module,
-    spec: &PlatformSpec,
-    entry: &str,
-    setup: SetupFn,
-    jobs: usize,
-) -> Result<RooflineRun, VmError> {
-    RooflineRequest::new()
-        .jobs(jobs)
-        .run(module, spec, entry, setup)
-}
-
-/// Two-phase workflow with an explicit engine configuration.
-///
-/// # Errors
-/// See [`RooflineRequest::run`].
-#[deprecated(note = "use RooflineRequest::new().jobs(n).config(cfg).run(...)")]
-pub fn run_roofline_jobs_cfg(
-    module: &Module,
-    spec: &PlatformSpec,
-    entry: &str,
-    setup: SetupFn,
-    jobs: usize,
-    cfg: ExecConfig,
-) -> Result<RooflineRun, VmError> {
-    RooflineRequest::new()
-        .jobs(jobs)
-        .config(cfg)
-        .run(module, spec, entry, setup)
-}
-
 /// Run a whole roofline sweep: every cell's baseline and instrumented
 /// phases become independent jobs draining through one pool of `jobs`
 /// worker threads, and the per-cell results come back in cell order.
-/// Output is bit-identical to running [`run_roofline`] over the cells
-/// in a loop — a failed cell reports its error (baseline phase's error
-/// first) without disturbing the other cells.
+/// Output is bit-identical to running [`RooflineRequest::run`] over the
+/// cells in a loop with the default [`ExecConfig`] — a failed cell
+/// reports its error (baseline phase's error first) without disturbing
+/// the other cells.
 pub fn run_roofline_sweep(cells: &[RooflineJob], jobs: usize) -> Vec<Result<RooflineRun, VmError>> {
+    let cfg = ExecConfig::default();
     // One decode per cell, built up front on the calling thread (cells
     // may share one via `RooflineJob::decoded`).
     let decodes: Vec<Arc<DecodedModule>> = cells
@@ -540,7 +489,7 @@ pub fn run_roofline_sweep(cells: &[RooflineJob], jobs: usize) -> Vec<Result<Roof
         .map(|c| {
             c.decoded
                 .clone()
-                .unwrap_or_else(|| decode_module_cfg(c.module, ExecConfig::default().decode()))
+                .unwrap_or_else(|| decode_module_cfg(c.module, cfg.decode()))
         })
         .collect();
     // Expand cells into phase jobs in serial order: cell-major, then
@@ -559,7 +508,7 @@ pub fn run_roofline_sweep(cells: &[RooflineJob], jobs: usize) -> Vec<Result<Roof
             &cell.entry,
             &*cell.setup,
             phase,
-            mperf_vm::Engine::Decoded,
+            cfg.engine,
         )
     })
     .into_iter();

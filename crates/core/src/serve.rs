@@ -129,7 +129,7 @@ pub fn decode_sample(bytes: &[u8]) -> Result<ProfSample, String> {
     let mut d = Dec::new(bytes);
     let inner = |d: &mut Dec| -> Result<ProfSample, WireError> {
         let ip = d.u64()?;
-        let n = d.u32()? as usize;
+        let n = d.count(8)?;
         let mut callchain = Vec::with_capacity(n);
         for _ in 0..n {
             callchain.push(d.u64()?);
@@ -187,7 +187,7 @@ pub fn decode_profile_meta(bytes: &[u8]) -> Result<Profile, String> {
         let lost = d.u64()?;
         let total_cycles = d.u64()?;
         let total_instructions = d.u64()?;
-        let n = d.u32()? as usize;
+        let n = d.count(4)?;
         let mut func_names = Vec::with_capacity(n);
         for _ in 0..n {
             func_names.push(d.str()?);
@@ -227,7 +227,7 @@ pub fn decode_stat(bytes: &[u8], events: &[EventKind]) -> Result<StatReport, Str
     let inner = |d: &mut Dec| -> Result<StatReport, WireError> {
         let cycles = d.u64()?;
         let instructions = d.u64()?;
-        let n = d.u32()? as usize;
+        let n = d.count(8)?;
         if n != events.len() {
             return Err(WireError::Truncated);
         }
@@ -359,7 +359,9 @@ struct CacheSource<'a> {
 }
 
 const CACHE_MAGIC: &[u8; 8] = b"MPDCACH1";
-const CACHE_SCHEMA: u32 = 1;
+/// Bumped on any recipe-codec change; entries of another schema are a
+/// silent miss. Schema 2 carries the two-field [`ExecConfig`] wire form.
+const CACHE_SCHEMA: u32 = 2;
 
 /// Body of one on-disk cache entry: the decode recipe. The file is
 /// `MAGIC ++ crc32(body) ++ body`, named `<cell_key:016x>.mpdc`.
@@ -373,9 +375,7 @@ fn encode_cache_entry(
     e.u32(CACHE_SCHEMA);
     e.u8(cli::platform_code(platform));
     e.str(entry);
-    e.u8(cli::engine_code(exec.engine));
-    e.u8(exec.fuse as u8);
-    e.u8(exec.regalloc as u8);
+    cli::enc_exec(&mut e, exec);
     e.str(src.workload);
     e.str(src.source);
     e.u8(src.instrument as u8);
@@ -401,11 +401,7 @@ fn decode_cache_entry(
         }
         let platform = cli::platform_from_code(d.u8().ok()?)?;
         let entry = d.str().ok()?;
-        let exec = ExecConfig {
-            engine: cli::engine_from_code(d.u8().ok()?)?,
-            fuse: d.u8().ok()? != 0,
-            regalloc: d.u8().ok()? != 0,
-        };
+        let exec = cli::dec_exec(d).ok()?;
         let workload = d.str().ok()?;
         let source = d.str().ok()?;
         let instrument = d.u8().ok()? != 0;
@@ -1756,11 +1752,11 @@ mod tests {
             }
         );
         // A different exec flavour is a different key.
-        let no_fuse = ExecConfig {
-            fuse: false,
+        let no_regalloc = ExecConfig {
+            regalloc: false,
             ..ExecConfig::default()
         };
-        cache.decoded_for(&module, Platform::SpacemitX60, "demo", no_fuse, None);
+        cache.decoded_for(&module, Platform::SpacemitX60, "demo", no_regalloc, None);
         assert_eq!(
             cache.stats(),
             ServeStats {
@@ -1805,6 +1801,53 @@ mod tests {
         trailing.push(0);
         assert!(decode_cache_entry(&trailing).is_none());
         assert!(decode_cache_entry(b"").is_none());
+    }
+
+    /// An entry written by an older codec (schema 1: engine, fuse, and
+    /// regalloc bytes) under the very filename the current daemon would
+    /// use is skipped silently at startup — no error, nothing preloaded —
+    /// while the same recipe at the current schema preloads.
+    #[test]
+    fn stale_schema_cache_entries_are_skipped_silently() {
+        let dir = std::env::temp_dir().join(format!("mperf-stale-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let platform = Platform::SpacemitX60;
+        let module = cli::triad_module(platform);
+        let exec = ExecConfig::default();
+        let key = cell_key(&platform.spec(), "triad", exec, &module.to_string());
+        let mut e = Enc::new();
+        e.u32(1);
+        e.u8(cli::platform_code(platform));
+        e.str("triad");
+        e.u8(0);
+        e.u8(1);
+        e.u8(1);
+        e.str("cli");
+        e.str(cli::KERNEL);
+        e.u8(1);
+        persist_cache_entry(&dir, key, &e.into_bytes());
+
+        let socket = dir.join("d.sock");
+        let sopts = ServeOptions {
+            cache_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        };
+        let handle =
+            start(&socket, &CommonOpts::default(), &sopts).expect("stale entry is no error");
+        assert_eq!(handle.stats().preloaded, 0, "stale schema is a miss");
+        handle.stop();
+
+        let src = CacheSource {
+            workload: "cli",
+            source: cli::KERNEL,
+            instrument: true,
+        };
+        persist_cache_entry(&dir, key, &encode_cache_entry(src, platform, "triad", exec));
+        let cache = DecodeCache::new(Some(dir.clone()));
+        cache.preload(&dir);
+        assert_eq!(cache.stats().preloaded, 1, "the current schema preloads");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! deadline, and `ipc.frame` (in `mperf_sweep::proto`) corrupts a
 //! response frame. Plans reach workers via [`mperf_fault::ENV_VAR`].
 
+use crate::cli::{dec_exec, enc_exec};
 use crate::roofline_runner::{correlate, run_phase_opts, BoxedSetupFn, RooflineRun};
 use crate::sweep_supervisor::{
     cell_key, classify_cell_error, decode_run, encode_run, SweepCellError,
@@ -37,7 +38,7 @@ use mperf_sweep::proto::{fault_key, serve_worker, WorkerFailure};
 use mperf_sweep::shard::{run_sharded, ShardCell, ShardFailure, ShardOptions, WorkerCmd};
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
 use mperf_sweep::{Phase, RetryPolicy};
-use mperf_vm::{decode_module_cfg, DecodedModule, Engine, ExecConfig, Value, Vm, VmError};
+use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Value, Vm, VmError};
 use mperf_workloads::{matmul::MatmulBench, stencil::StencilBench, stream::StreamBench};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -46,8 +47,9 @@ use std::time::Duration;
 
 /// Cell-spec payload schema; bumped on any codec change (the protocol
 /// handshake already gates the frame layer — this versions the cell
-/// vocabulary inside it).
-const CELL_SCHEMA: u32 = 1;
+/// vocabulary inside it). Schema 2 carries the two-field
+/// [`ExecConfig`] wire form.
+const CELL_SCHEMA: u32 = 2;
 
 /// How a worker stages a cell's guest operands. A recipe, not a
 /// closure: it must cross the process boundary and reproduce the
@@ -125,23 +127,6 @@ fn setup_closure(setup: &SetupSpec) -> BoxedSetupFn<'static> {
     }
 }
 
-fn engine_code(e: Engine) -> u8 {
-    match e {
-        Engine::Threaded => 0,
-        Engine::Decoded => 1,
-        Engine::Reference => 2,
-    }
-}
-
-fn engine_from_code(b: u8) -> Option<Engine> {
-    Some(match b {
-        0 => Engine::Threaded,
-        1 => Engine::Decoded,
-        2 => Engine::Reference,
-        _ => return None,
-    })
-}
-
 /// Encode one cell request payload (spec + config).
 pub fn encode_cell(spec: &ShardedCellSpec, cfg: ExecConfig) -> Vec<u8> {
     let mut e = Enc::new();
@@ -171,9 +156,7 @@ pub fn encode_cell(spec: &ShardedCellSpec, cfg: ExecConfig) -> Vec<u8> {
             e.u64(steps);
         }
     }
-    e.u8(engine_code(cfg.engine));
-    e.u8(cfg.fuse as u8);
-    e.u8(cfg.regalloc as u8);
+    enc_exec(&mut e, cfg);
     e.into_bytes()
 }
 
@@ -219,13 +202,7 @@ pub fn decode_cell(bytes: &[u8]) -> Result<(ShardedCellSpec, ExecConfig), String
         },
         t => return Err(format!("unknown setup tag {t}")),
     };
-    let engine =
-        engine_from_code(d.u8().map_err(wire)?).ok_or_else(|| "unknown engine code".to_string())?;
-    let cfg = ExecConfig {
-        engine,
-        fuse: d.u8().map_err(wire)? != 0,
-        regalloc: d.u8().map_err(wire)? != 0,
-    };
+    let cfg = dec_exec(&mut d).map_err(wire)?;
     d.finish().map_err(wire)?;
     Ok((
         ShardedCellSpec {
@@ -602,8 +579,7 @@ mod tests {
                 for cfg in [
                     ExecConfig::default(),
                     ExecConfig {
-                        engine: Engine::Reference,
-                        fuse: false,
+                        engine: mperf_vm::Engine::Reference,
                         regalloc: false,
                     },
                 ] {

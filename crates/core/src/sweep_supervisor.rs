@@ -35,9 +35,10 @@ use mperf_vm::{decode_module_cfg, ExecConfig, TrapInfo, VmError};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Journal payload schema version (bumped on codec changes; a bump
-/// changes every key, so stale journals simply miss).
-const SCHEMA: u32 = 1;
+/// Journal payload schema version (bumped on codec or key changes; a
+/// bump changes every key, so stale journals simply miss). Schema 2
+/// keys cells by the fusion-free [`ExecConfig::describe`].
+const SCHEMA: u32 = 2;
 
 /// Why a supervised sweep cell failed.
 #[derive(Debug)]
@@ -96,9 +97,8 @@ pub fn classify_cell_error(e: &SweepCellError) -> FailureClass {
 }
 
 /// Options for [`supervised_sweep`] (built by
-/// [`crate::RooflineRequest`]; construct directly only through the
-/// deprecated shim).
-pub struct SweepOptions {
+/// [`crate::RooflineRequest`]).
+pub(crate) struct SweepOptions {
     /// Worker threads (1 = strictly serial).
     pub jobs: usize,
     /// Engine configuration for every cell.
@@ -110,18 +110,6 @@ pub struct SweepOptions {
     /// Satisfy cells from the journal instead of re-executing them
     /// (requires `journal`).
     pub resume: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> SweepOptions {
-        SweepOptions {
-            jobs: 1,
-            cfg: ExecConfig::default(),
-            policy: RetryPolicy::default(),
-            journal: None,
-            resume: false,
-        }
-    }
 }
 
 /// Outcome of a supervised sweep: the per-cell report plus which cells
@@ -167,7 +155,7 @@ fn dec_phase(d: &mut Dec) -> Result<PhaseObservables, WireError> {
         calls: d.u64()?,
     };
     let instructions = d.u64()?;
-    let n = d.u32()? as usize;
+    let n = d.count(8)?;
     let mut pmu = Vec::with_capacity(n);
     for _ in 0..n {
         pmu.push(d.u64()?);
@@ -223,7 +211,9 @@ pub fn decode_run(bytes: &[u8], spec: &PlatformSpec) -> Result<RooflineRun, Stri
             return Err(WireError::Truncated);
         }
         let freq_hz = d.u64()?;
-        let n = d.u32()? as usize;
+        // Element floor: three u32s (one a string length), a u8, and
+        // eight u64s.
+        let n = d.count(3 * 4 + 1 + 8 * 8)?;
         let mut regions = Vec::with_capacity(n);
         for _ in 0..n {
             regions.push(RegionMeasurement {
@@ -256,22 +246,6 @@ pub fn decode_run(bytes: &[u8], spec: &PlatformSpec) -> Result<RooflineRun, Stri
     d.finish()
         .map_err(|e| format!("corrupt journal payload: {e}"))?;
     Ok(run)
-}
-
-/// Run a roofline sweep under supervision (see
-/// [`crate::RooflineRequest::run_supervised`], the public face of this
-/// function).
-///
-/// # Errors
-/// Only journal *open* problems surface here (bad path, foreign file);
-/// everything that happens while sweeping — including journal append
-/// failures — is reported per cell in the returned report.
-#[deprecated(note = "use RooflineRequest::new().jobs(n).policy(p).run_supervised(cells)")]
-pub fn run_roofline_sweep_supervised(
-    cells: &[RooflineJob],
-    opts: &SweepOptions,
-) -> Result<SupervisedSweep, JournalError> {
-    supervised_sweep(cells, opts)
 }
 
 /// A borrowed cell-completion callback (see [`SweepHooks::on_cell`]).
@@ -566,7 +540,7 @@ mod tests {
             cell_key(&spec, "other", ExecConfig::default(), "module text")
         );
         let cfg = ExecConfig {
-            fuse: false,
+            regalloc: false,
             ..Default::default()
         };
         assert_ne!(base, cell_key(&spec, "triad", cfg, "module text"));

@@ -161,6 +161,24 @@ fn malformed_job_descriptions_fail_with_the_usage_exit_code() {
     assert!(res
         .message
         .starts_with("miniperf: malformed job description"));
+
+    // A well-formed description from an older client (schema 2, which
+    // still carried a fusion byte) is refused the same way.
+    let mut e = mperf_sweep::wire::Enc::new();
+    e.u32(2);
+    e.u8(3); // sweep
+    e.u8(0); // x60
+    e.u64(9_973);
+    e.u32(1);
+    e.u32(3);
+    e.u8(0); // threaded
+    e.u8(1); // fuse
+    e.u8(1); // regalloc
+    e.u64(256);
+    e.str("");
+    let job = session.submit(e.into_bytes()).unwrap();
+    let res = session.drain_job(job, |_| {}).unwrap();
+    assert_eq!(res.code, 2, "stale schema is a usage-class failure");
     drop(session);
     handle.stop();
 }

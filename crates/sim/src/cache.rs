@@ -244,7 +244,7 @@ impl MemorySystem {
 
     /// Whole cycles until the DRAM channel drains its current backlog,
     /// as seen from `now_centi` (0 when the channel is free). Feeds the
-    /// conservative event bound of [`crate::Core::fused_ready`]: queue
+    /// conservative event bound of [`crate::Core::block_ready`]: queue
     /// delay is the one stall component unbounded by the platform spec.
     #[inline]
     pub fn backlog_cycles(&self, now_centi: u64) -> u64 {

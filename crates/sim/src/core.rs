@@ -10,12 +10,6 @@ use crate::machine_op::{MachineOp, OpClass};
 use crate::platform::{PlatformSpec, Unit};
 use crate::pmu::Pmu;
 
-/// Maximum ops one fused retire batch may contain — the shape the
-/// precomputed conservative event bound ([`Core::fused_ready`]) is
-/// sound for. The decode-time fusion pass caps its site width
-/// (`MAX_FUSE_WIDTH` in `mperf-vm`) at this value.
-pub const MAX_FUSED_BATCH: usize = 6;
-
 /// RISC-V privilege modes (the x86 model reuses User/Supervisor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrivMode {
@@ -78,15 +72,6 @@ pub struct Core {
     /// Centi-cycles one issue slot costs (`100 / issue_width`, floored at
     /// 1) — precomputed off the retire path.
     slot_unit: u64,
-    /// Precomputed conservative event-total bound for one fused retire
-    /// batch (≤ [`MAX_FUSED_BATCH`] ops, ≤ 1 scalar ≤ 2-line memory
-    /// reference, ≤ 1 branch, no vector ops), *excluding* the DRAM queue
-    /// backlog which is added dynamically — see [`Core::fused_ready`].
-    fused_ub_static: u64,
-    /// Like `fused_ub_static` but for memory-free batches (ALU/branch
-    /// only): no cache/DRAM terms and no backlog needed, so the probe is
-    /// a single compare — see [`Core::fused_ready_nomem`].
-    fused_ub_nomem: u64,
     /// Per-unit conservative event bounds for superblock retire
     /// ([`Core::block_ready`]): events+cycles per machine op, …
     block_op_ub: u64,
@@ -117,8 +102,6 @@ impl Core {
             slots: 0,
             retired: 0,
             slot_unit,
-            fused_ub_static: fused_ub_static(&spec, &isa, slot_unit, true),
-            fused_ub_nomem: fused_ub_static(&spec, &isa, slot_unit, false),
             block_op_ub: block_op_ub(&spec, &isa, slot_unit),
             block_mem_ub: block_mem_ub(&spec),
             block_branch_ub: block_branch_ub(&spec),
@@ -276,7 +259,7 @@ impl Core {
     /// PMU. Applying N ops in order and computing the cycle delta once is
     /// exactly N per-op retires: per-op cycle deltas telescope
     /// (`Σ (afterᵢ − beforeᵢ) = after_N − before_0`) and event counts are
-    /// additive — the foundation of [`Core::retire_fused`]. Returns
+    /// additive — the foundation of [`Core::retire_block`]. Returns
     /// `true` when the op took the slim path (no events beyond
     /// cycles/instructions).
     #[inline]
@@ -376,192 +359,6 @@ impl Core {
         false
     }
 
-    /// Whether the next fused batch (≤ [`MAX_FUSED_BATCH`] ops, ≤ 1
-    /// scalar memory reference, ≤ 1 branch, no vector ops — the shapes
-    /// the decode-time fusion pass emits) is guaranteed not to wrap any
-    /// PMU counter, so it may retire through [`Core::retire_fused`] as
-    /// one batched tick.
-    ///
-    /// The probe compares a conservative event-total upper bound
-    /// (precomputed from the platform spec, plus the current DRAM queue
-    /// backlog — the one component unbounded by the spec) against the
-    /// PMU's distance-to-overflow watermark. `false` means a counter is
-    /// near wrapping (or PMU batching is disabled): the caller must fall
-    /// back to per-op [`Core::retire`] so the overflow interrupt is
-    /// attributed to exactly the op that wraps — the same exactness rule
-    /// the watermark enforces for single-op batching.
-    #[inline]
-    pub fn fused_ready(&mut self) -> bool {
-        let ub = self.fused_ub_static + 2 * self.mem.backlog_cycles(self.current_centi());
-        let mode = self.mode;
-        self.pmu.batch_headroom(ub, mode)
-    }
-
-    /// [`Core::fused_ready`] for memory-free batches (compare-and-branch,
-    /// bin+copy): the event bound has no cache/DRAM terms, so no backlog
-    /// probe is needed — in steady state this is one compare.
-    #[inline]
-    pub fn fused_ready_nomem(&mut self) -> bool {
-        let ub = self.fused_ub_nomem;
-        let mode = self.mode;
-        self.pmu.batch_headroom(ub, mode)
-    }
-
-    /// Retire a memory-free, branch-free, FLOP-free fused batch given
-    /// just its constituent op classes — no [`MachineOp`]s are built.
-    /// Arithmetic-identical to retiring each class through
-    /// [`Core::retire`] (the slim path all such ops take), with the
-    /// per-op cycle deltas telescoped into one and a single scalar PMU
-    /// tick. Guard with [`Core::fused_ready_nomem`].
-    ///
-    /// This and [`Core::retire_fused_branch`] intentionally duplicate
-    /// [`Core::apply_op`]'s timing arithmetic: skipping `MachineOp`
-    /// construction and the full `EventDeltas` bundle is what makes the
-    /// fused fast path actually faster than per-op retire. A timing
-    /// change in `apply_op` must be mirrored here — the
-    /// `specialized_fused_retires_match_per_op` test pins all three
-    /// sites to per-op behaviour on every platform model.
-    #[inline]
-    pub fn retire_fused_simple(&mut self, classes: &[OpClass]) -> RetireInfo {
-        let start = self.current_centi();
-        let mut instr = 0u64;
-        for &class in classes {
-            let expansion = self.isa.expand(class);
-            let inv_tp = self.spec.timing.inv_tp(class);
-            let slot_cost = self.slot_unit * expansion.max(1) as u64;
-            if self.spec.out_of_order {
-                self.unit_busy[Unit::of(class).index()] += inv_tp;
-                self.slots += slot_cost;
-            } else {
-                self.centi += inv_tp.max(slot_cost);
-            }
-            instr += expansion as u64;
-        }
-        self.retired += instr;
-        let cycles = self.current_centi() / 100 - start / 100;
-        let overflow = self.pmu.tick_batched_simple(cycles, instr, self.mode);
-        debug_assert_eq!(
-            overflow, 0,
-            "guard retire_fused_simple with fused_ready_nomem"
-        );
-        RetireInfo {
-            cycles,
-            instructions: instr,
-            overflow,
-        }
-    }
-
-    /// Retire a fused branch-ending shape: the memory-free, branch-free
-    /// `prefix` classes (scalar ALU constituents plus any elided-copy
-    /// `Move`s, in stream order) followed by one branch at `pc` with
-    /// outcome `taken`. Mirrors the per-op arithmetic (predictor update,
-    /// taken bubble, mispredict penalty / pipeline-restart floor) with
-    /// one combined PMU tick. Guard with [`Core::fused_ready_nomem`].
-    /// Shares [`Core::retire_fused_simple`]'s duplication contract with
-    /// `apply_op` (see its docs).
-    pub fn retire_fused_branch(&mut self, prefix: &[OpClass], pc: u64, taken: bool) -> RetireInfo {
-        let start = self.current_centi();
-        let mut instr = 0u64;
-        for &class in prefix {
-            let expansion = self.isa.expand(class);
-            let inv_tp = self.spec.timing.inv_tp(class);
-            let slot_cost = self.slot_unit * expansion.max(1) as u64;
-            if self.spec.out_of_order {
-                self.unit_busy[Unit::of(class).index()] += inv_tp;
-                self.slots += slot_cost;
-            } else {
-                self.centi += inv_tp.max(slot_cost);
-            }
-            instr += expansion as u64;
-        }
-        // The branch constituent (mirrors `apply_op`'s Branch handling).
-        let expansion = self.isa.expand(OpClass::Branch);
-        let inv_tp = self.spec.timing.inv_tp(OpClass::Branch);
-        let slot_cost = self.slot_unit * expansion.max(1) as u64;
-        let mut stall_centi = 0u64;
-        let mut misses = 0u64;
-        let mut mispredicted = false;
-        if taken {
-            stall_centi += self.spec.taken_branch_bubble as u64 * 100;
-        }
-        if !self.bp.predict_and_update(pc, taken) {
-            misses = 1;
-            mispredicted = true;
-            if !self.spec.out_of_order {
-                stall_centi += self.spec.branch_mispredict_penalty as u64 * 100;
-            }
-        }
-        if self.spec.out_of_order {
-            self.unit_busy[Unit::of(OpClass::Branch).index()] += inv_tp + stall_centi;
-            self.slots += slot_cost;
-            if mispredicted {
-                let floor = self.current_centi() + self.spec.branch_mispredict_penalty as u64 * 100;
-                self.centi = self.centi.max(floor);
-                for u in &mut self.unit_busy {
-                    *u = (*u).max(floor);
-                }
-                self.slots = self.slots.max(floor);
-            }
-        } else {
-            self.centi += inv_tp.max(slot_cost) + stall_centi;
-        }
-        instr += expansion as u64;
-        self.retired += instr;
-        let cycles = self.current_centi() / 100 - start / 100;
-        let deltas = EventDeltas {
-            cycles,
-            instructions: instr,
-            branches: 1,
-            branch_misses: misses,
-            ..EventDeltas::default()
-        };
-        let overflow = self.pmu.tick_batched(&deltas, self.mode);
-        debug_assert_eq!(
-            overflow, 0,
-            "guard retire_fused_branch with fused_ready_nomem"
-        );
-        RetireInfo {
-            cycles,
-            instructions: instr,
-            overflow,
-        }
-    }
-
-    /// Retire a fused superinstruction: apply every constituent op's
-    /// timing/cache/branch effects *in order* (identical arithmetic to N
-    /// [`Core::retire`] calls), then tick the PMU once with the combined
-    /// deltas. Callers must check [`Core::fused_ready`] first — under
-    /// that guard the combined tick cannot wrap a counter, so skipping
-    /// the per-op ticks is observably exact (counters additive, cycles
-    /// telescoping, no overflow to attribute).
-    pub fn retire_fused(&mut self, ops: &[MachineOp]) -> RetireInfo {
-        let before = self.current_centi();
-        let mut deltas = EventDeltas::default();
-        let mut all_simple = true;
-        for op in ops {
-            all_simple &= self.apply_op(op, &mut deltas);
-        }
-        let cycles = self.current_centi() / 100 - before / 100;
-        deltas.cycles = cycles;
-        // All-ALU batches (bin+copy and friends) carry only
-        // cycle/instruction events: take the PMU's scalar fast lane.
-        let overflow = if all_simple {
-            self.pmu
-                .tick_batched_simple(cycles, deltas.instructions, self.mode)
-        } else {
-            self.pmu.tick_batched(&deltas, self.mode)
-        };
-        debug_assert_eq!(
-            overflow, 0,
-            "retire_fused without fused_ready: overflow lost per-op attribution"
-        );
-        RetireInfo {
-            cycles,
-            instructions: deltas.instructions,
-            overflow,
-        }
-    }
-
     /// Whether a straight-line superblock with the given shape —
     /// `machine_ops` total machine ops, `mem_refs` scalar (≤ 2-line)
     /// memory references, `branches` branch ops, `flops` architectural
@@ -576,8 +373,8 @@ impl Core {
     /// `false` means a counter is near wrapping (or PMU batching is
     /// disabled): the caller must execute the block op by op through
     /// the ordinary retire path so the overflow interrupt is attributed
-    /// to exactly the op that wraps — the same degradation rule
-    /// [`Core::fused_ready`] applies to fused batches.
+    /// to exactly the op that wraps — the same exactness rule the
+    /// watermark enforces for single-op batching.
     #[inline]
     pub fn block_ready(
         &mut self,
@@ -641,9 +438,15 @@ impl Core {
     }
 
     /// [`Core::block_apply`] for one memory-free, branch-free,
-    /// FLOP-free, scalar class, skipping `MachineOp` construction
-    /// (mirrors [`Core::retire_fused_simple`]'s arithmetic minus the
-    /// tick, and shares its duplication contract with `apply_op`).
+    /// FLOP-free, scalar class, skipping `MachineOp` construction.
+    ///
+    /// This and [`Core::block_apply_branch`] intentionally duplicate
+    /// [`Core::apply_op`]'s timing arithmetic (its slim path and its
+    /// branch handling): skipping `MachineOp` construction and the full
+    /// `EventDeltas` bundle is what makes the in-block lanes cheap. A
+    /// timing change in `apply_op` must be mirrored here — the
+    /// `block_retire_matches_per_op_retire` test pins all three sites to
+    /// per-op behaviour on every platform model.
     #[inline]
     pub fn block_apply_class(&mut self, class: OpClass, acc: &mut BlockAcc) {
         let expansion = self.isa.expand(class);
@@ -668,8 +471,8 @@ impl Core {
     }
 
     /// [`Core::block_apply`] for one branch at `pc` with outcome
-    /// `taken` (mirrors the branch tail of [`Core::retire_fused_branch`]
-    /// minus the tick).
+    /// `taken` (mirrors `apply_op`'s branch handling; see
+    /// [`Core::block_apply_class`] for the duplication contract).
     #[inline]
     pub fn block_apply_branch(&mut self, pc: u64, taken: bool, acc: &mut BlockAcc) {
         let expansion = self.isa.expand(OpClass::Branch);
@@ -758,50 +561,6 @@ impl Core {
         };
         self.pmu.tick_batched(&deltas, self.mode)
     }
-}
-
-/// Conservative upper bound on the total PMU events (sum of every
-/// [`EventDeltas`] field) one fused batch can generate, excluding the
-/// dynamic DRAM queue backlog. Sound for the batch shapes the fusion
-/// pass emits: ≤ [`MAX_FUSED_BATCH`] ops, ≤ 1 scalar (≤ 2-line) memory
-/// reference, ≤ 1 branch, no vector ops, ≤ 1 architectural FLOP.
-/// Overestimating only costs an occasional unnecessary per-op fallback
-/// near a counter wrap — exactly where the unfused watermark path
-/// degrades too.
-fn fused_ub_static(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64, with_mem: bool) -> u64 {
-    let max_ops = MAX_FUSED_BATCH as u64;
-    let max_exp = isa.max_expansion();
-    // Per-op base cycle cost: worst-class inverse throughput plus issue
-    // slots, rounded up.
-    let per_op_cycles = (spec.timing.max_inv_tp() + slot_unit * max_exp) / 100 + 1;
-    // Branch worst case: taken-fetch bubble plus the mispredict penalty,
-    // counted twice to cover both the in-order stall and the
-    // out-of-order pipeline-restart floor jump.
-    let branch_cycles = spec.taken_branch_bubble as u64 + 2 * spec.branch_mispredict_penalty as u64;
-    // Scalar memory worst case: 2 lines (an 8-byte scalar straddling a
-    // boundary), each missing all the way to DRAM.
-    let caches = &spec.caches;
-    let line_cycles = caches.l1d.latency as u64
-        + caches.l2.latency as u64
-        + caches.dram_latency as u64
-        + Core::dram_occupancy_bound(caches)
-        + 1;
-    let mem_cycles = if with_mem {
-        2 * line_cycles + spec.load_use_penalty as u64
-    } else {
-        0
-    };
-    // Non-cycle events: instructions (MAX_FUSED_BATCH ops at max
-    // expansion), branch + miss, FLOP events (1 architectural FLOP,
-    // overcount < 4x), and per line one access/miss/L2-miss plus
-    // LINE_BYTES of DRAM traffic.
-    let mem_events = if with_mem {
-        2 * (3 + crate::cache::LINE_BYTES)
-    } else {
-        0
-    };
-    let events = max_ops * max_exp + 2 + 4 + mem_events;
-    max_ops * per_op_cycles + branch_cycles + mem_cycles + events + 16
 }
 
 /// Conservative per-machine-op event bound for superblock retire:
@@ -994,148 +753,6 @@ mod tests {
         assert_eq!(c.pmu().read(3), 20, "vector ops without flops must count");
     }
 
-    /// `retire_fused` must be arithmetic-identical to retiring the same
-    /// ops one by one: cycles, instructions, PMU counters, cache stats,
-    /// and branch-predictor state all agree on every platform model.
-    #[test]
-    fn fused_retire_matches_per_op_retire() {
-        for spec in [
-            PlatformSpec::x60(),
-            PlatformSpec::c910(),
-            PlatformSpec::u74(),
-            PlatformSpec::i5_1135g7(),
-        ] {
-            let mut fused = Core::new(spec.clone());
-            let mut serial = Core::new(spec.clone());
-            for c in [&mut fused, &mut serial] {
-                c.pmu_mut()
-                    .set_event(3, Some(crate::events::HwEvent::L1dMiss));
-            }
-            let mut x: u64 = 0x9e37_79b9;
-            for i in 0..4_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                // A mix of the batch shapes the fusion pass emits:
-                // addr+load, cmp+branch, and bin+move pairs/triples.
-                let batch: Vec<MachineOp> = match x % 3 {
-                    0 => vec![
-                        MachineOp::simple(OpClass::AddrCalc, i % 64),
-                        MachineOp::simple(OpClass::Load, i % 64 + 1).with_mem(MemRef::scalar(
-                            0x2000 + (x % 4096) * 8,
-                            8,
-                            false,
-                        )),
-                    ],
-                    1 => vec![
-                        MachineOp::simple(OpClass::IntAlu, i % 64),
-                        MachineOp::simple(OpClass::IntAlu, i % 64 + 1),
-                        MachineOp::simple(OpClass::Branch, i % 64 + 2).with_taken(x & 2 == 0),
-                    ],
-                    _ => vec![
-                        MachineOp::simple(OpClass::FpAdd, i % 64).with_flops(1),
-                        MachineOp::simple(OpClass::Move, i % 64 + 1),
-                    ],
-                };
-                assert!(fused.fused_ready(), "no counter is armed near wrap");
-                let info = fused.retire_fused(&batch);
-                assert_eq!(info.overflow, 0);
-                for op in &batch {
-                    serial.retire(op);
-                }
-                assert_eq!(fused.cycles(), serial.cycles(), "{} step {i}", spec.name);
-            }
-            assert_eq!(fused.instructions(), serial.instructions(), "{}", spec.name);
-            for idx in 0..crate::pmu::NUM_COUNTERS {
-                assert_eq!(
-                    fused.pmu().read(idx),
-                    serial.pmu().read(idx),
-                    "{} counter {idx}",
-                    spec.name
-                );
-            }
-            assert_eq!(fused.mem().l1d_stats(), serial.mem().l1d_stats());
-            assert_eq!(fused.mem().l2_stats(), serial.mem().l2_stats());
-            assert_eq!(
-                fused.mem().dram_bytes_total(),
-                serial.mem().dram_bytes_total()
-            );
-        }
-    }
-
-    /// The specialized fused entry points (`retire_fused_simple`,
-    /// `retire_fused_branch`) must also be arithmetic-identical to
-    /// per-op retire — including predictor state, which the serial core
-    /// trains identically over randomized branch outcomes.
-    #[test]
-    fn specialized_fused_retires_match_per_op() {
-        for spec in [
-            PlatformSpec::x60(),
-            PlatformSpec::c910(),
-            PlatformSpec::u74(),
-            PlatformSpec::i5_1135g7(),
-        ] {
-            let mut fused = Core::new(spec.clone());
-            let mut serial = Core::new(spec.clone());
-            let mut x: u64 = 0x1234_5678;
-            for i in 0..6_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                match x % 4 {
-                    0 => {
-                        assert!(fused.fused_ready_nomem());
-                        fused.retire_fused_simple(&[OpClass::IntMul, OpClass::Move]);
-                        serial.retire(&MachineOp::simple(OpClass::IntMul, i % 64));
-                        serial.retire(&MachineOp::simple(OpClass::Move, i % 64 + 1));
-                    }
-                    1 => {
-                        let pc = i % 32;
-                        let taken = x & 2 == 0;
-                        assert!(fused.fused_ready_nomem());
-                        fused.retire_fused_branch(&[OpClass::IntAlu], pc, taken);
-                        serial.retire(&MachineOp::simple(OpClass::IntAlu, pc + 64));
-                        serial.retire(&MachineOp::simple(OpClass::Branch, pc).with_taken(taken));
-                    }
-                    2 => {
-                        let pc = i % 32;
-                        let taken = x & 4 == 0;
-                        assert!(fused.fused_ready_nomem());
-                        fused.retire_fused_branch(&[OpClass::IntAlu, OpClass::IntAlu], pc, taken);
-                        for k in 0..2 {
-                            serial.retire(&MachineOp::simple(OpClass::IntAlu, pc + k));
-                        }
-                        serial.retire(&MachineOp::simple(OpClass::Branch, pc).with_taken(taken));
-                    }
-                    _ => {
-                        // A coalesced back edge: inc + elided-copy Move +
-                        // cmp + branch, as the regalloc'd decode emits.
-                        let pc = i % 32;
-                        let taken = x & 8 == 0;
-                        assert!(fused.fused_ready_nomem());
-                        fused.retire_fused_branch(
-                            &[OpClass::IntAlu, OpClass::Move, OpClass::IntAlu],
-                            pc,
-                            taken,
-                        );
-                        serial.retire(&MachineOp::simple(OpClass::IntAlu, pc + 64));
-                        serial.retire(&MachineOp::simple(OpClass::Move, pc + 65));
-                        serial.retire(&MachineOp::simple(OpClass::IntAlu, pc + 66));
-                        serial.retire(&MachineOp::simple(OpClass::Branch, pc).with_taken(taken));
-                    }
-                }
-                assert_eq!(fused.cycles(), serial.cycles(), "{} step {i}", spec.name);
-            }
-            assert_eq!(fused.instructions(), serial.instructions(), "{}", spec.name);
-            for idx in 0..crate::pmu::NUM_COUNTERS {
-                assert_eq!(
-                    fused.pmu().read(idx),
-                    serial.pmu().read(idx),
-                    "{} counter {idx}",
-                    spec.name
-                );
-            }
-        }
-    }
-
     /// Superblock retire (`block_begin`/`block_apply*`/`retire_block`)
     /// must be arithmetic-identical to per-op retire: cycles,
     /// instructions, PMU counters, cache stats, and predictor state all
@@ -1238,9 +855,9 @@ mod tests {
         }
     }
 
-    /// Near a programmed overflow, `block_ready` must refuse the block
-    /// (same degradation rule as `fused_ready`), and a partial commit
-    /// after a hypothetical mid-block trap stays exact.
+    /// Near a programmed overflow, `block_ready` must refuse the block so
+    /// the caller degrades to per-op retire (exact overflow
+    /// attribution); with PMU batching disabled it always refuses.
     #[test]
     fn block_ready_refuses_near_overflow() {
         let mut c = x60();
@@ -1253,25 +870,6 @@ mod tests {
         assert!(c.block_ready(6, 1, 1, 2));
         c.set_pmu_batching(false);
         assert!(!c.block_ready(6, 1, 1, 2));
-    }
-
-    /// Near a programmed overflow, `fused_ready` must refuse the batch so
-    /// the caller degrades to per-op retire (exact overflow attribution).
-    #[test]
-    fn fused_ready_refuses_near_overflow() {
-        let mut c = x60();
-        c.pmu_mut()
-            .set_event(3, Some(crate::events::HwEvent::CpuCycles));
-        c.pmu_mut().set_irq_enable(3, true);
-        c.pmu_mut().write(3, (-8i64) as u64); // 8 events from wrapping
-        assert!(!c.fused_ready(), "8 events of headroom is inside the bound");
-        // With a huge period the batch is safe again.
-        c.pmu_mut().write(3, (-10_000_000i64) as u64);
-        assert!(c.fused_ready());
-        // And with PMU batching disabled (the seed configuration) fused
-        // retire must always fall back.
-        c.set_pmu_batching(false);
-        assert!(!c.fused_ready());
     }
 
     /// Regression test: a block containing only *simple* ops applied

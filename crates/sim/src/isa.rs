@@ -106,8 +106,8 @@ impl IsaModel {
     }
 
     /// Upper bound on the instructions any single op can expand to
-    /// (ceiling of the largest per-class factor) — used to bound a fused
-    /// retire batch's event total (see [`crate::Core::fused_ready`]).
+    /// (ceiling of the largest per-class factor) — used to bound a
+    /// superblock's event total (see [`crate::Core::block_ready`]).
     pub fn max_expansion(&self) -> u64 {
         let max_eighths = self.eighths.iter().copied().max().unwrap_or(8) as u64;
         max_eighths.div_ceil(8)

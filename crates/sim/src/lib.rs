@@ -33,7 +33,7 @@ pub mod machine_op;
 pub mod platform;
 pub mod pmu;
 
-pub use crate::core::{BlockAcc, Core, PrivMode, RetireInfo, MAX_FUSED_BATCH};
+pub use crate::core::{BlockAcc, Core, PrivMode, RetireInfo};
 pub use branch::BranchPredictor;
 pub use cache::{CacheConfig, MemEvents, MemorySystem};
 pub use csr::{Csr, CsrError};

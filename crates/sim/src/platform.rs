@@ -103,8 +103,8 @@ impl TimingTable {
     }
 
     /// The largest inverse throughput over all classes (centi-cycles) —
-    /// used to bound the cycle cost of a fused retire batch up front
-    /// (see [`crate::Core::fused_ready`]).
+    /// used to bound the cycle cost of a superblock up front (see
+    /// [`crate::Core::block_ready`]).
     pub fn max_inv_tp(&self) -> u64 {
         self.entries.iter().copied().max().unwrap_or(0) as u64
     }

@@ -241,8 +241,8 @@ impl Pmu {
 
     /// Whether a batch advancing every counter by at most `ub` events can
     /// be absorbed without any counter wrapping. This is the go/no-go
-    /// probe for the core's fused multi-op retire
-    /// ([`crate::Core::retire_fused`]): when it returns `true`, the whole
+    /// probe for the core's superblock retire
+    /// ([`crate::Core::retire_block`]): when it returns `true`, the whole
     /// batch may be ticked as one [`Pmu::tick_batched`] call and is
     /// guaranteed to take the accumulate path (no overflow, so no
     /// per-op attribution is needed); when `false` — a counter is within

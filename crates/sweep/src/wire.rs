@@ -134,6 +134,19 @@ impl<'a> Dec<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// A `u32` element count for a list whose elements each encode to at
+    /// least `min_elem` bytes. A count the remaining bytes cannot hold
+    /// is [`WireError::Truncated`], so decoders can size a
+    /// `Vec::with_capacity` from it without trusting the wire.
+    pub fn count(&mut self, min_elem: usize) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.saturating_mul(min_elem) > left {
+            return Err(WireError::Truncated);
+        }
+        Ok(n)
+    }
+
     /// Asserts the payload was consumed exactly.
     pub fn finish(self) -> Result<(), WireError> {
         let left = self.buf.len() - self.pos;
@@ -208,6 +221,21 @@ mod tests {
         let mut d = Dec::new(&buf);
         d.u32().unwrap();
         assert_eq!(d.finish(), Err(WireError::Trailing(4)));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_remaining_bytes() {
+        let mut e = Enc::new();
+        e.u32(2);
+        e.u64(7);
+        e.u64(8);
+        let buf = e.into_bytes();
+        assert_eq!(Dec::new(&buf).count(8), Ok(2));
+        assert_eq!(Dec::new(&buf).count(9), Err(WireError::Truncated));
+        let mut e = Enc::new();
+        e.u32(u32::MAX);
+        let buf = e.into_bytes();
+        assert_eq!(Dec::new(&buf).count(1), Err(WireError::Truncated));
     }
 
     #[test]

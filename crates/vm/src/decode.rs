@@ -20,55 +20,31 @@
 //! sweep worker threads. [`decode_module`] produces that shared decode
 //! directly, without constructing a throwaway VM.
 //!
-//! ## Register allocation
+//! ## The pipeline
 //!
-//! After flattening, the copy-coalescing pass ([`crate::regalloc`])
-//! merges the source and destination registers of every `copy` whose
-//! live ranges do not interfere — the producer then writes directly
-//! into the consumer's slot, and the `Copy` slot is rewritten to the
-//! data-free [`DecodedOp::ElidedCopy`] (same `Move` retire at the same
-//! pc, so observables are untouched). [`RegallocStats`] on the decode
-//! records the static coalescing rate; `DecodeConfig { regalloc }` /
-//! `--no-regalloc` is the escape hatch.
+//! [`DecodedModule::decode_cfg`] runs four steps per function:
 //!
-//! ## Superinstruction fusion
+//! 1. **decode** — flatten blocks into `DecodedOp`s (scalar-integer
+//!    `Bin`/`Cmp` are type-specialized to [`DecodedOp::BinI`] /
+//!    [`DecodedOp::CmpI`] here);
+//! 2. **regalloc** — the copy-coalescing pass ([`crate::regalloc`])
+//!    merges the source and destination registers of every `copy` whose
+//!    live ranges do not interfere; the producer then writes directly
+//!    into the consumer's slot, and the `Copy` slot becomes the
+//!    data-free [`DecodedOp::ElidedCopy`] (same `Move` retire at the same
+//!    pc, so observables are untouched). [`RegallocStats`] records the
+//!    static coalescing rate; `DecodeConfig { regalloc }` /
+//!    `--no-regalloc` is the escape hatch;
+//! 3. **validate** — [`validate_func`] checks every index the template
+//!    thunks use without bounds checks (jump targets, register numbers,
+//!    callee ids, host ids, and the terminator-last invariant), so the
+//!    hot loop's unchecked fetches are sound;
+//! 4. **template compile** — [`crate::threaded::compile_func`] lowers
+//!    the validated stream into pre-bound templates and superblocks.
 //!
-//! After register allocation, a peephole pass ([`fuse_func`]) rewrites
-//! the hottest adjacent op pairs/triples into superinstructions
-//! ([`Fused`], wrapped in a [`FusedSite`] that records the covered slot
-//! window): slot `i` becomes [`DecodedOp::Fused`] pointing into a
-//! per-function side table, while slots `i+1..i+width` *keep their
-//! original unfused ops*. That layout preserves every pre-resolved
-//! branch target (targets always land on pattern starts — see the
-//! mid-pattern ineligibility check) and gives the interpreter a bail
-//! path: when a superinstruction cannot take its fast path (fuel about
-//! to run out, a memory access that would trap, or a PMU counter near
-//! overflow), it executes just its first constituent unfused and lets
-//! the main loop resume at the original `i+1` op — bit-identical to
-//! never having fused.
-//!
-//! Elided copies are *transparent glue* to the matcher: a pattern's
-//! constituents may be separated by (or followed by) `ElidedCopy`
-//! slots, which join the superinstruction's retire batch as `Move`
-//! ticks at their own pcs — so `inc+cmp+br` fires across a coalesced
-//! back-edge copy, and a `bin` whose former copy was elided still
-//! batches as `bin+copy`. The [`FusedSite::elided`] mask records which
-//! covered slots are elided.
-//!
-//! A decode-time read-count analysis decides which intermediate register
-//! writes a fused handler may skip: a pattern-internal destination is
-//! elided only when *every* read of that register in the function is one
-//! the handler substitutes locally. [`FusionStats`] records per-pattern
-//! site counts, static op coverage, and candidates rejected because a
-//! branch target lands mid-pattern. See the `mperf-vm` crate docs for
-//! the pattern table and the observables-invariance contract.
-//!
-//! ## Stream validation
-//!
-//! [`validate_func`] checks every index the decoded interpreter uses
-//! without bounds checks — jump targets, register numbers, callee ids,
-//! host ids, fused-table indices, and the terminator-last invariant —
-//! once per decode, so the hot loop's unchecked fetches are sound.
+//! `DecodedOp` is the IR the templates are compiled from: a new op needs
+//! a decode arm here and a template in [`crate::threaded`], nothing
+//! else.
 
 use crate::interp::pc_of;
 use crate::lower::{bin_class, bin_flops, cast_class, un_class, un_flops};
@@ -222,314 +198,37 @@ pub enum DecodedOp {
     Ret {
         vals: Box<[Operand]>,
     },
-    /// A fused superinstruction: index into [`DecodedFunc::fused`]. The
-    /// constituent ops' original slots (`i+1..i+width`) keep their
-    /// unfused forms so a bailing handler can fall back to op-at-a-time
-    /// execution without any recovery table.
-    Fused(u32),
-}
-
-/// The superinstruction patterns the decode-time peephole pass fuses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusePattern {
-    /// `ptradd` + scalar `load` through the computed address.
-    AddrLoad,
-    /// `ptradd` + scalar `store` through the computed address.
-    AddrStore,
-    /// `cmp` + `condbr` on its result (compare-and-branch).
-    CmpBranch,
-    /// Scalar `load` + binary op consuming the loaded value.
-    LoadOp,
-    /// Binary op + `copy` of its result (every `var = expr` assignment).
-    BinCopy,
-    /// Scalar integer `add`/`sub` + `cmp` + `condbr`: the counted-loop
-    /// back-edge (increment/decrement, test, branch).
-    IncCmpBranch,
-    /// `ptradd` + scalar `load` + binary op: the full indexed-read chain.
-    AddrLoadOp,
-}
-
-impl FusePattern {
-    /// Number of patterns (table size).
-    pub const COUNT: usize = 7;
-
-    /// All patterns, in [`FusePattern::index`] order.
-    pub const ALL: [FusePattern; FusePattern::COUNT] = [
-        FusePattern::AddrLoad,
-        FusePattern::AddrStore,
-        FusePattern::CmpBranch,
-        FusePattern::LoadOp,
-        FusePattern::BinCopy,
-        FusePattern::IncCmpBranch,
-        FusePattern::AddrLoadOp,
-    ];
-
-    /// Dense index for stat tables.
-    pub fn index(self) -> usize {
-        match self {
-            FusePattern::AddrLoad => 0,
-            FusePattern::AddrStore => 1,
-            FusePattern::CmpBranch => 2,
-            FusePattern::LoadOp => 3,
-            FusePattern::BinCopy => 4,
-            FusePattern::IncCmpBranch => 5,
-            FusePattern::AddrLoadOp => 6,
-        }
-    }
-
-    /// Stable short name (reports, BENCH json).
-    pub fn name(self) -> &'static str {
-        match self {
-            FusePattern::AddrLoad => "addr+load",
-            FusePattern::AddrStore => "addr+store",
-            FusePattern::CmpBranch => "cmp+br",
-            FusePattern::LoadOp => "load+op",
-            FusePattern::BinCopy => "bin+copy",
-            FusePattern::IncCmpBranch => "inc+cmp+br",
-            FusePattern::AddrLoadOp => "addr+load+op",
-        }
-    }
-
-    /// Number of constituent ops the pattern covers.
-    pub fn width(self) -> usize {
-        match self {
-            FusePattern::IncCmpBranch | FusePattern::AddrLoadOp => 3,
-            _ => 2,
-        }
-    }
-}
-
-/// Decode-time fusion statistics, recorded on [`DecodedModule`].
-/// `sites`/`ops_fused` describe the *static* stream; dynamic coverage
-/// (fraction of executed MIR ops that ran fused) is tracked per-VM in
-/// [`crate::interp::FusionDynamics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionStats {
-    /// Fusion sites created, per pattern ([`FusePattern::index`] order).
-    pub sites: [u64; FusePattern::COUNT],
-    /// Total decoded ops across all functions (pre-fusion view).
-    pub ops_total: u64,
-    /// Ops covered by fusion sites (each site covers its width).
-    pub ops_fused: u64,
-    /// Pattern candidates rejected because a branch target lands in the
-    /// pattern's interior. With the current block flattening this cannot
-    /// occur (patterns never span a terminator, and targets only resolve
-    /// to block entries), but the pass counts rather than silently skips
-    /// so coverage stays explainable if a future layout relaxes that.
-    pub ineligible_mid_target: u64,
-}
-
-impl FusionStats {
-    /// Total fusion sites across all patterns.
-    pub fn total_sites(&self) -> u64 {
-        self.sites.iter().sum()
-    }
-
-    /// Fraction of static ops covered by fusion sites.
-    pub fn static_coverage(&self) -> f64 {
-        if self.ops_total == 0 {
-            return 0.0;
-        }
-        self.ops_fused as f64 / self.ops_total as f64
-    }
-}
-
-/// One fused superinstruction's pre-resolved payload. Fields mirror the
-/// constituent [`DecodedOp`]s; `write_*` flags mark intermediate
-/// destinations that must still be written because something outside the
-/// pattern reads them (when `false`, the only readers are substituted
-/// locally by the handler, so the register-stack write is skipped).
-///
-/// Only trap-free interiors are fused: integer `Div`/`Rem` never fuses,
-/// loads/stores fuse only in scalar (`lanes == 1`) form and their fast
-/// path pre-checks bounds, bailing to unfused execution on a would-trap
-/// access so trap points and partial state stay bit-identical.
-#[derive(Debug, Clone)]
-pub enum Fused {
-    /// `ptradd a_dst = base + offset; load dst = [a_dst]`.
-    AddrLoad {
-        a_dst: u32,
-        base: Operand,
-        offset: Operand,
-        write_addr: bool,
-        dst: u32,
-        mem: MemTy,
-    },
-    /// `ptradd a_dst = base + offset; store [a_dst] = val`.
-    AddrStore {
-        a_dst: u32,
-        base: Operand,
-        offset: Operand,
-        write_addr: bool,
-        val: Operand,
-        mem: MemTy,
-    },
-    /// `cmp c_dst = lhs <op> rhs; condbr c_dst ? t : f`. `int` marks a
-    /// scalar-integer compare (from [`DecodedOp::CmpI`]): the handler
-    /// compares raw `i64`s without `Value` clones.
-    CmpBranch {
-        op: CmpOp,
-        c_dst: u32,
-        lhs: Operand,
-        rhs: Operand,
-        int: bool,
-        write_cmp: bool,
-        t: u32,
-        f: u32,
-    },
-    /// `load l_dst = [addr]; bin b_dst = lhs <op> rhs` (bin reads l_dst).
-    /// `int` = integer memory type consumed by an integer bin: the whole
-    /// chain runs on raw `i64`s.
-    LoadOp {
-        l_dst: u32,
-        addr: Operand,
-        mem: MemTy,
-        int: bool,
-        write_load: bool,
-        op: BinOp,
-        class: OpClass,
-        flops: u32,
-        b_dst: u32,
-        lhs: Operand,
-        rhs: Operand,
-    },
-    /// `bin b_dst = lhs <op> rhs; copy dst = b_dst`.
-    BinCopy {
-        op: BinOp,
-        class: OpClass,
-        flops: u32,
-        int: bool,
-        b_dst: u32,
-        lhs: Operand,
-        rhs: Operand,
-        write_bin: bool,
-        dst: u32,
-    },
-    /// `bin i_dst = i_lhs ± i_rhs; cmp c_dst = ...; condbr c_dst` — the
-    /// counted-loop back edge. The induction register is always written
-    /// (it survives iterations by construction); `c_int` marks an
-    /// integer test.
-    IncCmpBranch {
-        i_op: BinOp,
-        i_dst: u32,
-        i_lhs: Operand,
-        i_rhs: Operand,
-        c_op: CmpOp,
-        c_dst: u32,
-        c_lhs: Operand,
-        c_rhs: Operand,
-        c_int: bool,
-        write_cmp: bool,
-        t: u32,
-        f: u32,
-    },
-    /// `ptradd; load; bin` — the full indexed-read chain.
-    AddrLoadOp {
-        a_dst: u32,
-        base: Operand,
-        offset: Operand,
-        write_addr: bool,
-        l_dst: u32,
-        mem: MemTy,
-        int: bool,
-        write_load: bool,
-        op: BinOp,
-        class: OpClass,
-        flops: u32,
-        b_dst: u32,
-        lhs: Operand,
-        rhs: Operand,
-    },
-}
-
-impl Fused {
-    /// The pattern this superinstruction instantiates.
-    pub fn pattern(&self) -> FusePattern {
-        match self {
-            Fused::AddrLoad { .. } => FusePattern::AddrLoad,
-            Fused::AddrStore { .. } => FusePattern::AddrStore,
-            Fused::CmpBranch { .. } => FusePattern::CmpBranch,
-            Fused::LoadOp { .. } => FusePattern::LoadOp,
-            Fused::BinCopy { .. } => FusePattern::BinCopy,
-            Fused::IncCmpBranch { .. } => FusePattern::IncCmpBranch,
-            Fused::AddrLoadOp { .. } => FusePattern::AddrLoadOp,
-        }
-    }
-}
-
-/// Maximum slots one fused site may cover (constituents plus
-/// interleaved/trailing elided copies). Must not exceed the batch shape
-/// [`mperf_sim::core::MAX_FUSED_BATCH`] assumes for its conservative
-/// PMU event bound.
-pub const MAX_FUSE_WIDTH: usize = 6;
-const _: () = assert!(MAX_FUSE_WIDTH <= mperf_sim::core::MAX_FUSED_BATCH);
-
-/// One fusion site in a function's side table: the superinstruction
-/// payload plus the slot window it covers. `width` counts *all* covered
-/// slots — pattern constituents and any [`DecodedOp::ElidedCopy`] glue
-/// between/after them; each covered slot retires exactly one machine
-/// op, so `width` is also the batch's machine-op count.
-#[derive(Debug, Clone)]
-pub struct FusedSite {
-    /// The superinstruction payload.
-    pub op: Fused,
-    /// Total consecutive slots covered, starting at the fused slot.
-    pub width: u8,
-    /// Bit `k` set (`1 ≤ k < width`) ⇒ slot `ip + k` is an
-    /// [`DecodedOp::ElidedCopy`], retiring a `Move` at its own pc inside
-    /// the batch; clear ⇒ the slot holds the next pattern constituent.
-    /// Bit 0 is always clear.
-    pub elided: u8,
-}
-
-impl FusedSite {
-    /// Number of elided-copy slots inside this site's window.
-    pub fn elided_count(&self) -> u32 {
-        self.elided.count_ones()
-    }
 }
 
 /// One flattened function.
 #[derive(Debug, Clone)]
 pub struct DecodedFunc {
     /// All blocks' instructions + terminators, flattened in block order.
-    /// After fusion, a pattern's first slot holds [`DecodedOp::Fused`]
-    /// and the remaining slots keep their original ops (bail targets).
     pub ops: Vec<DecodedOp>,
     /// Synthetic pc per op (parallel to `ops`); identical to the
-    /// reference interpreter's `pc_of(func, block, idx)`. Fusion does not
-    /// disturb this table — a fused handler reads its constituents' pcs
-    /// at `ip`, `ip+1`, `ip+2`.
+    /// reference interpreter's `pc_of(func, block, idx)`.
     pub pcs: Vec<u64>,
     /// Flat op index of each block's first op.
     pub block_entry: Vec<u32>,
-    /// Superinstruction sites referenced by [`DecodedOp::Fused`].
-    pub fused: Vec<FusedSite>,
     /// Register-file size.
     pub num_regs: u32,
     /// Parameter register indices, in call-argument order.
     pub params: Box<[u32]>,
 }
 
-/// Which decode-time optimization passes run. Every combination is
-/// observably identical — passes change speed, never measurements; the
-/// `false` settings are the `--no-fuse` / `--no-regalloc` escape
-/// hatches for bisection.
+/// Which decode-time optimization pass runs. Both settings are
+/// observably identical — the pass changes speed, never measurements;
+/// `regalloc: false` is the `--no-regalloc` escape hatch for bisection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeConfig {
-    /// Run the superinstruction fusion peephole.
-    pub fuse: bool,
-    /// Run copy coalescing + register compaction before fusion.
+    /// Run copy coalescing + register compaction.
     pub regalloc: bool,
 }
 
 impl Default for DecodeConfig {
-    /// The production default: both passes on.
+    /// The production default: register allocation on.
     fn default() -> DecodeConfig {
-        DecodeConfig {
-            fuse: true,
-            regalloc: true,
-        }
+        DecodeConfig { regalloc: true }
     }
 }
 
@@ -544,36 +243,18 @@ pub struct DecodedModule {
     pub threaded: Vec<crate::threaded::ThreadedFunc>,
     /// Dense table of non-`mperf.*` host callee names.
     pub host_names: Vec<String>,
-    /// Decode-time fusion statistics (all zero when `fused` is false).
-    pub fusion: FusionStats,
     /// Decode-time register-allocation statistics (`copies_coalesced`
     /// and the reg deltas are zero when `coalesced` is false).
     pub regalloc: RegallocStats,
-    /// Whether the superinstruction fusion pass ran.
-    pub fused: bool,
     /// Whether the copy-coalescing pass ran.
     pub coalesced: bool,
 }
 
 impl DecodedModule {
-    /// Decode every function of `module` with the default passes
-    /// (register allocation + superinstruction fusion).
+    /// Decode every function of `module` with the default pass
+    /// (register allocation on).
     pub fn decode(module: &Module) -> DecodedModule {
         DecodedModule::decode_cfg(module, DecodeConfig::default())
-    }
-
-    /// Decode every function of `module`; `fuse` selects whether the
-    /// superinstruction pass runs (`false` is the `--no-fuse` escape
-    /// hatch); register allocation stays on. See
-    /// [`DecodedModule::decode_cfg`] for full control.
-    pub fn decode_with(module: &Module, fuse: bool) -> DecodedModule {
-        DecodedModule::decode_cfg(
-            module,
-            DecodeConfig {
-                fuse,
-                ..DecodeConfig::default()
-            },
-        )
     }
 
     /// Decode every function of `module` with an explicit pass
@@ -581,39 +262,29 @@ impl DecodedModule {
     /// configuration; only speed differs.
     pub fn decode_cfg(module: &Module, cfg: DecodeConfig) -> DecodedModule {
         let mut hosts = HostTable::default();
-        let mut fusion = FusionStats::default();
         let mut regalloc = RegallocStats::default();
         let mut funcs: Vec<DecodedFunc> = module
             .iter_funcs()
             .map(|(fid, _)| decode_func(module, fid, &mut hosts))
             .collect();
-        for f in &mut funcs {
-            fusion.ops_total += f.ops.len() as u64;
-            if cfg.regalloc {
+        if cfg.regalloc {
+            for f in &mut funcs {
                 regalloc_func(f, &mut regalloc);
             }
-            if cfg.fuse {
-                fuse_func(f, &mut fusion);
-            }
         }
-        let mut dm = DecodedModule {
-            funcs,
-            threaded: Vec::new(),
-            host_names: hosts.names,
-            fusion,
-            regalloc,
-            fused: cfg.fuse,
-            coalesced: cfg.regalloc,
-        };
-        // One linear pass pinning every invariant the interpreter's
-        // unchecked dispatch relies on.
-        for f in &dm.funcs {
-            validate_func(f, dm.funcs.len(), dm.host_names.len());
+        for f in &funcs {
+            validate_func(f, funcs.len(), hosts.names.len());
         }
         // Template compilation runs last, over the validated stream —
-        // the threaded engine's thunks inherit the same pinned indices.
-        dm.threaded = dm.funcs.iter().map(crate::threaded::compile_func).collect();
-        dm
+        // the thunks inherit the pinned indices.
+        let threaded = funcs.iter().map(crate::threaded::compile_func).collect();
+        DecodedModule {
+            funcs,
+            threaded,
+            host_names: hosts.names,
+            regalloc,
+            coalesced: cfg.regalloc,
+        }
     }
 }
 
@@ -626,12 +297,7 @@ pub fn decode_module(module: &Module) -> Arc<DecodedModule> {
     Arc::new(DecodedModule::decode(module))
 }
 
-/// [`decode_module`] with fusion selectable (`false` = `--no-fuse`).
-pub fn decode_module_with(module: &Module, fuse: bool) -> Arc<DecodedModule> {
-    Arc::new(DecodedModule::decode_with(module, fuse))
-}
-
-/// [`decode_module`] with every pass selectable.
+/// [`decode_module`] with the pass selectable.
 pub fn decode_module_cfg(module: &Module, cfg: DecodeConfig) -> Arc<DecodedModule> {
     Arc::new(DecodedModule::decode_cfg(module, cfg))
 }
@@ -688,7 +354,6 @@ fn decode_func(module: &Module, fid: FuncId, hosts: &mut HostTable) -> DecodedFu
         ops,
         pcs,
         block_entry,
-        fused: Vec::new(),
         num_regs: f.num_regs() as u32,
         params: f.params.iter().map(|p| p.index() as u32).collect(),
     }
@@ -696,8 +361,8 @@ fn decode_func(module: &Module, fid: FuncId, hosts: &mut HostTable) -> DecodedFu
 
 /// Visit every register an op *reads* (operand registers; destinations
 /// are writes and excluded). Drives the liveness analysis in
-/// [`crate::regalloc`] and the read-count analysis that decides which
-/// intermediate writes a fused handler may skip.
+/// [`crate::regalloc`] and the register range checks in
+/// [`validate_func`].
 pub(crate) fn op_reads(op: &DecodedOp, mut f: impl FnMut(u32)) {
     let mut rd = |o: &Operand| {
         if let Operand::Reg(r) = o {
@@ -754,7 +419,6 @@ pub(crate) fn op_reads(op: &DecodedOp, mut f: impl FnMut(u32)) {
             }
         }
         DecodedOp::ProfCount(_) | DecodedOp::Br { .. } | DecodedOp::ElidedCopy => {}
-        DecodedOp::Fused(_) => unreachable!("read counting runs pre-fusion"),
     }
 }
 
@@ -787,613 +451,35 @@ pub(crate) fn op_defs(op: &DecodedOp, mut f: impl FnMut(u32)) {
         | DecodedOp::CondBr { .. }
         | DecodedOp::Ret { .. }
         | DecodedOp::ElidedCopy => {}
-        DecodedOp::Fused(_) => unreachable!("def counting runs pre-fusion"),
     }
 }
 
-/// Count how often operand `o` reads register `r`.
-fn reads_of(o: &Operand, r: u32) -> u64 {
-    matches!(o, Operand::Reg(reg) if reg.index() as u32 == r) as u64
-}
-
-/// Whether a decoded binary op may sit inside a superinstruction: scalar
-/// only (vector values make the event bound and handlers heavier for no
-/// dynamic win) and trap-free (integer `Div`/`Rem` can fault mid-pattern,
-/// which would desynchronize the retire stream from the unfused engine).
-fn fuseable_bin(op: BinOp, class: OpClass) -> bool {
-    !matches!(op, BinOp::Div | BinOp::Rem)
-        && matches!(
-            class,
-            OpClass::IntAlu | OpClass::IntMul | OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv
-        )
-}
-
-/// Normalized view over [`DecodedOp::Bin`] / [`DecodedOp::BinI`]
-/// (`int` ⇒ `flops == 0`).
-struct BinView {
-    op: BinOp,
-    class: OpClass,
-    flops: u32,
-    int: bool,
-    dst: u32,
-    lhs: Operand,
-    rhs: Operand,
-}
-
-fn as_bin(op: &DecodedOp) -> Option<BinView> {
-    match op {
-        DecodedOp::Bin {
-            op,
-            class,
-            flops,
-            dst,
-            lhs,
-            rhs,
-        } => Some(BinView {
-            op: *op,
-            class: *class,
-            flops: *flops,
-            int: false,
-            dst: *dst,
-            lhs: *lhs,
-            rhs: *rhs,
-        }),
-        DecodedOp::BinI {
-            op,
-            class,
-            dst,
-            lhs,
-            rhs,
-        } => Some(BinView {
-            op: *op,
-            class: *class,
-            flops: 0,
-            int: true,
-            dst: *dst,
-            lhs: *lhs,
-            rhs: *rhs,
-        }),
-        _ => None,
-    }
-}
-
-/// Normalized view over [`DecodedOp::Cmp`] / [`DecodedOp::CmpI`].
-struct CmpView {
-    op: CmpOp,
-    int: bool,
-    dst: u32,
-    lhs: Operand,
-    rhs: Operand,
-}
-
-fn as_cmp(op: &DecodedOp) -> Option<CmpView> {
-    match op {
-        DecodedOp::Cmp { op, dst, lhs, rhs } => Some(CmpView {
-            op: *op,
-            int: false,
-            dst: *dst,
-            lhs: *lhs,
-            rhs: *rhs,
-        }),
-        DecodedOp::CmpI { op, dst, lhs, rhs } => Some(CmpView {
-            op: *op,
-            int: true,
-            dst: *dst,
-            lhs: *lhs,
-            rhs: *rhs,
-        }),
-        _ => None,
-    }
-}
-
-/// Whether a scalar load of `mem` consumed by an integer bin runs the
-/// whole chain on raw `i64`s.
-fn int_chain(mem: MemTy, bin_int: bool) -> bool {
-    bin_int && matches!(mem, MemTy::I8 | MemTy::I16 | MemTy::I32 | MemTy::I64)
-}
-
-/// Try to match a fusion pattern over the *effective* op window: `op1`
-/// is the candidate first constituent, `op2`/`op3` the next ops with
-/// elided copies skipped, and `elided_next` whether the slot directly
-/// after `op1` is an [`DecodedOp::ElidedCopy`] (enabling the bare
-/// `bin + elided-copy` form of [`FusePattern::BinCopy`]). Returns the
-/// payload plus the number of effective constituents consumed (1–3).
-///
-/// `reads[r]` is the function-wide read count of register `r`; a
-/// `write_*` flag is cleared only when every read of that register is
-/// one the handler substitutes locally (reads *inside the pattern after
-/// the write*), so skipping the register-stack write is unobservable.
-fn pattern_at(
-    op1: &DecodedOp,
-    op2: Option<&DecodedOp>,
-    op3: Option<&DecodedOp>,
-    elided_next: bool,
-    reads: &[u64],
-) -> Option<(Fused, usize)> {
-    use DecodedOp as D;
-    if let Some(b) = as_bin(op1) {
-        // inc/dec + test + branch (counted-loop back edge).
-        if matches!(b.op, BinOp::Add | BinOp::Sub) && b.class == OpClass::IntAlu {
-            if let (Some(c), Some(D::CondBr { cond, t, f })) = (op2.and_then(as_cmp), op3) {
-                if reads_of(cond, c.dst) == 1
-                    && (reads_of(&c.lhs, b.dst) + reads_of(&c.rhs, b.dst) > 0)
-                {
-                    return Some((
-                        Fused::IncCmpBranch {
-                            i_op: b.op,
-                            i_dst: b.dst,
-                            i_lhs: b.lhs,
-                            i_rhs: b.rhs,
-                            c_op: c.op,
-                            c_dst: c.dst,
-                            c_lhs: c.lhs,
-                            c_rhs: c.rhs,
-                            c_int: c.int,
-                            write_cmp: reads[c.dst as usize] > 1,
-                            t: *t,
-                            f: *f,
-                        },
-                        3,
-                    ));
-                }
-            }
-        }
-        // bin + copy (every `var = expr` assignment).
-        if fuseable_bin(b.op, b.class) {
-            if let Some(D::Copy { dst: c_dst, src }) = op2 {
-                if reads_of(src, b.dst) == 1 {
-                    return Some((
-                        Fused::BinCopy {
-                            op: b.op,
-                            class: b.class,
-                            flops: b.flops,
-                            int: b.int,
-                            b_dst: b.dst,
-                            lhs: b.lhs,
-                            rhs: b.rhs,
-                            write_bin: reads[b.dst as usize] > 1,
-                            dst: *c_dst,
-                        },
-                        2,
-                    ));
-                }
-            }
-            // bin whose former copy was coalesced away: the elided slot
-            // joins the batch as a `Move` tick, so the `var = expr`
-            // assignment still retires as one superinstruction.
-            if elided_next {
-                return Some((
-                    Fused::BinCopy {
-                        op: b.op,
-                        class: b.class,
-                        flops: b.flops,
-                        int: b.int,
-                        b_dst: b.dst,
-                        lhs: b.lhs,
-                        rhs: b.rhs,
-                        write_bin: false,
-                        dst: b.dst,
-                    },
-                    1,
-                ));
-            }
-        }
-        return None;
-    }
-    if let Some(c) = as_cmp(op1) {
-        // compare-and-branch.
-        if let Some(D::CondBr { cond, t, f }) = op2 {
-            if reads_of(cond, c.dst) == 1 {
-                return Some((
-                    Fused::CmpBranch {
-                        op: c.op,
-                        c_dst: c.dst,
-                        lhs: c.lhs,
-                        rhs: c.rhs,
-                        int: c.int,
-                        write_cmp: reads[c.dst as usize] > 1,
-                        t: *t,
-                        f: *f,
-                    },
-                    2,
-                ));
-            }
-        }
-        return None;
-    }
-    match op1 {
-        // ptradd + load (+ bin), or ptradd + store.
-        D::PtrAdd {
-            dst: a_dst,
-            base,
-            offset,
-        } => match op2 {
-            Some(D::Load {
-                dst: l_dst,
-                addr,
-                mem,
-                lanes: 1,
-                ..
-            }) if reads_of(addr, *a_dst) == 1 => {
-                // Extend to the full indexed-read chain when a fuseable
-                // bin consumes the loaded value.
-                if let Some(b) = op3.and_then(as_bin) {
-                    let l_reads = reads_of(&b.lhs, *l_dst) + reads_of(&b.rhs, *l_dst);
-                    if l_reads > 0 && fuseable_bin(b.op, b.class) {
-                        let a_in = 1 + reads_of(&b.lhs, *a_dst) + reads_of(&b.rhs, *a_dst);
-                        return Some((
-                            Fused::AddrLoadOp {
-                                a_dst: *a_dst,
-                                base: *base,
-                                offset: *offset,
-                                write_addr: reads[*a_dst as usize] > a_in,
-                                l_dst: *l_dst,
-                                mem: *mem,
-                                int: int_chain(*mem, b.int),
-                                write_load: reads[*l_dst as usize] > l_reads,
-                                op: b.op,
-                                class: b.class,
-                                flops: b.flops,
-                                b_dst: b.dst,
-                                lhs: b.lhs,
-                                rhs: b.rhs,
-                            },
-                            3,
-                        ));
-                    }
-                }
-                Some((
-                    Fused::AddrLoad {
-                        a_dst: *a_dst,
-                        base: *base,
-                        offset: *offset,
-                        write_addr: reads[*a_dst as usize] > 1,
-                        dst: *l_dst,
-                        mem: *mem,
-                    },
-                    2,
-                ))
-            }
-            Some(D::Store {
-                addr,
-                val,
-                mem,
-                lanes: 1,
-                ..
-            }) if reads_of(addr, *a_dst) == 1 => Some((
-                Fused::AddrStore {
-                    a_dst: *a_dst,
-                    base: *base,
-                    offset: *offset,
-                    write_addr: reads[*a_dst as usize] > 1 + reads_of(val, *a_dst),
-                    val: *val,
-                    mem: *mem,
-                },
-                2,
-            )),
-            _ => None,
-        },
-        // scalar load + bin consuming the loaded value.
-        D::Load {
-            dst: l_dst,
-            addr,
-            mem,
-            lanes: 1,
-            ..
-        } => {
-            let b = op2.and_then(as_bin)?;
-            let l_reads = reads_of(&b.lhs, *l_dst) + reads_of(&b.rhs, *l_dst);
-            if l_reads > 0 && fuseable_bin(b.op, b.class) {
-                Some((
-                    Fused::LoadOp {
-                        l_dst: *l_dst,
-                        addr: *addr,
-                        mem: *mem,
-                        int: int_chain(*mem, b.int),
-                        write_load: reads[*l_dst as usize] > l_reads,
-                        op: b.op,
-                        class: b.class,
-                        flops: b.flops,
-                        b_dst: b.dst,
-                        lhs: b.lhs,
-                        rhs: b.rhs,
-                    },
-                    2,
-                ))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Index of the next non-[`DecodedOp::ElidedCopy`] op in `from..limit`.
-fn next_constituent(ops: &[DecodedOp], from: usize, limit: usize) -> Option<usize> {
-    (from..limit.min(ops.len())).find(|&j| !matches!(ops[j], DecodedOp::ElidedCopy))
-}
-
-/// The decode-time peephole pass: greedy left-to-right, longest match
-/// first (the triple patterns are tried before their pair prefixes by
-/// [`pattern_at`]'s structure), non-overlapping. Replaces each match's
-/// first slot with [`DecodedOp::Fused`]; trailing slots keep their
-/// original ops as the bail path.
-///
-/// Elided copies are transparent: constituents are matched over the
-/// stream with [`DecodedOp::ElidedCopy`] slots skipped (within a
-/// [`MAX_FUSE_WIDTH`] window), and for value-producing patterns any
-/// directly trailing elided copies are absorbed too — each covered
-/// elided slot joins the site's retire batch as a `Move` tick at its
-/// own pc.
-fn fuse_func(df: &mut DecodedFunc, stats: &mut FusionStats) {
-    // Function-wide register read counts over the pre-fusion stream.
-    let mut reads = vec![0u64; df.num_regs as usize];
-    for op in &df.ops {
-        op_reads(op, |r| reads[r as usize] += 1);
-    }
-    let mut is_entry = vec![false; df.ops.len()];
-    for e in &df.block_entry {
-        is_entry[*e as usize] = true;
-    }
-    let len = df.ops.len();
-    let mut i = 0;
-    while i < len {
-        if matches!(df.ops[i], DecodedOp::ElidedCopy) {
-            i += 1;
-            continue;
-        }
-        let limit = i + MAX_FUSE_WIDTH;
-        let j2 = next_constituent(&df.ops, i + 1, limit);
-        let j3 = j2.and_then(|j| next_constituent(&df.ops, j + 1, limit));
-        let elided_next = i + 1 < len && matches!(df.ops[i + 1], DecodedOp::ElidedCopy);
-        let Some((fused, ncons)) = pattern_at(
-            &df.ops[i],
-            j2.map(|j| &df.ops[j]),
-            j3.map(|j| &df.ops[j]),
-            elided_next,
-            &reads,
-        ) else {
-            i += 1;
-            continue;
-        };
-        let pat = fused.pattern();
-        let last = match ncons {
-            1 => i,
-            2 => j2.expect("2-constituent match saw an op there"),
-            _ => j3.expect("3-constituent match saw an op there"),
-        };
-        let mut width = last - i + 1;
-        // Value-producing patterns absorb directly trailing elided
-        // copies into the batch; branch-ending patterns transfer
-        // control and cannot.
-        if !matches!(pat, FusePattern::CmpBranch | FusePattern::IncCmpBranch) {
-            while i + width < len
-                && width < MAX_FUSE_WIDTH
-                && matches!(df.ops[i + width], DecodedOp::ElidedCopy)
-                && !is_entry[i + width]
-            {
-                width += 1;
-            }
-        }
-        // A bare `bin` is only a site when it actually absorbed its
-        // elided copy (an entry slot directly after can prevent that).
-        if width < 2 {
-            i += 1;
-            continue;
-        }
-        // A branch target landing mid-pattern would let control enter
-        // between constituents; count and skip instead of fusing.
-        if (i + 1..i + width).any(|k| is_entry[k]) {
-            stats.ineligible_mid_target += 1;
-            i += 1;
-            continue;
-        }
-        let mut elided = 0u8;
-        for k in 1..width {
-            if matches!(df.ops[i + k], DecodedOp::ElidedCopy) {
-                elided |= 1 << k;
-            }
-        }
-        df.fused.push(FusedSite {
-            op: fused,
-            width: width as u8,
-            elided,
-        });
-        df.ops[i] = DecodedOp::Fused((df.fused.len() - 1) as u32);
-        stats.sites[pat.index()] += 1;
-        stats.ops_fused += width as u64;
-        i += width;
-    }
-}
-
-/// Panic unless every index the decoded interpreter dereferences without
-/// bounds checks is in range: the soundness gate for the hot loop's
-/// `get_unchecked` fetches. Runs once per decode.
+/// Panic unless every index the threaded engine dereferences without
+/// bounds checks is in range: the soundness gate for the template
+/// thunks' `get_unchecked` fetches. Runs once per decode.
 fn validate_func(df: &DecodedFunc, num_funcs: usize, num_hosts: usize) {
     let len = df.ops.len();
     assert_eq!(df.pcs.len(), len, "pcs parallel to ops");
     let reg_ok = |r: u32| assert!(r < df.num_regs, "register {r} out of range");
     let tgt_ok = |t: u32| assert!((t as usize) < len, "jump target {t} out of range");
-    let op_ok = |op: &DecodedOp, i: usize| {
-        op_reads_checked(op, &mut |r| reg_ok(r));
+    for op in &df.ops {
+        op_reads(op, reg_ok);
+        op_defs(op, reg_ok);
         match op {
-            DecodedOp::Bin { dst, .. }
-            | DecodedOp::BinI { dst, .. }
-            | DecodedOp::Cmp { dst, .. }
-            | DecodedOp::CmpI { dst, .. }
-            | DecodedOp::Un { dst, .. }
-            | DecodedOp::Fma { dst, .. }
-            | DecodedOp::Load { dst, .. }
-            | DecodedOp::PtrAdd { dst, .. }
-            | DecodedOp::Select { dst, .. }
-            | DecodedOp::Cast { dst, .. }
-            | DecodedOp::Copy { dst, .. }
-            | DecodedOp::Splat { dst, .. }
-            | DecodedOp::Reduce { dst, .. } => reg_ok(*dst),
-            DecodedOp::Store { .. }
-            | DecodedOp::ProfCount(_)
-            | DecodedOp::Ret { .. }
-            | DecodedOp::ElidedCopy => {}
-            DecodedOp::CallFunc { callee, dsts, .. } => {
+            DecodedOp::CallFunc { callee, .. } => {
                 assert!((*callee as usize) < num_funcs, "callee out of range");
-                for d in dsts.iter() {
-                    reg_ok(d.index() as u32);
-                }
             }
-            DecodedOp::CallHost { target, dsts, .. } => {
-                if let HostTarget::Named(id) = target {
-                    assert!((*id as usize) < num_hosts, "host id out of range");
-                }
-                for d in dsts.iter() {
-                    reg_ok(d.index() as u32);
-                }
-            }
+            DecodedOp::CallHost {
+                target: HostTarget::Named(id),
+                ..
+            } => assert!((*id as usize) < num_hosts, "host id out of range"),
             DecodedOp::Br { target } => tgt_ok(*target),
             DecodedOp::CondBr { t, f, .. } => {
                 tgt_ok(*t);
                 tgt_ok(*f);
             }
-            DecodedOp::Fused(idx) => {
-                let site = df.fused.get(*idx as usize).expect("fused index in range");
-                let fu = &site.op;
-                let width = site.width as usize;
-                assert!(
-                    (2..=MAX_FUSE_WIDTH).contains(&width),
-                    "fused width {width} out of range"
-                );
-                assert!(i + width <= len, "fused window exceeds stream");
-                assert_eq!(site.elided & 1, 0, "first slot is never elided");
-                assert_eq!(site.elided >> width, 0, "elided bits outside the window");
-                // Every covered slot holds what the site claims: elided
-                // bits mark `ElidedCopy` slots (retired as `Move`s) and
-                // the clear bits the pattern's surviving constituents —
-                // the bail path executes these originals one at a time.
-                let mut tail: Vec<&DecodedOp> = Vec::new();
-                for k in 1..width {
-                    if site.elided & (1 << k) != 0 {
-                        assert!(
-                            matches!(df.ops[i + k], DecodedOp::ElidedCopy),
-                            "elided bit over a non-elided slot"
-                        );
-                    } else {
-                        tail.push(&df.ops[i + k]);
-                    }
-                }
-                constituents_ok(fu.pattern(), &tail);
-                let o_ok = |o: &Operand| {
-                    if let Operand::Reg(r) = o {
-                        reg_ok(r.index() as u32);
-                    }
-                };
-                match fu {
-                    Fused::AddrLoad {
-                        a_dst,
-                        base,
-                        offset,
-                        dst,
-                        ..
-                    } => {
-                        reg_ok(*a_dst);
-                        reg_ok(*dst);
-                        o_ok(base);
-                        o_ok(offset);
-                    }
-                    Fused::AddrStore {
-                        a_dst,
-                        base,
-                        offset,
-                        val,
-                        ..
-                    } => {
-                        reg_ok(*a_dst);
-                        o_ok(base);
-                        o_ok(offset);
-                        o_ok(val);
-                    }
-                    Fused::CmpBranch {
-                        c_dst,
-                        lhs,
-                        rhs,
-                        t,
-                        f,
-                        ..
-                    } => {
-                        reg_ok(*c_dst);
-                        o_ok(lhs);
-                        o_ok(rhs);
-                        tgt_ok(*t);
-                        tgt_ok(*f);
-                    }
-                    Fused::LoadOp {
-                        l_dst,
-                        addr,
-                        b_dst,
-                        lhs,
-                        rhs,
-                        ..
-                    } => {
-                        reg_ok(*l_dst);
-                        reg_ok(*b_dst);
-                        o_ok(addr);
-                        o_ok(lhs);
-                        o_ok(rhs);
-                    }
-                    Fused::BinCopy {
-                        b_dst,
-                        lhs,
-                        rhs,
-                        dst,
-                        ..
-                    } => {
-                        reg_ok(*b_dst);
-                        reg_ok(*dst);
-                        o_ok(lhs);
-                        o_ok(rhs);
-                    }
-                    Fused::IncCmpBranch {
-                        i_dst,
-                        i_lhs,
-                        i_rhs,
-                        c_dst,
-                        c_lhs,
-                        c_rhs,
-                        t,
-                        f,
-                        ..
-                    } => {
-                        reg_ok(*i_dst);
-                        reg_ok(*c_dst);
-                        o_ok(i_lhs);
-                        o_ok(i_rhs);
-                        o_ok(c_lhs);
-                        o_ok(c_rhs);
-                        tgt_ok(*t);
-                        tgt_ok(*f);
-                    }
-                    Fused::AddrLoadOp {
-                        a_dst,
-                        base,
-                        offset,
-                        l_dst,
-                        b_dst,
-                        lhs,
-                        rhs,
-                        ..
-                    } => {
-                        reg_ok(*a_dst);
-                        reg_ok(*l_dst);
-                        reg_ok(*b_dst);
-                        o_ok(base);
-                        o_ok(offset);
-                        o_ok(lhs);
-                        o_ok(rhs);
-                    }
-                }
-            }
+            _ => {}
         }
-    };
-    for (i, op) in df.ops.iter().enumerate() {
-        op_ok(op, i);
     }
     for p in df.params.iter() {
         reg_ok(*p);
@@ -1402,53 +488,10 @@ fn validate_func(df: &DecodedFunc, num_funcs: usize, num_hosts: usize) {
         assert!((*e as usize) < len, "block entry out of range");
     }
     // The last op must end the function: non-branching ops advance to
-    // ip+1, and branch-ending fused ops never fall through — so only a
-    // terminator (or a branch-ending superinstruction) may sit last.
+    // ip+1, so only a terminator may sit last.
     match df.ops.last() {
         Some(DecodedOp::Ret { .. } | DecodedOp::Br { .. } | DecodedOp::CondBr { .. }) => {}
-        Some(DecodedOp::Fused(idx)) => {
-            let fu = &df.fused[*idx as usize].op;
-            assert!(
-                matches!(fu, Fused::CmpBranch { .. } | Fused::IncCmpBranch { .. }),
-                "function must end in a terminator"
-            );
-        }
         other => panic!("function must end in a terminator, found {other:?}"),
-    }
-}
-
-/// Assert the surviving (non-elided) tail slots of a fused site hold
-/// exactly the ops its pattern expects — the bail path and the batch
-/// assembly both rely on this layout.
-fn constituents_ok(pat: FusePattern, tail: &[&DecodedOp]) {
-    use DecodedOp as D;
-    let ok = match pat {
-        FusePattern::CmpBranch => {
-            matches!(tail, [D::CondBr { .. }])
-        }
-        FusePattern::IncCmpBranch => {
-            matches!(tail, [D::Cmp { .. } | D::CmpI { .. }, D::CondBr { .. }])
-        }
-        // The copy itself may have been coalesced away (bare
-        // `bin + elided` form) — then the tail is all elided.
-        FusePattern::BinCopy => matches!(tail, [] | [D::Copy { .. }]),
-        FusePattern::AddrLoad => matches!(tail, [D::Load { .. }]),
-        FusePattern::AddrStore => matches!(tail, [D::Store { .. }]),
-        FusePattern::LoadOp => matches!(tail, [D::Bin { .. } | D::BinI { .. }]),
-        FusePattern::AddrLoadOp => {
-            matches!(tail, [D::Load { .. }, D::Bin { .. } | D::BinI { .. }])
-        }
-    };
-    assert!(ok, "{pat:?} site tail does not match its pattern: {tail:?}");
-}
-
-/// [`op_reads`] wrapper usable post-fusion: fused slots are skipped here
-/// because their payload operands are range-checked explicitly in
-/// `validate_func`'s `Fused` arm (the trailing constituent slots keep
-/// their original ops and are validated as normal ops).
-fn op_reads_checked(op: &DecodedOp, f: &mut impl FnMut(u32)) {
-    if !matches!(op, DecodedOp::Fused(_)) {
-        op_reads(op, f);
     }
 }
 
@@ -1675,245 +718,9 @@ mod tests {
                     assert!(d.block_entry.contains(t));
                     assert!(d.block_entry.contains(f));
                 }
-                // Fusion must preserve pre-resolved targets: a fused
-                // compare-and-branch's edges still land on block entries.
-                DecodedOp::Fused(idx) => match &d.fused[*idx as usize].op {
-                    Fused::CmpBranch { t, f, .. } | Fused::IncCmpBranch { t, f, .. } => {
-                        assert!(d.block_entry.contains(t));
-                        assert!(d.block_entry.contains(f));
-                    }
-                    _ => {}
-                },
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn counted_loop_fuses_cmp_branch_and_bin_copy() {
-        // The canonical compiled loop shape without register
-        // allocation: header `cmp; condbr`, body assignments as
-        // `bin; copy`, back edge `br`.
-        let src = r#"
-            fn spin(n: i64) -> i64 {
-                var s: i64 = 0;
-                for (var i: i64 = 0; i < n; i = i + 1) {
-                    s = (s ^ i) + (i >> 2);
-                }
-                return s;
-            }
-        "#;
-        let mut module = compile("t", src).unwrap();
-        mperf_ir::transform::PassManager::standard().run(&mut module);
-        let dec = DecodedModule::decode_cfg(
-            &module,
-            DecodeConfig {
-                fuse: true,
-                regalloc: false,
-            },
-        );
-        assert!(dec.fused);
-        let st = &dec.fusion;
-        assert!(
-            st.sites[FusePattern::CmpBranch.index()] >= 1,
-            "loop header fuses: {st:?}"
-        );
-        assert!(
-            st.sites[FusePattern::BinCopy.index()] >= 2,
-            "assignments fuse: {st:?}"
-        );
-        assert_eq!(st.ineligible_mid_target, 0);
-        assert!(st.static_coverage() > 0.3, "{}", st.static_coverage());
-        // Layout invariant: a fused slot is followed by its original
-        // constituents (the bail path), and the stream length is
-        // unchanged.
-        let df = &dec.funcs[0];
-        assert_eq!(df.ops.len() as u64, st.ops_total);
-        for (i, op) in df.ops.iter().enumerate() {
-            if let DecodedOp::Fused(idx) = op {
-                let site = &df.fused[*idx as usize];
-                match &site.op {
-                    Fused::CmpBranch { .. } => {
-                        assert!(matches!(df.ops[i + 1], DecodedOp::CondBr { .. }));
-                    }
-                    Fused::BinCopy { .. } => {
-                        assert!(matches!(df.ops[i + 1], DecodedOp::Copy { .. }));
-                    }
-                    other => panic!("unexpected pattern in spin: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn regalloc_lets_patterns_fire_across_copy_boundaries() {
-        // With register allocation on, assignment copies are elided, so
-        // a `bin` whose copy is gone still batches as `bin+copy`
-        // (bare form), and the `inc; i = ...; if (i >= n)` chain fuses
-        // as `inc+cmp+br` across the former copy boundary — a shape the
-        // adjacency-only matcher could never fuse.
-        let src = r#"
-            fn spin(n: i64) -> i64 {
-                var s: i64 = 0;
-                var i: i64 = 0;
-                while (true) {
-                    i = i + 1;
-                    if (i >= n) { return s; }
-                    s = (s ^ i) + (i >> 2);
-                }
-                return s;
-            }
-        "#;
-        let mut module = compile("t", src).unwrap();
-        mperf_ir::transform::PassManager::standard().run(&mut module);
-        // Without regalloc the copy blocks the triple pattern outright.
-        let plain = DecodedModule::decode_cfg(
-            &module,
-            DecodeConfig {
-                fuse: true,
-                regalloc: false,
-            },
-        );
-        assert_eq!(
-            plain.fusion.sites[FusePattern::IncCmpBranch.index()],
-            0,
-            "copy boundary blocks the unallocated stream: {:?}",
-            plain.fusion
-        );
-        let dec = DecodedModule::decode(&module);
-        assert!(dec.fused && dec.coalesced);
-        let ra = &dec.regalloc;
-        assert!(ra.copies_static >= 2, "{ra:?}");
-        assert!(ra.copies_coalesced >= 2, "{ra:?}");
-        let st = &dec.fusion;
-        assert!(
-            st.sites[FusePattern::IncCmpBranch.index()] >= 1,
-            "inc+cmp+br fuses across the elided copy: {st:?}"
-        );
-        assert!(
-            st.sites[FusePattern::BinCopy.index()] >= 1,
-            "assignment fuses as bin + elided copy: {st:?}"
-        );
-        // Every fused site covering elided slots records them, and the
-        // covered slots really are ElidedCopy ops.
-        let df = &dec.funcs[0];
-        let mut elided_in_sites = 0;
-        for (i, op) in df.ops.iter().enumerate() {
-            if let DecodedOp::Fused(idx) = op {
-                let site = &df.fused[*idx as usize];
-                for k in 1..site.width as usize {
-                    if site.elided & (1 << k) != 0 {
-                        elided_in_sites += 1;
-                        assert!(matches!(df.ops[i + k], DecodedOp::ElidedCopy));
-                    }
-                }
-            }
-        }
-        assert!(elided_in_sites >= 2, "elided slots ride inside sites");
-    }
-
-    #[test]
-    fn indexed_reads_fuse_the_full_chain() {
-        let src = r#"
-            fn sum(p: *i64, n: i64) -> i64 {
-                var s: i64 = 0;
-                for (var i: i64 = 0; i < n; i = i + 1) {
-                    s = s + p[i];
-                }
-                return s;
-            }
-        "#;
-        let mut module = compile("t", src).unwrap();
-        mperf_ir::transform::PassManager::standard().run(&mut module);
-        let dec = DecodedModule::decode(&module);
-        assert!(
-            dec.fusion.sites[FusePattern::AddrLoadOp.index()] >= 1,
-            "ptradd+load+add fuses: {:?}",
-            dec.fusion
-        );
-    }
-
-    #[test]
-    fn no_fuse_decode_has_no_superinstructions() {
-        let src = "fn f(n: i64) -> i64 { var s: i64 = 0; for (var i: i64 = 0; i < n; i = i + 1) { s = s + i; } return s; }";
-        let module = compile("t", src).unwrap();
-        let dec = DecodedModule::decode_with(&module, false);
-        assert!(!dec.fused);
-        assert_eq!(dec.fusion.total_sites(), 0);
-        assert_eq!(dec.fusion.ops_fused, 0);
-        assert!(dec.fusion.ops_total > 0, "ops still counted");
-        for f in &dec.funcs {
-            assert!(f.fused.is_empty());
-            assert!(!f.ops.iter().any(|op| matches!(op, DecodedOp::Fused(_))));
-        }
-    }
-
-    #[test]
-    fn write_flags_track_external_reads() {
-        // First loop: the compare result only feeds the branch → its
-        // write is skipped. A `select` consuming a compare later keeps
-        // that compare's write.
-        let src = r#"
-            fn f(n: i64) -> i64 {
-                var s: i64 = 0;
-                for (var i: i64 = 0; i < n; i = i + 1) { s = s + 1; }
-                return s;
-            }
-        "#;
-        let mut module = compile("t", src).unwrap();
-        mperf_ir::transform::PassManager::standard().run(&mut module);
-        let dec = DecodedModule::decode(&module);
-        let cmp_writes: Vec<bool> = dec.funcs[0]
-            .fused
-            .iter()
-            .filter_map(|f| match &f.op {
-                Fused::CmpBranch { write_cmp, .. } | Fused::IncCmpBranch { write_cmp, .. } => {
-                    Some(*write_cmp)
-                }
-                _ => None,
-            })
-            .collect();
-        assert!(
-            cmp_writes.iter().any(|w| !w),
-            "branch-only compare results skip the register write: {cmp_writes:?}"
-        );
-    }
-
-    /// A branch target landing inside a pattern window must be counted
-    /// as ineligible, not silently skipped (satellite: explainable
-    /// coverage). The current flattening cannot produce this shape —
-    /// patterns never span a terminator — so the test handcrafts one.
-    #[test]
-    fn mid_pattern_branch_target_counts_ineligible() {
-        let ops = vec![
-            DecodedOp::CmpI {
-                op: CmpOp::Lt,
-                dst: 1,
-                lhs: Operand::Reg(Reg(0)),
-                rhs: Operand::I64(5),
-            },
-            DecodedOp::CondBr {
-                cond: Operand::Reg(Reg(1)),
-                t: 0,
-                f: 1,
-            },
-        ];
-        let mut df = DecodedFunc {
-            pcs: vec![0, 1],
-            // Index 1 (the CondBr) is a block entry: control can land
-            // between the compare and the branch.
-            block_entry: vec![0, 1],
-            fused: Vec::new(),
-            num_regs: 2,
-            params: Box::new([]),
-            ops,
-        };
-        let mut stats = FusionStats::default();
-        fuse_func(&mut df, &mut stats);
-        assert_eq!(stats.ineligible_mid_target, 1, "{stats:?}");
-        assert_eq!(stats.total_sites(), 0);
-        assert!(df.fused.is_empty());
-        assert!(matches!(df.ops[0], DecodedOp::CmpI { .. }), "left unfused");
     }
 
     #[test]

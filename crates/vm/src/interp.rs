@@ -7,19 +7,17 @@
 //! - the **reference** engine walks `module → func → block` structures
 //!   directly, cloning each instruction as it executes — simple, and the
 //!   semantic baseline;
-//! - the **decoded** engine (the default) runs the flat
-//!   [`DecodedModule`] form produced by [`crate::decode`]: an
-//!   index-driven dispatch over `&[DecodedOp]` with pre-resolved jump
-//!   targets, precomputed pcs/op classes/FLOP counts, a contiguous
-//!   register stack (no per-call allocation), and zero per-step cloning.
+//! - the **threaded** engine (the default) runs the pre-bound template
+//!   arrays [`crate::threaded`] compiles from the flat [`DecodedModule`]
+//!   form: pre-resolved jump targets, precomputed pcs/op classes/FLOP
+//!   counts, a contiguous register stack (no per-call allocation), zero
+//!   per-step cloning, and straight-line superblocks that tick the PMU
+//!   once.
 //!
 //! `tests/properties.rs` holds the cross-engine equivalence property;
 //! `crates/bench` measures the throughput gap.
 
-use crate::decode::{
-    DecodeConfig, DecodedFunc, DecodedModule, DecodedOp, FusePattern, Fused, FusedSite, HostTarget,
-    MAX_FUSE_WIDTH,
-};
+use crate::decode::{DecodeConfig, DecodedModule};
 use crate::error::{TrapInfo, VmError};
 use crate::host::{HostHandler, RooflineRuntime};
 use crate::lower::{cast_class, inst_class, un_class, un_flops};
@@ -58,10 +56,9 @@ struct Frame {
     call_pc: u64,
 }
 
-/// A decoded-engine frame: registers live in the VM's contiguous
+/// A threaded-engine frame: registers live in the VM's contiguous
 /// register stack starting at `base`, and `ip` indexes the function's
-/// flat op array. Shared with the threaded engine (same frame layout,
-/// same register stack).
+/// flat op (and template) array.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DFrame {
     pub(crate) func: u32,
@@ -85,7 +82,9 @@ pub(crate) enum Step {
 
 /// Per-invocation state the threaded driver threads through thunks.
 pub(crate) struct TCtx {
-    /// The active frame (cursor-cached, like `run_decoded`'s `cur`).
+    /// The active frame, cursor-cached: `cur.ip` is only written back to
+    /// the frame stack around calls, so the steady-state loop touches no
+    /// frame memory.
     pub(crate) cur: DFrame,
     /// Frame-stack depth at which this invocation returns.
     pub(crate) base_depth: usize,
@@ -98,31 +97,25 @@ pub enum Engine {
     /// default; see [`crate::threaded`]).
     #[default]
     Threaded,
-    /// Flat pre-decoded dispatch (`match`-driven; the first-generation
-    /// fast engine, kept for bisection).
-    Decoded,
-    /// Structure-walking interpreter (the semantic baseline).
+    /// Structure-walking interpreter (the semantic baseline and the
+    /// equivalence oracle).
     Reference,
 }
 
 /// Execution-engine configuration bundle: which engine drives the VM
-/// and which decode-time passes (superinstruction fusion, register
-/// allocation) its decodes run. Every combination is observably
-/// identical; only speed differs.
+/// and whether its decodes run register allocation. Every combination
+/// is observably identical; only speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     pub engine: Engine,
-    pub fuse: bool,
     pub regalloc: bool,
 }
 
 impl Default for ExecConfig {
-    /// The fast default: threaded engine with fusion and register
-    /// allocation on.
+    /// The fast default: threaded engine with register allocation on.
     fn default() -> ExecConfig {
         ExecConfig {
             engine: Engine::Threaded,
-            fuse: true,
             regalloc: true,
         }
     }
@@ -132,75 +125,36 @@ impl ExecConfig {
     /// The decode-pass half of this configuration.
     pub fn decode(self) -> DecodeConfig {
         DecodeConfig {
-            fuse: self.fuse,
             regalloc: self.regalloc,
         }
     }
 
-    /// Human-readable form for report headers (`engine=decoded fuse=on
+    /// Human-readable form for report headers (`engine=threaded
     /// regalloc=on`), so printed measurements are self-describing.
     pub fn describe(&self) -> String {
-        let on = |b: bool| if b { "on" } else { "off" };
         format!(
-            "engine={} fuse={} regalloc={}",
+            "engine={} regalloc={}",
             match self.engine {
                 Engine::Threaded => "threaded",
-                Engine::Decoded => "decoded",
                 Engine::Reference => "reference",
             },
-            on(self.fuse),
-            on(self.regalloc),
+            if self.regalloc { "on" } else { "off" },
         )
-    }
-}
-
-/// Runtime superinstruction statistics: how often each pattern executed
-/// on its fused fast path, and how many MIR ops that covered. Tracked
-/// outside [`ExecStats`] on purpose — fusion must leave every observable
-/// (including `ExecStats`) bit-identical, and these counters exist
-/// precisely to report how much of the dynamic stream ran fused.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionDynamics {
-    /// Fast-path executions per pattern ([`FusePattern::index`] order).
-    /// Bailed executions (fuel, would-trap access, PMU near overflow)
-    /// are not counted — they ran unfused.
-    pub executed: [u64; FusePattern::COUNT],
-    /// MIR ops covered by those fast-path executions, in
-    /// [`ExecStats::mir_ops`] accounting (terminators don't count).
-    pub mir_ops_fused: u64,
-}
-
-impl FusionDynamics {
-    /// Fraction of `total_mir_ops` that executed inside a fused fast
-    /// path (pass [`ExecStats::mir_ops`]).
-    pub fn coverage(&self, total_mir_ops: u64) -> f64 {
-        if total_mir_ops == 0 {
-            return 0.0;
-        }
-        self.mir_ops_fused as f64 / total_mir_ops as f64
-    }
-
-    /// Total fast-path executions across all patterns.
-    pub fn total_executed(&self) -> u64 {
-        self.executed.iter().sum()
     }
 }
 
 /// Runtime copy-traffic statistics: how many executed `Copy` ops moved
 /// data versus having been coalesced away by the decode-time register
-/// allocator. Like [`FusionDynamics`], tracked outside [`ExecStats`] on
-/// purpose — register allocation must leave every observable
-/// bit-identical, and these counters exist precisely to report how much
-/// copy traffic it removed (the `regalloc` section of
-/// `BENCH_interp.json`).
+/// allocator. Tracked outside [`ExecStats`] on purpose — register
+/// allocation must leave every observable bit-identical, and these
+/// counters exist precisely to report how much copy traffic it removed
+/// (the `regalloc` section of `BENCH_interp.json`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegallocDynamics {
-    /// Executed `Copy` ops that moved data (standalone `Copy` dispatch
-    /// or the real-copy constituent of a fused `bin+copy` batch).
+    /// Executed `Copy` ops that moved data.
     pub copies_moved: u64,
     /// Executed elided copies: retire-only `Move` ticks with no data
-    /// movement (standalone `ElidedCopy` dispatch or elided slots
-    /// riding inside fused batches).
+    /// movement.
     pub copies_elided: u64,
 }
 
@@ -239,14 +193,13 @@ pub struct Vm<'m> {
     /// Lazily-built flat form of `module` (shareable across VMs and
     /// across sweep worker threads).
     decoded: Option<Arc<DecodedModule>>,
-    /// Decoded/threaded-engine frame stack.
+    /// Threaded-engine frame stack.
     pub(crate) dstack: Vec<DFrame>,
-    /// Decoded/threaded-engine contiguous register stack (frames slice
-    /// into it).
+    /// Threaded-engine contiguous register stack (frames slice into it).
     pub(crate) dregs: Vec<Value>,
-    /// Reusable call-argument buffer (decoded/threaded engines).
+    /// Reusable call-argument buffer (threaded engine).
     pub(crate) arg_scratch: Vec<Value>,
-    /// Reusable return-value buffer (decoded/threaded engines).
+    /// Reusable return-value buffer (threaded engine).
     pub(crate) ret_scratch: Vec<Value>,
     /// Reusable callchain buffer for overflow samples, so sampling does
     /// not allocate on the measured path.
@@ -254,12 +207,8 @@ pub struct Vm<'m> {
     /// The open superblock's deferred-retire accumulator (threaded
     /// engine; idle outside a block fast path).
     pub(crate) block_acc: BlockAcc,
-    /// Whether `decoded()` builds with superinstruction fusion.
-    fuse: bool,
     /// Whether `decoded()` builds with register allocation.
     regalloc: bool,
-    /// Runtime fusion coverage (not part of the observable contract).
-    pub(crate) fused_dyn: FusionDynamics,
     /// Runtime copy-traffic split (not part of the observable contract).
     pub(crate) regalloc_dyn: RegallocDynamics,
     /// Trap-site note from the engine loops: the pc of the faulting op,
@@ -327,9 +276,7 @@ impl<'m> Vm<'m> {
             ret_scratch: Vec::new(),
             chain_scratch: Vec::new(),
             block_acc: BlockAcc::default(),
-            fuse: true,
             regalloc: true,
-            fused_dyn: FusionDynamics::default(),
             regalloc_dyn: RegallocDynamics::default(),
             trap_pc: None,
             last_trap: None,
@@ -347,28 +294,10 @@ impl<'m> Vm<'m> {
         self.engine
     }
 
-    /// Apply an [`ExecConfig`] bundle (engine + fusion + regalloc).
+    /// Apply an [`ExecConfig`] bundle (engine + regalloc).
     pub fn configure(&mut self, cfg: ExecConfig) {
         self.set_engine(cfg.engine);
-        self.set_fusion(cfg.fuse);
         self.set_regalloc(cfg.regalloc);
-    }
-
-    /// Enable/disable decode-time superinstruction fusion (on by
-    /// default; the `--no-fuse` escape hatch). Observable behaviour is
-    /// identical either way — fusion changes speed, never observables.
-    /// Takes effect on the next decode: a cached decode of the other
-    /// flavour is dropped.
-    pub fn set_fusion(&mut self, on: bool) {
-        self.fuse = on;
-        if self.decoded.as_ref().is_some_and(|d| d.fused != on) {
-            self.decoded = None;
-        }
-    }
-
-    /// Whether `decoded()` builds with superinstruction fusion.
-    pub fn fusion(&self) -> bool {
-        self.fuse
     }
 
     /// Enable/disable decode-time register allocation / copy coalescing
@@ -385,12 +314,6 @@ impl<'m> Vm<'m> {
     /// Whether `decoded()` builds with register allocation.
     pub fn regalloc(&self) -> bool {
         self.regalloc
-    }
-
-    /// Runtime superinstruction coverage accumulated so far (zeroes on
-    /// the reference engine or with fusion disabled).
-    pub fn fusion_dynamics(&self) -> FusionDynamics {
-        self.fused_dyn
     }
 
     /// Runtime copy-traffic split accumulated so far (the elided lane is
@@ -412,7 +335,6 @@ impl<'m> Vm<'m> {
         let d = Arc::new(DecodedModule::decode_cfg(
             self.module,
             DecodeConfig {
-                fuse: self.fuse,
                 regalloc: self.regalloc,
             },
         ));
@@ -423,14 +345,13 @@ impl<'m> Vm<'m> {
     /// Install a pre-built decode of this VM's module (it must come from
     /// an identical module, e.g. via [`crate::decode::decode_module`] or
     /// [`Vm::decoded`] on a sibling VM). The decode's pass flavour wins:
-    /// the VM's fusion and regalloc flags are synced to it.
+    /// the VM's regalloc flag is synced to it.
     pub fn set_decoded(&mut self, decoded: Arc<DecodedModule>) {
         assert_eq!(
             decoded.funcs.len(),
             self.module.num_funcs(),
             "decoded form does not match this module"
         );
-        self.fuse = decoded.fused;
         self.regalloc = decoded.coalesced;
         self.decoded = Some(decoded);
     }
@@ -490,8 +411,7 @@ impl<'m> Vm<'m> {
         self.trap_pc = None;
         self.last_trap = None;
         match self.engine {
-            Engine::Threaded => self.call_id_flat(fid, args, true),
-            Engine::Decoded => self.call_id_flat(fid, args, false),
+            Engine::Threaded => self.call_id_threaded(fid, args),
             Engine::Reference => self.call_id_reference(fid, args),
         }
     }
@@ -520,16 +440,6 @@ impl<'m> Vm<'m> {
         if self.trap_pc.is_none() {
             self.trap_pc = Some(pc);
         }
-    }
-
-    /// Passes `r` through, noting `pc` as the trap site on `Err`. The
-    /// `Ok` path is a single already-present branch; the note is `#[cold]`.
-    #[inline]
-    fn trap_at<T>(&mut self, r: Result<T, VmError>, pc: u64) -> Result<T, VmError> {
-        if r.is_err() {
-            self.note_trap(pc);
-        }
-        r
     }
 
     /// Builds [`TrapInfo`] from the error's embedded pc (most precise),
@@ -571,14 +481,11 @@ impl<'m> Vm<'m> {
         result
     }
 
-    /// Shared entry for the flat-stream engines (decoded and threaded):
-    /// both run the same frame layout over the same register stack.
-    fn call_id_flat(
-        &mut self,
-        fid: FuncId,
-        args: &[Value],
-        threaded: bool,
-    ) -> Result<Vec<Value>, VmError> {
+    /// Threaded-engine entry. Kept out of line (with the hot loop of
+    /// [`Vm::run_threaded`] inlined into it) so the loop's code
+    /// generation does not depend on what `call_id` inlines around it.
+    #[inline(never)]
+    fn call_id_threaded(&mut self, fid: FuncId, args: &[Value]) -> Result<Vec<Value>, VmError> {
         let dec = self.decoded();
         let base_depth = self.dstack.len();
         let regs_floor = self.dregs.len();
@@ -595,11 +502,7 @@ impl<'m> Vm<'m> {
             ip: 0,
             call_pc: 0,
         });
-        let result = if threaded {
-            self.run_threaded(&dec, base_depth)
-        } else {
-            self.run_decoded(&dec, base_depth)
-        };
+        let result = self.run_threaded(&dec, base_depth);
         if let Err(err) = &result {
             let frame_pc = self
                 .dstack
@@ -684,13 +587,12 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Decoded/threaded-engine retire (callchains walk the flat frame
-    /// stack).
+    /// Threaded-engine retire (callchains walk the flat frame stack).
     pub(crate) fn retire_d(&mut self, op: MachineOp) {
         let info = self.core.retire(&op);
         self.stats.machine_ops += 1;
         if info.overflow != 0 {
-            self.deliver_overflow(op.pc, info.overflow, Engine::Decoded);
+            self.deliver_overflow(op.pc, info.overflow, Engine::Threaded);
         }
     }
 
@@ -751,7 +653,7 @@ impl<'m> Vm<'m> {
                     }
                 }
             }
-            Engine::Decoded | Engine::Threaded => {
+            Engine::Threaded => {
                 for f in self.dstack.iter().rev() {
                     if f.call_pc != 0 {
                         chain.push(f.call_pc);
@@ -1032,1136 +934,8 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Decoded-engine main loop: an index-driven dispatch over the flat
-    /// op arrays, shaped for jump-table codegen — one dense `match` whose
-    /// arms are tight handler bodies. Per-op order of effects (evaluate →
-    /// trap → write → retire) mirrors `exec_inst`/`exec_term` exactly, so
-    /// traps, stats, cycles, and PMU state stay bit-identical to the
-    /// reference engine.
-    ///
-    /// The op/pc/register fetches are *unchecked*: `validate_func` pinned
-    /// every index (jump targets, register numbers, callee/host/fused
-    /// ids, terminator-last) at decode time, so the pre-validated stream
-    /// cannot index out of bounds — see the decode-module docs.
-    #[allow(clippy::too_many_lines)]
-    fn run_decoded(
-        &mut self,
-        dec: &DecodedModule,
-        base_depth: usize,
-    ) -> Result<Vec<Value>, VmError> {
-        // The active frame is cursor-cached in a local: `cur.ip` is only
-        // written back to the stack around calls (so `Ret` can find the
-        // caller's call op) — the steady-state loop touches no frame
-        // memory. `call_pc` stays correct on the stack for callchains.
-        let mut cur = *self.dstack.last().expect("run_decoded with a frame");
-        loop {
-            if self.stats.machine_ops >= self.fuel {
-                if let Some(p) = dec.funcs[cur.func as usize].pcs.get(cur.ip as usize) {
-                    self.note_trap(*p);
-                }
-                return Err(VmError::OutOfFuel {
-                    executed: self.stats.machine_ops,
-                });
-            }
-            debug_assert!((cur.func as usize) < dec.funcs.len());
-            // SAFETY: `cur.func` comes from a validated `CallFunc` callee
-            // or the entry `FuncId`; `ip` stays inside `ops` because
-            // every function ends in a (validated) terminator and every
-            // jump target was range-checked at decode time.
-            let df = unsafe { dec.funcs.get_unchecked(cur.func as usize) };
-            let ip = cur.ip as usize;
-            debug_assert!(ip < df.ops.len());
-            let pc = unsafe { *df.pcs.get_unchecked(ip) };
-            let base = cur.base as usize;
-            cur.ip += 1;
-            match unsafe { df.ops.get_unchecked(ip) } {
-                DecodedOp::Bin {
-                    op,
-                    class,
-                    flops,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let a = self.deval(base, *lhs);
-                    let b = self.deval(base, *rhs);
-                    let v = eval_bin(*op, &a, &b, pc);
-                    let v = self.trap_at(v, pc)?;
-                    self.dset(base, *dst, v);
-                    self.retire_d(MachineOp::simple(*class, pc).with_flops(*flops));
-                }
-                DecodedOp::BinI {
-                    op,
-                    class,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let a = self.deval_i64(base, *lhs);
-                    let b = self.deval_i64(base, *rhs);
-                    let v = eval_bin_i64(*op, a, b, pc);
-                    let v = self.trap_at(v, pc)?;
-                    self.dset(base, *dst, Value::I64(v));
-                    self.retire_d(MachineOp::simple(*class, pc));
-                }
-                DecodedOp::Cmp { op, dst, lhs, rhs } => {
-                    self.stats.mir_ops += 1;
-                    let a = self.deval(base, *lhs);
-                    let b = self.deval(base, *rhs);
-                    self.dset(base, *dst, Value::Bool(eval_cmp(*op, &a, &b)));
-                    self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-                }
-                DecodedOp::CmpI { op, dst, lhs, rhs } => {
-                    self.stats.mir_ops += 1;
-                    let a = self.deval_i64(base, *lhs);
-                    let b = self.deval_i64(base, *rhs);
-                    self.dset(base, *dst, Value::Bool(cmp_i64(*op, a, b)));
-                    self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-                }
-                DecodedOp::Un {
-                    op,
-                    class,
-                    flops,
-                    dst,
-                    src,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let v = self.deval(base, *src);
-                    let r = match (op, v) {
-                        (UnOp::Neg, Value::I64(x)) => Value::I64(x.wrapping_neg()),
-                        (UnOp::FNeg, Value::F32(x)) => Value::F32(-x),
-                        (UnOp::FNeg, Value::F64(x)) => Value::F64(-x),
-                        (UnOp::FNeg, Value::VF32(x)) => Value::VF32(x.iter().map(|l| -l).collect()),
-                        (UnOp::FNeg, Value::VF64(x)) => Value::VF64(x.iter().map(|l| -l).collect()),
-                        (UnOp::Not, Value::Bool(x)) => Value::Bool(!x),
-                        (o, v) => unreachable!("verifier admits {o:?} of {v:?}"),
-                    };
-                    self.dset(base, *dst, r);
-                    self.retire_d(MachineOp::simple(*class, pc).with_flops(*flops));
-                }
-                DecodedOp::Fma {
-                    class,
-                    flops,
-                    dst,
-                    a,
-                    b,
-                    c,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let va = self.deval(base, *a);
-                    let vb = self.deval(base, *b);
-                    let vc = self.deval(base, *c);
-                    let r = eval_fma(va, vb, vc);
-                    self.dset(base, *dst, r);
-                    self.retire_d(MachineOp::simple(*class, pc).with_flops(*flops));
-                }
-                DecodedOp::Load {
-                    class,
-                    dst,
-                    addr,
-                    mem,
-                    lanes,
-                    stride,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let a = self.deval_i64(base, *addr) as u64;
-                    let st = self.deval_i64(base, *stride);
-                    let v = self.load_value(a, *mem, *lanes, st);
-                    let v = self.trap_at(v, pc)?;
-                    self.dset(base, *dst, v);
-                    let mref = MemRef {
-                        addr: a,
-                        bytes: mem.bytes() as u32,
-                        lanes: *lanes as u32,
-                        stride: st,
-                        is_store: false,
-                    };
-                    self.retire_d(MachineOp::simple(*class, pc).with_mem(mref));
-                }
-                DecodedOp::Store {
-                    class,
-                    addr,
-                    val,
-                    mem,
-                    lanes,
-                    stride,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let a = self.deval_i64(base, *addr) as u64;
-                    let st = self.deval_i64(base, *stride);
-                    let v = self.deval(base, *val);
-                    let stored = self.store_value(a, *mem, *lanes, st, &v);
-                    self.trap_at(stored, pc)?;
-                    let mref = MemRef {
-                        addr: a,
-                        bytes: mem.bytes() as u32,
-                        lanes: *lanes as u32,
-                        stride: st,
-                        is_store: true,
-                    };
-                    self.retire_d(MachineOp::simple(*class, pc).with_mem(mref));
-                }
-                DecodedOp::PtrAdd {
-                    dst,
-                    base: b,
-                    offset,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let bv = self.deval_i64(base, *b);
-                    let o = self.deval_i64(base, *offset);
-                    self.dset(base, *dst, Value::I64(bv.wrapping_add(o)));
-                    self.retire_d(MachineOp::simple(OpClass::AddrCalc, pc));
-                }
-                DecodedOp::Select { dst, cond, t, f } => {
-                    self.stats.mir_ops += 1;
-                    let c = self.deval_bool(base, *cond);
-                    let v = if c {
-                        self.deval(base, *t)
-                    } else {
-                        self.deval(base, *f)
-                    };
-                    self.dset(base, *dst, v);
-                    self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-                }
-                DecodedOp::Cast {
-                    kind,
-                    class,
-                    dst_ty,
-                    dst,
-                    src,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let v = self.deval(base, *src);
-                    let r = eval_cast(*kind, &v, *dst_ty);
-                    self.dset(base, *dst, r);
-                    self.retire_d(MachineOp::simple(*class, pc));
-                }
-                DecodedOp::Copy { dst, src } => {
-                    self.stats.mir_ops += 1;
-                    let v = self.deval(base, *src);
-                    self.dset(base, *dst, v);
-                    self.regalloc_dyn.copies_moved += 1;
-                    self.retire_d(MachineOp::simple(OpClass::Move, pc));
-                }
-                DecodedOp::ElidedCopy => {
-                    // A coalesced copy: the producer already wrote the
-                    // shared register, so only the modeled `Move` retires
-                    // — same machine op, same pc, no data movement.
-                    self.stats.mir_ops += 1;
-                    self.regalloc_dyn.copies_elided += 1;
-                    self.retire_d(MachineOp::simple(OpClass::Move, pc));
-                }
-                DecodedOp::Splat {
-                    elem,
-                    lanes,
-                    dst,
-                    src,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let v = self.deval(base, *src);
-                    let n = *lanes as usize;
-                    let r = match (elem, v) {
-                        (Ty::F32, Value::F32(x)) => Value::VF32(LanesF32::splat(x, n)),
-                        (Ty::F64, Value::F64(x)) => Value::VF64(LanesF64::splat(x, n)),
-                        (Ty::I64, Value::I64(x)) => Value::VI64(LanesI64::splat(x, n)),
-                        (t, v) => unreachable!("verifier admits splat {t} of {v:?}"),
-                    };
-                    self.dset(base, *dst, r);
-                    self.retire_d(MachineOp::simple(OpClass::VecShuffle, pc));
-                }
-                DecodedOp::Reduce {
-                    op,
-                    flops,
-                    dst,
-                    src,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let v = self.deval(base, *src);
-                    let r = match (op, v) {
-                        (ReduceOp::FAdd, Value::VF32(x)) => Value::F32(x.iter().sum()),
-                        (ReduceOp::FAdd, Value::VF64(x)) => Value::F64(x.iter().sum()),
-                        (ReduceOp::Add, Value::VI64(x)) => {
-                            Value::I64(x.iter().fold(0i64, |a, b| a.wrapping_add(*b)))
-                        }
-                        (o, v) => unreachable!("verifier admits reduce {o:?} of {v:?}"),
-                    };
-                    self.dset(base, *dst, r);
-                    self.retire_d(MachineOp::simple(OpClass::VecShuffle, pc).with_flops(*flops));
-                }
-                DecodedOp::CallFunc {
-                    callee,
-                    dsts: _,
-                    args,
-                } => {
-                    self.stats.mir_ops += 1;
-                    let mut argv = std::mem::take(&mut self.arg_scratch);
-                    argv.clear();
-                    for a in args.iter() {
-                        argv.push(self.deval(base, *a));
-                    }
-                    self.stats.calls += 1;
-                    self.retire_d(MachineOp::simple(OpClass::CallRet, pc));
-                    if self.dstack.len() >= self.max_depth {
-                        self.arg_scratch = argv;
-                        self.note_trap(pc);
-                        return Err(VmError::StackOverflow {
-                            depth: self.dstack.len(),
-                        });
-                    }
-                    // SAFETY: callee ids are validated at decode time.
-                    let cf = unsafe { dec.funcs.get_unchecked(*callee as usize) };
-                    let new_base = self.dregs.len();
-                    self.dregs
-                        .resize(new_base + cf.num_regs as usize, Value::I64(0));
-                    for (p, a) in cf.params.iter().zip(argv.drain(..)) {
-                        self.dregs[new_base + *p as usize] = a;
-                    }
-                    self.arg_scratch = argv;
-                    self.dstack.last_mut().expect("caller frame").ip = cur.ip;
-                    cur = DFrame {
-                        func: *callee,
-                        base: new_base as u32,
-                        ip: 0,
-                        call_pc: pc,
-                    };
-                    self.dstack.push(cur);
-                }
-                DecodedOp::CallHost { target, dsts, args } => {
-                    self.stats.mir_ops += 1;
-                    let mut argv = std::mem::take(&mut self.arg_scratch);
-                    argv.clear();
-                    for a in args.iter() {
-                        argv.push(self.deval(base, *a));
-                    }
-                    self.stats.calls += 1;
-                    self.retire_d(MachineOp::simple(OpClass::CallRet, pc));
-                    // Notification functions are a few instructions of
-                    // real work (mirrors `call_host`).
-                    for _ in 0..3 {
-                        self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-                    }
-                    match target {
-                        HostTarget::LoopBegin => {
-                            let id = argv[0].as_i64() as u32;
-                            let now = self.core.cycles();
-                            self.roofline.loop_begin(id, now);
-                        }
-                        HostTarget::LoopEnd => {
-                            let id = argv[0].as_i64() as u32;
-                            let now = self.core.cycles();
-                            self.roofline.loop_end(id, now);
-                        }
-                        HostTarget::IsInstrumented => {
-                            let v = Value::Bool(self.roofline.instrumented);
-                            if let Some(d) = dsts.first() {
-                                self.dregs[base + d.index()] = v;
-                            }
-                        }
-                        HostTarget::Named(id) => {
-                            let name = &dec.host_names[*id as usize];
-                            let rets = match self.host.get_mut(name) {
-                                Some(h) => match h(&argv) {
-                                    Ok(rets) => rets,
-                                    Err(msg) => {
-                                        self.arg_scratch = argv;
-                                        self.note_trap(pc);
-                                        return Err(VmError::HostFault(msg));
-                                    }
-                                },
-                                None => {
-                                    self.arg_scratch = argv;
-                                    self.note_trap(pc);
-                                    return Err(VmError::UnknownHost(name.clone()));
-                                }
-                            };
-                            for (d, v) in dsts.iter().zip(rets) {
-                                self.dregs[base + d.index()] = v;
-                            }
-                        }
-                    }
-                    self.arg_scratch = argv;
-                }
-                DecodedOp::ProfCount(counts) => {
-                    self.stats.mir_ops += 1;
-                    self.roofline.prof_count(*counts);
-                    // The counter update is real guest work: a handful of
-                    // integer ops plus a load/store to the counter block.
-                    let scratch = self.prof_scratch;
-                    for _ in 0..3 {
-                        self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-                    }
-                    self.retire_d(
-                        MachineOp::simple(OpClass::Load, pc)
-                            .with_mem(MemRef::scalar(scratch, 8, false)),
-                    );
-                    self.retire_d(
-                        MachineOp::simple(OpClass::Store, pc)
-                            .with_mem(MemRef::scalar(scratch, 8, true)),
-                    );
-                }
-                DecodedOp::Br { target } => {
-                    self.retire_d(MachineOp::simple(OpClass::Move, pc));
-                    cur.ip = *target;
-                }
-                DecodedOp::CondBr { cond, t, f } => {
-                    let c = self.deval_bool(base, *cond);
-                    self.retire_d(MachineOp::simple(OpClass::Branch, pc).with_taken(c));
-                    cur.ip = if c { *t } else { *f };
-                }
-                DecodedOp::Ret { vals } => {
-                    let mut out = std::mem::take(&mut self.ret_scratch);
-                    out.clear();
-                    for v in vals.iter() {
-                        out.push(self.deval(base, *v));
-                    }
-                    self.retire_d(MachineOp::simple(OpClass::CallRet, pc));
-                    self.dstack.pop();
-                    if self.dstack.len() == base_depth {
-                        self.dregs.truncate(base);
-                        return Ok(out);
-                    }
-                    cur = *self.dstack.last().expect("caller frame");
-                    let pf = &dec.funcs[cur.func as usize];
-                    let dsts = match &pf.ops[cur.ip as usize - 1] {
-                        DecodedOp::CallFunc { dsts, .. } => dsts,
-                        other => unreachable!("return to non-call op {other:?}"),
-                    };
-                    for (d, v) in dsts.iter().zip(out.drain(..)) {
-                        self.dregs[cur.base as usize + d.index()] = v;
-                    }
-                    self.dregs.truncate(base);
-                    self.ret_scratch = out;
-                }
-                DecodedOp::Fused(fi) => {
-                    debug_assert!((*fi as usize) < df.fused.len());
-                    // SAFETY: fused indices validated at decode time; the
-                    // site window `ip..ip+width` is inside `ops`/`pcs`
-                    // (checked by `validate_func`), so the per-slot pc
-                    // fetches in the pattern handlers are in range.
-                    let site = unsafe { df.fused.get_unchecked(*fi as usize) };
-                    // One dispatch on the pattern kind selects the shared
-                    // per-pattern handler (the threaded engine binds these
-                    // same handlers as per-pattern templates, skipping
-                    // this match entirely).
-                    let fused_result = match &site.op {
-                        Fused::CmpBranch { .. } => {
-                            self.fused_cmp_branch(df, site, ip, base, &mut cur)
-                        }
-                        Fused::IncCmpBranch { .. } => {
-                            self.fused_inc_cmp_branch(df, site, ip, base, &mut cur)
-                        }
-                        Fused::BinCopy { .. } => self.fused_bin_copy(df, site, ip, base, &mut cur),
-                        Fused::AddrLoad { .. } => {
-                            self.fused_addr_load(df, site, ip, base, &mut cur)
-                        }
-                        Fused::AddrStore { .. } => {
-                            self.fused_addr_store(df, site, ip, base, &mut cur)
-                        }
-                        Fused::LoadOp { .. } => self.fused_load_op(df, site, ip, base, &mut cur),
-                        Fused::AddrLoadOp { .. } => {
-                            self.fused_addr_load_op(df, site, ip, base, &mut cur)
-                        }
-                    };
-                    self.trap_at(fused_result, pc)?;
-                }
-            }
-        }
-    }
-
-    /// Commit path for branch-ending fused fast paths: the specialized
-    /// one-tick batch retire plus coverage accounting.
-    #[inline]
-    fn fused_branch_retire(
-        &mut self,
-        prefix: &[OpClass],
-        last_pc: u64,
-        taken: bool,
-        mir_ops: u64,
-        pat: FusePattern,
-    ) {
-        let info = self.core.retire_fused_branch(prefix, last_pc, taken);
-        self.account_fused(info, prefix.len() as u64 + 1, mir_ops, pat, last_pc);
-    }
-
-    /// Commit path for memory-free, FLOP-free fused fast paths (classes
-    /// only); see [`Vm::fused_branch_retire`].
-    #[inline]
-    fn fused_simple_retire(
-        &mut self,
-        classes: &[OpClass],
-        last_pc: u64,
-        mir_ops: u64,
-        pat: FusePattern,
-    ) {
-        let info = self.core.retire_fused_simple(classes);
-        self.account_fused(info, classes.len() as u64, mir_ops, pat, last_pc);
-    }
-
-    /// `cmp + condbr` fused fast path. Shared by the decoded engine and
-    /// the threaded engine's out-of-block template dispatch (inside a
-    /// superblock, fused sites execute as their constituent templates —
-    /// the block already batches the PMU tick, so the one-tick fused
-    /// retire would add no value there). Caller pre-incremented
-    /// `cur.ip`; a bail leaves it there (the next constituent slot), the
-    /// fast path jumps it.
-    pub(crate) fn fused_cmp_branch(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::CmpBranch {
-            op,
-            c_dst,
-            lhs,
-            rhs,
-            int,
-            write_cmp,
-            t,
-            f,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let extra = w as u64 - 1;
-        let n_elided = site.elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let c = if *int {
-            cmp_i64(*op, self.deval_i64(base, *lhs), self.deval_i64(base, *rhs))
-        } else {
-            let a = self.deval(base, *lhs);
-            let b = self.deval(base, *rhs);
-            eval_cmp(*op, &a, &b)
-        };
-        if self.stats.machine_ops + extra >= self.fuel || !self.core.fused_ready_nomem() {
-            // Bail: the original `Cmp`, unfused; the loop resumes at the
-            // next retained slot.
-            self.stats.mir_ops += 1;
-            self.dset(base, *c_dst, Value::Bool(c));
-            self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-            return Ok(());
-        }
-        // Terminators don't count as MIR ops (as in both unfused
-        // engines): the Cmp and any elided copies do.
-        self.stats.mir_ops += extra;
-        if *write_cmp {
-            self.dset(base, *c_dst, Value::Bool(c));
-        }
-        // Prefix = cmp plus any interior elided copies; the branch
-        // retires last.
-        let mut prefix = [OpClass::Move; MAX_FUSE_WIDTH];
-        prefix[0] = OpClass::IntAlu;
-        let last_pc = unsafe { *df.pcs.get_unchecked(ip + w - 1) };
-        self.regalloc_dyn.copies_elided += n_elided;
-        self.fused_branch_retire(&prefix[..w - 1], last_pc, c, extra, FusePattern::CmpBranch);
-        cur.ip = if c { *t } else { *f };
-        Ok(())
-    }
-
-    /// `add/sub + cmp + condbr` (counted-loop back edge) fused fast
-    /// path; see [`Vm::fused_cmp_branch`].
-    pub(crate) fn fused_inc_cmp_branch(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::IncCmpBranch {
-            i_op,
-            i_dst,
-            i_lhs,
-            i_rhs,
-            c_op,
-            c_dst,
-            c_lhs,
-            c_rhs,
-            c_int,
-            write_cmp,
-            t,
-            f,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let elided = site.elided;
-        let extra = w as u64 - 1;
-        let n_elided = elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let a = self.deval_i64(base, *i_lhs);
-        let b = self.deval_i64(base, *i_rhs);
-        let iv = match i_op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            other => unreachable!("fusion admits {other:?} back edge"),
-        };
-        if self.stats.machine_ops + extra >= self.fuel || !self.core.fused_ready_nomem() {
-            self.stats.mir_ops += 1;
-            self.dset(base, *i_dst, Value::I64(iv));
-            self.retire_d(MachineOp::simple(OpClass::IntAlu, pc));
-            return Ok(());
-        }
-        // The CondBr terminator is not a MIR op; the inc, cmp, and any
-        // elided copies are.
-        self.stats.mir_ops += extra;
-        self.dset(base, *i_dst, Value::I64(iv));
-        let c = if *c_int {
-            cmp_i64(
-                *c_op,
-                self.deval_i64(base, *c_lhs),
-                self.deval_i64(base, *c_rhs),
-            )
-        } else {
-            let ca = self.deval(base, *c_lhs);
-            let cb = self.deval(base, *c_rhs);
-            eval_cmp(*c_op, &ca, &cb)
-        };
-        if *write_cmp {
-            self.dset(base, *c_dst, Value::Bool(c));
-        }
-        // Prefix = inc + cmp with elided copies interleaved at their
-        // slots; branch last.
-        let mut prefix = [OpClass::IntAlu; MAX_FUSE_WIDTH];
-        for (k, slot) in prefix.iter_mut().enumerate().take(w - 1).skip(1) {
-            if elided & (1 << k) != 0 {
-                *slot = OpClass::Move;
-            }
-        }
-        let last_pc = unsafe { *df.pcs.get_unchecked(ip + w - 1) };
-        self.regalloc_dyn.copies_elided += n_elided;
-        self.fused_branch_retire(
-            &prefix[..w - 1],
-            last_pc,
-            c,
-            extra,
-            FusePattern::IncCmpBranch,
-        );
-        cur.ip = if c { *t } else { *f };
-        Ok(())
-    }
-
-    /// `bin + copy` fused fast path; see [`Vm::fused_cmp_branch`].
-    pub(crate) fn fused_bin_copy(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::BinCopy {
-            op,
-            class,
-            flops,
-            int,
-            b_dst,
-            lhs,
-            rhs,
-            write_bin,
-            dst,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let elided = site.elided;
-        let extra = w as u64 - 1;
-        let n_elided = elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let pc_at = |k: usize| unsafe { *df.pcs.get_unchecked(ip + k) };
-        // Div/Rem never fuses, so neither lane traps.
-        let v = if *int {
-            Value::I64(eval_bin_i64(
-                *op,
-                self.deval_i64(base, *lhs),
-                self.deval_i64(base, *rhs),
-                pc,
-            )?)
-        } else {
-            let a = self.deval(base, *lhs);
-            let b = self.deval(base, *rhs);
-            eval_bin(*op, &a, &b, pc)?
-        };
-        if self.stats.machine_ops + extra >= self.fuel || !self.core.fused_ready_nomem() {
-            self.stats.mir_ops += 1;
-            self.dset(base, *b_dst, v);
-            self.retire_d(MachineOp::simple(*class, pc).with_flops(*flops));
-            return Ok(());
-        }
-        self.stats.mir_ops += w as u64;
-        if *write_bin {
-            self.dset(base, *b_dst, v.clone());
-        }
-        self.dset(base, *dst, v);
-        // Every trailing slot — the real copy (if it survived
-        // coalescing) and any elided copies — retires as a `Move` at its
-        // own pc.
-        let last_pc = pc_at(w - 1);
-        if *flops == 0 {
-            let mut classes = [OpClass::Move; MAX_FUSE_WIDTH];
-            classes[0] = *class;
-            self.fused_simple_retire(&classes[..w], last_pc, w as u64, FusePattern::BinCopy);
-        } else {
-            // FP assignment: the FLOP event needs the full batch path.
-            let mut ops_arr = [MachineOp::simple(OpClass::Move, 0); MAX_FUSE_WIDTH];
-            ops_arr[0] = MachineOp::simple(*class, pc).with_flops(*flops);
-            for (k, op_slot) in ops_arr.iter_mut().enumerate().take(w).skip(1) {
-                *op_slot = MachineOp::simple(OpClass::Move, pc_at(k));
-            }
-            self.finish_fused(&ops_arr[..w], w as u64, FusePattern::BinCopy);
-        }
-        self.regalloc_dyn.copies_elided += n_elided;
-        self.regalloc_dyn.copies_moved += extra - n_elided;
-        cur.ip = ip as u32 + w as u32;
-        Ok(())
-    }
-
-    /// `ptradd + load` fused fast path; see [`Vm::fused_cmp_branch`].
-    pub(crate) fn fused_addr_load(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::AddrLoad {
-            a_dst,
-            base: b_op,
-            offset,
-            write_addr,
-            dst,
-            mem,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let elided = site.elided;
-        let extra = w as u64 - 1;
-        let n_elided = elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let pc_at = |k: usize| unsafe { *df.pcs.get_unchecked(ip + k) };
-        let bv = self.deval_i64(base, *b_op);
-        let ov = self.deval_i64(base, *offset);
-        let addr = bv.wrapping_add(ov);
-        let bytes = mem.bytes();
-        if self.stats.machine_ops + extra >= self.fuel
-            || !self.mem.in_bounds(addr as u64, bytes)
-            || !self.core.fused_ready()
-        {
-            // Bail: the original `PtrAdd`; a would-trap load faults in
-            // the retained unfused op.
-            self.stats.mir_ops += 1;
-            self.dset(base, *a_dst, Value::I64(addr));
-            self.retire_d(MachineOp::simple(OpClass::AddrCalc, pc));
-            return Ok(());
-        }
-        self.stats.mir_ops += w as u64;
-        if *write_addr {
-            self.dset(base, *a_dst, Value::I64(addr));
-        }
-        let v = self.load_scalar(addr as u64, *mem)?;
-        self.dset(base, *dst, v);
-        self.regalloc_dyn.copies_elided += n_elided;
-        {
-            let mut ops_arr = [MachineOp::simple(OpClass::Move, 0); MAX_FUSE_WIDTH];
-            ops_arr[0] = MachineOp::simple(OpClass::AddrCalc, pc);
-            for (k, slot) in ops_arr.iter_mut().enumerate().take(w).skip(1) {
-                *slot = if elided & (1 << k) != 0 {
-                    MachineOp::simple(OpClass::Move, pc_at(k))
-                } else {
-                    MachineOp::simple(OpClass::Load, pc_at(k)).with_mem(MemRef::scalar(
-                        addr as u64,
-                        bytes as u32,
-                        false,
-                    ))
-                };
-            }
-            self.finish_fused(&ops_arr[..w], w as u64, FusePattern::AddrLoad);
-        }
-        cur.ip = ip as u32 + w as u32;
-        Ok(())
-    }
-
-    /// `ptradd + store` fused fast path; see [`Vm::fused_addr_load`].
-    pub(crate) fn fused_addr_store(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::AddrStore {
-            a_dst,
-            base: b_op,
-            offset,
-            write_addr,
-            val,
-            mem,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let elided = site.elided;
-        let extra = w as u64 - 1;
-        let n_elided = elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let pc_at = |k: usize| unsafe { *df.pcs.get_unchecked(ip + k) };
-        let bv = self.deval_i64(base, *b_op);
-        let ov = self.deval_i64(base, *offset);
-        let addr = bv.wrapping_add(ov);
-        let bytes = mem.bytes();
-        if self.stats.machine_ops + extra >= self.fuel
-            || !self.mem.in_bounds(addr as u64, bytes)
-            || !self.core.fused_ready()
-        {
-            self.stats.mir_ops += 1;
-            self.dset(base, *a_dst, Value::I64(addr));
-            self.retire_d(MachineOp::simple(OpClass::AddrCalc, pc));
-            return Ok(());
-        }
-        self.stats.mir_ops += w as u64;
-        if *write_addr {
-            self.dset(base, *a_dst, Value::I64(addr));
-        }
-        let v = self.subst(base, *val, *a_dst, addr);
-        self.store_scalar(addr as u64, *mem, &v)?;
-        self.regalloc_dyn.copies_elided += n_elided;
-        {
-            let mut ops_arr = [MachineOp::simple(OpClass::Move, 0); MAX_FUSE_WIDTH];
-            ops_arr[0] = MachineOp::simple(OpClass::AddrCalc, pc);
-            for (k, slot) in ops_arr.iter_mut().enumerate().take(w).skip(1) {
-                *slot = if elided & (1 << k) != 0 {
-                    MachineOp::simple(OpClass::Move, pc_at(k))
-                } else {
-                    MachineOp::simple(OpClass::Store, pc_at(k)).with_mem(MemRef::scalar(
-                        addr as u64,
-                        bytes as u32,
-                        true,
-                    ))
-                };
-            }
-            self.finish_fused(&ops_arr[..w], w as u64, FusePattern::AddrStore);
-        }
-        cur.ip = ip as u32 + w as u32;
-        Ok(())
-    }
-
-    /// `load + bin` fused fast path; see [`Vm::fused_addr_load`].
-    pub(crate) fn fused_load_op(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::LoadOp {
-            l_dst,
-            addr,
-            mem,
-            int,
-            write_load,
-            op,
-            class,
-            flops,
-            b_dst,
-            lhs,
-            rhs,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let elided = site.elided;
-        let extra = w as u64 - 1;
-        let n_elided = elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let pc_at = |k: usize| unsafe { *df.pcs.get_unchecked(ip + k) };
-        let av = self.deval_i64(base, *addr) as u64;
-        let bytes = mem.bytes();
-        if self.stats.machine_ops + extra >= self.fuel
-            || !self.mem.in_bounds(av, bytes)
-            || !self.core.fused_ready()
-        {
-            // Bail: the original scalar `Load` (including its trap, when
-            // out of bounds); the loop resumes at the next retained slot.
-            self.stats.mir_ops += 1;
-            let v = self.load_scalar(av, *mem)?;
-            self.dset(base, *l_dst, v);
-            self.retire_d(
-                MachineOp::simple(OpClass::Load, pc).with_mem(MemRef::scalar(
-                    av,
-                    bytes as u32,
-                    false,
-                )),
-            );
-            return Ok(());
-        }
-        self.stats.mir_ops += w as u64;
-        // The bin constituent sits at the first non-elided slot after
-        // the load.
-        let bin_off = (1..w)
-            .find(|&k| elided & (1 << k) == 0)
-            .expect("LoadOp site keeps its bin constituent");
-        let pc_bin = pc_at(bin_off);
-        if *int {
-            let x = self.load_scalar_i64(av, *mem)?;
-            if *write_load {
-                self.dset(base, *l_dst, Value::I64(x));
-            }
-            let a = self.subst_i64(base, *lhs, *l_dst, x);
-            let b = self.subst_i64(base, *rhs, *l_dst, x);
-            let r = eval_bin_i64(*op, a, b, pc_bin)?;
-            self.dset(base, *b_dst, Value::I64(r));
-        } else {
-            let v = self.load_scalar(av, *mem)?;
-            if *write_load {
-                self.dset(base, *l_dst, v.clone());
-            }
-            let a = self.subst_val(base, *lhs, *l_dst, &v);
-            let b = self.subst_val(base, *rhs, *l_dst, &v);
-            let r = eval_bin(*op, &a, &b, pc_bin)?;
-            self.dset(base, *b_dst, r);
-        }
-        self.regalloc_dyn.copies_elided += n_elided;
-        {
-            let mut ops_arr = [MachineOp::simple(OpClass::Move, 0); MAX_FUSE_WIDTH];
-            ops_arr[0] = MachineOp::simple(OpClass::Load, pc).with_mem(MemRef::scalar(
-                av,
-                bytes as u32,
-                false,
-            ));
-            for (k, slot) in ops_arr.iter_mut().enumerate().take(w).skip(1) {
-                *slot = if elided & (1 << k) != 0 {
-                    MachineOp::simple(OpClass::Move, pc_at(k))
-                } else {
-                    MachineOp::simple(*class, pc_at(k)).with_flops(*flops)
-                };
-            }
-            self.finish_fused(&ops_arr[..w], w as u64, FusePattern::LoadOp);
-        }
-        cur.ip = ip as u32 + w as u32;
-        Ok(())
-    }
-
-    /// `ptradd + load + bin` fused fast path; see
-    /// [`Vm::fused_addr_load`].
-    pub(crate) fn fused_addr_load_op(
-        &mut self,
-        df: &DecodedFunc,
-        site: &FusedSite,
-        ip: usize,
-        base: usize,
-        cur: &mut DFrame,
-    ) -> Result<(), VmError> {
-        let Fused::AddrLoadOp {
-            a_dst,
-            base: b_op,
-            offset,
-            write_addr,
-            l_dst,
-            mem,
-            int,
-            write_load,
-            op,
-            class,
-            flops,
-            b_dst,
-            lhs,
-            rhs,
-        } = &site.op
-        else {
-            unreachable!("dispatched on pattern kind")
-        };
-        let w = site.width as usize;
-        let elided = site.elided;
-        let extra = w as u64 - 1;
-        let n_elided = elided.count_ones() as u64;
-        let pc = unsafe { *df.pcs.get_unchecked(ip) };
-        let pc_at = |k: usize| unsafe { *df.pcs.get_unchecked(ip + k) };
-        let bv = self.deval_i64(base, *b_op);
-        let ov = self.deval_i64(base, *offset);
-        let addr = bv.wrapping_add(ov);
-        let bytes = mem.bytes();
-        if self.stats.machine_ops + extra >= self.fuel
-            || !self.mem.in_bounds(addr as u64, bytes)
-            || !self.core.fused_ready()
-        {
-            self.stats.mir_ops += 1;
-            self.dset(base, *a_dst, Value::I64(addr));
-            self.retire_d(MachineOp::simple(OpClass::AddrCalc, pc));
-            return Ok(());
-        }
-        self.stats.mir_ops += w as u64;
-        if *write_addr {
-            self.dset(base, *a_dst, Value::I64(addr));
-        }
-        // The load and bin constituents sit at the first and second
-        // non-elided slots.
-        let load_off = (1..w)
-            .find(|&k| elided & (1 << k) == 0)
-            .expect("AddrLoadOp site keeps its load constituent");
-        let bin_off = (load_off + 1..w)
-            .find(|&k| elided & (1 << k) == 0)
-            .expect("AddrLoadOp site keeps its bin constituent");
-        let pc_bin = pc_at(bin_off);
-        // Resolve bin operands: the loaded value shadows the address
-        // register when both are the same register (the load's write is
-        // the later one in the unfused order).
-        if *int {
-            let x = self.load_scalar_i64(addr as u64, *mem)?;
-            if *write_load {
-                self.dset(base, *l_dst, Value::I64(x));
-            }
-            let a = self.subst2_i64(base, *lhs, *l_dst, x, *a_dst, addr);
-            let b = self.subst2_i64(base, *rhs, *l_dst, x, *a_dst, addr);
-            let r = eval_bin_i64(*op, a, b, pc_bin)?;
-            self.dset(base, *b_dst, Value::I64(r));
-        } else {
-            let v = self.load_scalar(addr as u64, *mem)?;
-            if *write_load {
-                self.dset(base, *l_dst, v.clone());
-            }
-            let a = self.subst2(base, *lhs, *l_dst, &v, *a_dst, addr);
-            let b = self.subst2(base, *rhs, *l_dst, &v, *a_dst, addr);
-            let r = eval_bin(*op, &a, &b, pc_bin)?;
-            self.dset(base, *b_dst, r);
-        }
-        self.regalloc_dyn.copies_elided += n_elided;
-        {
-            let mut ops_arr = [MachineOp::simple(OpClass::Move, 0); MAX_FUSE_WIDTH];
-            ops_arr[0] = MachineOp::simple(OpClass::AddrCalc, pc);
-            for (k, slot) in ops_arr.iter_mut().enumerate().take(w).skip(1) {
-                *slot = if elided & (1 << k) != 0 {
-                    MachineOp::simple(OpClass::Move, pc_at(k))
-                } else if k == load_off {
-                    MachineOp::simple(OpClass::Load, pc_at(k)).with_mem(MemRef::scalar(
-                        addr as u64,
-                        bytes as u32,
-                        false,
-                    ))
-                } else {
-                    MachineOp::simple(*class, pc_at(k)).with_flops(*flops)
-                };
-            }
-            self.finish_fused(&ops_arr[..w], w as u64, FusePattern::AddrLoadOp);
-        }
-        cur.ip = ip as u32 + w as u32;
-        Ok(())
-    }
-
-    /// Retire one fused superinstruction (its constituents as a single
-    /// batched tick) and account the dynamic coverage. Callers checked
-    /// [`mperf_sim::Core::fused_ready`], so no overflow can fire here;
-    /// the release-mode fallback delivers at the batch's last pc rather
-    /// than losing the sample.
-    #[inline]
-    fn finish_fused(&mut self, ops: &[MachineOp], mir_ops: u64, pat: FusePattern) {
-        let info = self.core.retire_fused(ops);
-        let last_pc = ops[ops.len() - 1].pc;
-        self.account_fused(info, ops.len() as u64, mir_ops, pat, last_pc);
-    }
-
-    /// Book one fused fast-path execution: machine-op/MIR-op accounting
-    /// plus the release-mode overflow fallback (unreachable when the
-    /// `fused_ready*` guard held — delivered at the batch's last pc
-    /// rather than losing the sample).
-    #[inline]
-    fn account_fused(
-        &mut self,
-        info: mperf_sim::RetireInfo,
-        machine_ops: u64,
-        mir_ops: u64,
-        pat: FusePattern,
-        last_pc: u64,
-    ) {
-        self.stats.machine_ops += machine_ops;
-        self.fused_dyn.executed[pat.index()] += 1;
-        self.fused_dyn.mir_ops_fused += mir_ops;
-        if info.overflow != 0 {
-            self.deliver_overflow(last_pc, info.overflow, Engine::Decoded);
-        }
-    }
-
-    /// Operand resolution with one substituted register: reads of `r`
-    /// yield the address value `addr` instead of the (possibly skipped)
-    /// register-stack slot.
-    #[inline]
-    pub(crate) fn subst(&self, base: usize, o: Operand, r: u32, addr: i64) -> Value {
-        match o {
-            Operand::Reg(reg) if reg.index() as u32 == r => Value::I64(addr),
-            _ => self.deval(base, o),
-        }
-    }
-
-    /// Operand resolution substituting reads of `r` with value `v`.
-    #[inline]
-    pub(crate) fn subst_val(&self, base: usize, o: Operand, r: u32, v: &Value) -> Value {
-        match o {
-            Operand::Reg(reg) if reg.index() as u32 == r => v.clone(),
-            _ => self.deval(base, o),
-        }
-    }
-
-    /// Operand resolution with two substitutions, `r1` (loaded value)
-    /// shadowing `r2` (address register).
-    #[inline]
-    pub(crate) fn subst2(
-        &self,
-        base: usize,
-        o: Operand,
-        r1: u32,
-        v: &Value,
-        r2: u32,
-        addr: i64,
-    ) -> Value {
-        match o {
-            Operand::Reg(reg) if reg.index() as u32 == r1 => v.clone(),
-            Operand::Reg(reg) if reg.index() as u32 == r2 => Value::I64(addr),
-            _ => self.deval(base, o),
-        }
-    }
-
-    /// Raw-`i64` lane of [`Vm::subst_val`].
-    #[inline]
-    pub(crate) fn subst_i64(&self, base: usize, o: Operand, r: u32, x: i64) -> i64 {
-        match o {
-            Operand::Reg(reg) if reg.index() as u32 == r => x,
-            _ => self.deval_i64(base, o),
-        }
-    }
-
-    /// Raw-`i64` lane of [`Vm::subst2`].
-    #[inline]
-    pub(crate) fn subst2_i64(
-        &self,
-        base: usize,
-        o: Operand,
-        r1: u32,
-        x: i64,
-        r2: u32,
-        addr: i64,
-    ) -> i64 {
-        match o {
-            Operand::Reg(reg) if reg.index() as u32 == r1 => x,
-            Operand::Reg(reg) if reg.index() as u32 == r2 => addr,
-            _ => self.deval_i64(base, o),
-        }
-    }
-
-    /// Read an `i64` operand without cloning the `Value` enum — the
-    /// type-specialized lane behind [`DecodedOp::BinI`] and friends.
+    /// Read an `i64` operand (an address or stride) without cloning the
+    /// `Value` enum.
     ///
     /// # Panics
     /// On non-integer values (type confusion; the verifier excludes it),
@@ -2179,23 +953,6 @@ impl<'m> Vm<'m> {
             }
             Operand::I64(v) => v,
             other => panic!("expected i64, found {other:?}"),
-        }
-    }
-
-    /// Read a `bool` operand without cloning; see [`Vm::deval_i64`].
-    #[inline]
-    pub(crate) fn deval_bool(&self, base: usize, op: Operand) -> bool {
-        match op {
-            Operand::Reg(r) => {
-                debug_assert!(base + r.index() < self.dregs.len());
-                // SAFETY: see `deval`.
-                match unsafe { self.dregs.get_unchecked(base + r.index()) } {
-                    Value::Bool(v) => *v,
-                    other => panic!("expected bool, found {other:?}"),
-                }
-            }
-            Operand::Bool(v) => v,
-            other => panic!("expected bool, found {other:?}"),
         }
     }
 
@@ -2289,8 +1046,7 @@ impl<'m> Vm<'m> {
     /// partial accumulator first (counters are additive and the partial
     /// bound is below the guarded full bound, so this stays bit-exact);
     /// when the guard fails, the block's templates run one by one
-    /// through their tick-per-op entry points — identical to the decoded
-    /// engine op for op.
+    /// through their tick-per-op entry points.
     fn run_threaded(
         &mut self,
         dec: &DecodedModule,
@@ -2400,9 +1156,7 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Scalar (`lanes == 1`) load — the shape fused superinstructions
-    /// handle (their fast path pre-checks bounds, so this cannot fail
-    /// there; the bail path uses the error like the unfused op).
+    /// Scalar (`lanes == 1`) load.
     #[inline]
     pub(crate) fn load_scalar(&mut self, base: u64, mem: MemTy) -> Result<Value, VmError> {
         Ok(match mem {
@@ -2412,19 +1166,6 @@ impl<'m> Vm<'m> {
             MemTy::I64 => Value::I64(self.mem.read_u64(base)? as i64),
             MemTy::F32 => Value::F32(self.mem.read_f32(base)?),
             MemTy::F64 => Value::F64(self.mem.read_f64(base)?),
-        })
-    }
-
-    /// Raw-`i64` lane of [`Vm::load_scalar`] for integer memory types
-    /// (zero-extension semantics identical to the `Value` lane).
-    #[inline]
-    pub(crate) fn load_scalar_i64(&mut self, base: u64, mem: MemTy) -> Result<i64, VmError> {
-        Ok(match mem {
-            MemTy::I8 => self.mem.read::<1>(base)?[0] as i64,
-            MemTy::I16 => u16::from_le_bytes(self.mem.read::<2>(base)?) as i64,
-            MemTy::I32 => u32::from_le_bytes(self.mem.read::<4>(base)?) as i64,
-            MemTy::I64 => self.mem.read_u64(base)? as i64,
-            other => unreachable!("integer chain loads {other}"),
         })
     }
 
@@ -2516,48 +1257,6 @@ impl<'m> Vm<'m> {
             }
             (m, v) => unreachable!("verifier admits vstore {m} of {v:?}"),
         }
-    }
-}
-
-/// Scalar-integer binary evaluation on raw `i64`s — bit-identical to
-/// [`eval_bin`]'s `I64` arms (including the division-by-zero trap).
-#[inline]
-pub(crate) fn eval_bin_i64(op: BinOp, x: i64, y: i64, pc: u64) -> Result<i64, VmError> {
-    Ok(match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return Err(VmError::DivisionByZero { pc });
-            }
-            x.wrapping_div(y)
-        }
-        BinOp::Rem => {
-            if y == 0 {
-                return Err(VmError::DivisionByZero { pc });
-            }
-            x.wrapping_rem(y)
-        }
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-        BinOp::Shr => x.wrapping_shr(y as u32 & 63),
-        other => unreachable!("verifier admits integer {other:?}"),
-    })
-}
-
-/// Scalar-integer compare — bit-identical to [`eval_cmp`]'s `I64` arm.
-#[inline]
-pub(crate) fn cmp_i64(op: CmpOp, x: i64, y: i64) -> bool {
-    match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
     }
 }
 
@@ -2810,7 +1509,7 @@ mod tests {
             fn outer(p: *i64) -> i64 { return deref(p); }
         "#;
         let module = compile("t", src).unwrap();
-        for engine in [Engine::Threaded, Engine::Decoded, Engine::Reference] {
+        for engine in [Engine::Threaded, Engine::Reference] {
             let mut vm = Vm::new(&module, Core::new(PlatformSpec::x60()));
             vm.set_engine(engine);
             assert!(vm.trap_info().is_none());
@@ -2834,7 +1533,7 @@ mod tests {
     fn trap_info_on_division_uses_embedded_pc() {
         let src = "fn div(a: i64, b: i64) -> i64 { return a / b; }";
         let module = compile("t", src).unwrap();
-        for engine in [Engine::Threaded, Engine::Decoded, Engine::Reference] {
+        for engine in [Engine::Threaded, Engine::Reference] {
             let mut vm = Vm::new(&module, Core::new(PlatformSpec::x60()));
             vm.set_engine(engine);
             let err = vm.call("div", &[Value::I64(1), Value::I64(0)]).unwrap_err();
@@ -2908,51 +1607,6 @@ mod tests {
         let a = vm.mem.alloc(16, 8).unwrap();
         let out = vm.call("f", &[Value::I64(a as i64)]).unwrap();
         assert_eq!(out, vec![Value::I64(300 & 0xff)]);
-    }
-
-    /// Fusion coverage is reported (outside the observable contract) and
-    /// the engine configurations agree on every observable.
-    #[test]
-    fn fusion_dynamics_report_coverage() {
-        let src = r#"
-            fn work(p: *i64, n: i64) -> i64 {
-                var s: i64 = 0;
-                for (var i: i64 = 0; i < n; i = i + 1) { s = s + p[i % 32]; }
-                return s;
-            }
-        "#;
-        let mut module = compile("t", src).unwrap();
-        mperf_ir::transform::PassManager::standard().run(&mut module);
-        let run = |fuse: bool| {
-            let mut vm = Vm::new(&module, Core::new(PlatformSpec::x60()));
-            // Pin the decoded engine: it runs every fused site through
-            // its fast path, so dynamic coverage reflects the full
-            // stream. (The threaded engine executes in-block sites as
-            // constituent templates, counting only out-of-block sites.)
-            vm.set_engine(Engine::Decoded);
-            vm.set_fusion(fuse);
-            let p = vm.mem.alloc(8 * 32, 8).unwrap();
-            for i in 0..32u64 {
-                vm.mem.write_u64(p + i * 8, i).unwrap();
-            }
-            let out = vm
-                .call("work", &[Value::I64(p as i64), Value::I64(500)])
-                .unwrap();
-            (out, vm.stats(), vm.core.cycles(), vm.fusion_dynamics())
-        };
-        let fused = run(true);
-        let unfused = run(false);
-        assert_eq!(fused.0, unfused.0, "return values");
-        assert_eq!(fused.1, unfused.1, "ExecStats");
-        assert_eq!(fused.2, unfused.2, "cycles");
-        let dynv = fused.3;
-        assert!(
-            dynv.total_executed() > 400,
-            "loop body runs fused: {dynv:?}"
-        );
-        let cov = dynv.coverage(fused.1.mir_ops);
-        assert!(cov > 0.2 && cov <= 1.0, "sane dynamic coverage: {cov}");
-        assert_eq!(unfused.3.total_executed(), 0, "no-fuse reports zero");
     }
 
     #[test]

@@ -16,32 +16,37 @@
 //!
 //! ## The decode → execute pipeline
 //!
-//! Execution runs on one of three engines (see [`interp::Engine`]):
+//! Execution runs on one of two engines (see [`interp::Engine`]):
 //!
-//! 1. **Decode** ([`decode`]): a one-time pass flattens each function's
-//!    blocks into a dense `Vec<DecodedOp>` with pre-resolved jump
-//!    targets (flat op indices), precomputed synthetic pcs, op classes,
-//!    and FLOP counts, and host callees resolved to dense ids — then
-//!    runs register allocation, fusion, validation, and the threaded
-//!    template compile (see *Threaded templates & superblocks*). The
-//!    result ([`DecodedModule`]) borrows nothing and is `Arc`-shared
+//! 1. **Decode** ([`decode`]): a one-time pass per module, in four
+//!    steps per function —
+//!    - *decode*: flatten the blocks into a dense `Vec<DecodedOp>` with
+//!      pre-resolved jump targets (flat op indices), precomputed
+//!      synthetic pcs, op classes, and FLOP counts, host callees
+//!      resolved to dense ids, and scalar-integer ops type-specialized
+//!      (`BinI`/`CmpI`);
+//!    - *regalloc*: coalesce copies (see *Register allocation*);
+//!    - *validate*: pin every index the template thunks dereference
+//!      unchecked;
+//!    - *template compile*: lower the stream into pre-bound templates
+//!      and superblocks (see *Threaded templates & superblocks*).
+//!
+//!    The result ([`DecodedModule`]) borrows nothing and is `Arc`-shared
 //!    across VMs sweeping the same workload — including VMs on other
 //!    threads (see *The `Arc`/`Send` contract* below).
 //! 2. **Execute** ([`Vm::call`]): the default **threaded** engine calls
 //!    through each function's pre-bound template array and retires
-//!    straight-line superblocks as one PMU batch; the **decoded**
-//!    engine (the first-generation fast engine) dispatches over
-//!    `&[DecodedOp]` by index with a dense `match`; the **reference**
+//!    straight-line superblocks as one PMU batch; the **reference**
 //!    engine (the original structure-walking interpreter) stays the
-//!    semantic baseline. All three produce bit-identical `ExecStats`,
-//!    cycles, and PMU state; guest frames slice a contiguous register
-//!    stack, so calls do not allocate on any engine.
+//!    semantic baseline and the equivalence oracle. Both produce
+//!    bit-identical `ExecStats`, cycles, and PMU state; threaded frames
+//!    slice a contiguous register stack, so calls do not allocate.
 //!
 //! ## Register allocation
 //!
-//! Before fusion, a decode-time copy-coalescing pass ([`regalloc`])
-//! attacks the dominant op the frontend emits: the `copy dst = src`
-//! behind every `var = expr` assignment (~1/3 of the dynamic stream on
+//! A decode-time copy-coalescing pass ([`regalloc`]) attacks the
+//! dominant op the frontend emits: the `copy dst = src` behind every
+//! `var = expr` assignment (~1/3 of the dynamic stream on
 //! assignment-heavy code). Per function it:
 //!
 //! 1. computes backward **liveness** over the flat op stream (uses =
@@ -62,90 +67,29 @@
 //! the producer already wrote the shared slot, so the slot is
 //! rewritten to [`decode::DecodedOp::ElidedCopy`] — a retire-only op.
 //!
-//! **The observable-invariance contract** (same as fusion's): the
-//! elided copy still retires the same `Move` machine op at the same
-//! pc, so cycle counts, instruction counts, PMU counter files, and
-//! sampling IPs/callchains are bit-identical to the uncoalesced and
-//! reference streams — coalescing removes *our* dispatch cost (the
-//! `Value` clone and register write), never modeled work. Merged
-//! classes always carry one value type (unions are driven only by
-//! type-checked copies), so the raw-`i64` register lanes stay sound,
-//! and reads of never-written registers still see the zero-initialized
-//! slot (a def that could clobber it would have interfered). The
-//! regalloc × fusion × engine equivalence matrix is property-tested in
-//! `tests/properties.rs` on all four platform models, including traps
-//! landing on elided-copy slots. Static coalescing rates live in
-//! [`RegallocStats`] on the decode; dynamic copy traffic (moved vs
-//! elided) in [`interp::RegallocDynamics`] on the VM. `--no-regalloc`
-//! (CLI) / [`Vm::set_regalloc`] / [`DecodeConfig`] disable the pass
-//! for bisection.
-//!
-//! ## Superinstruction fusion
-//!
-//! After register allocation, a decode-time peephole pass rewrites the
-//! hottest adjacent op pairs/triples into superinstructions with
-//! dedicated handlers ([`decode::Fused`]); the decoded hot loop itself
-//! is shaped for jump-table dispatch with **no per-op bounds checks**
-//! — every index (jump targets, register numbers, callee/host/fused
-//! ids) is pinned once per decode by `validate_func`, and
-//! scalar-integer ops are type-specialized at decode time
-//! (`BinI`/`CmpI`) so the handlers move raw `i64`s instead of cloning
-//! `Value` enums. Elided copies are transparent to the matcher:
-//! constituents may be separated by (or trailed by) `ElidedCopy` slots,
-//! which join the batch as `Move` ticks at their own pcs — so
-//! `inc+cmp+br` fires across a coalesced copy and a bare
-//! `bin + elided-copy` still batches as `bin+copy`
-//! ([`decode::FusedSite`] records the covered window).
-//!
-//! | pattern ([`decode::FusePattern`]) | shape | width |
-//! |---|---|---|
-//! | `addr+load` | `ptradd` + scalar `load` | 2 |
-//! | `addr+store` | `ptradd` + scalar `store` | 2 |
-//! | `cmp+br` | `cmp` + `condbr` (compare-and-branch) | 2 |
-//! | `load+op` | scalar `load` + bin consuming it | 2 |
-//! | `bin+copy` | bin + `copy` of its result (assignments) | 2 |
-//! | `inc+cmp+br` | `add/sub` + `cmp` + `condbr` (counted-loop back edge) | 3 |
-//! | `addr+load+op` | `ptradd` + scalar `load` + bin | 3 |
-//!
-//! **The observables-invariance contract.** Fusion changes speed, never
-//! observables: return values, [`ExecStats`], cycle counts, PMU counter
-//! files, and the exact op at which an overflow interrupt fires (hence
-//! sampling IPs/callchains) are bit-identical to the unfused and
-//! reference engines — property-tested in `tests/properties.rs` on all
-//! four platform models. Three mechanisms enforce it:
-//!
-//! - a fused batch retires through `Core::retire_fused*` only when
-//!   `Core::fused_ready*` proves no PMU counter can wrap within a
-//!   conservative event bound (the batched-PMU watermark, extended to
-//!   multi-op batches); otherwise the superinstruction **bails** —
-//!   executes its first constituent unfused and resumes at the original
-//!   next op, which is still present in the stream (fusion replaces
-//!   only the pattern's first slot);
-//! - trap-capable interiors never fuse (`div`/`rem`) or pre-check
-//!   (loads/stores probe bounds and bail on a would-trap access), so
-//!   trap points and partial state match op-for-op; intermediate fuel
-//!   exhaustion bails the same way;
-//! - an intermediate register write is skipped only when decode-time
-//!   read counting proves every read of that register is substituted
-//!   inside the handler.
-//!
-//! **Adding a pattern**: extend [`decode::FusePattern`] (+ `ALL`,
-//! `index`, `name`, `width`) and [`decode::Fused`], recognize the shape
-//! in `pattern_at` (longest-first; compute `write_*` flags from the
-//! read counts), validate its payload in `validate_func`, and give it a
-//! handler in `interp::Vm::run_decoded` with a bail path that executes
-//! exactly the first constituent. The equivalence properties then gate
-//! the observables for free. Static site counts live in
-//! [`decode::FusionStats`] on the decode; dynamic coverage in
-//! [`interp::FusionDynamics`] on the VM (deliberately outside
-//! `ExecStats`). `--no-fuse` (CLI) / [`Vm::set_fusion`] /
-//! [`decode_module_cfg`] disable the pass for bisection.
+//! **The observable-invariance contract**: the elided copy still
+//! retires the same `Move` machine op at the same pc, so cycle counts,
+//! instruction counts, PMU counter files, and sampling IPs/callchains
+//! are bit-identical to the uncoalesced and reference streams —
+//! coalescing removes *our* dispatch cost (the `Value` clone and
+//! register write), never modeled work. Merged classes always carry one
+//! value type (unions are driven only by type-checked copies), so the
+//! raw-`i64` register lanes stay sound, and reads of never-written
+//! registers still see the zero-initialized slot (a def that could
+//! clobber it would have interfered). The engine × regalloc equivalence
+//! matrix is property-tested in `tests/properties.rs` on all four
+//! platform models, including traps landing on elided-copy slots.
+//! Static coalescing rates live in [`RegallocStats`] on the decode;
+//! dynamic copy traffic (moved vs elided) in
+//! [`interp::RegallocDynamics`] on the VM. `--no-regalloc` (CLI) /
+//! [`Vm::set_regalloc`] / [`DecodeConfig`] disable the pass for
+//! bisection.
 //!
 //! ## Threaded templates & superblocks
 //!
 //! The threaded engine (the default; [`threaded`]) is the baseline
-//! template-JIT layer over the coalesced + fused stream — the substrate
-//! a future native JIT would drop into (same compile point, same
+//! template-JIT layer over the coalesced stream — the substrate a
+//! future native JIT would drop into (same compile point, same
 //! observable contract, fn pointers swapped for emitted code).
 //!
 //! **Template binding rules.** At decode time every op slot is lowered
@@ -157,11 +101,10 @@
 //! template. Type-specialized scalar-integer ops get one monomorphic
 //! thunk per operator (`t_bini::<B_ADD>`, …) and scalar memory ops one
 //! per `MemTy` — op kinds are const generics, folded at compile time.
-//! Each fusion pattern binds its own template calling the one-tick
-//! handlers shared with the decoded engine, and `ElidedCopy` binds a
-//! retire-only thunk. Payload-carrying cold ops (calls, wide returns,
-//! vector memory, FP-lane arithmetic) keep monomorphic thunks that read
-//! their own `DecodedOp` — still no dispatch `match`.
+//! `ElidedCopy` binds a retire-only thunk. Payload-carrying cold ops
+//! (calls, wide returns, vector memory, FP-lane arithmetic) keep
+//! monomorphic thunks that read their own `DecodedOp` — still no
+//! dispatch `match`.
 //!
 //! **Superblock formation.** The compile pass partitions each function
 //! into straight-line superblocks: maximal runs of block-eligible
@@ -173,27 +116,23 @@
 //! cycle/cache/branch effects immediately (so `Core::cycles` stays
 //! exact mid-block) while event deltas accumulate in a `BlockAcc`,
 //! committed as one `Core::retire_block` tick — blocks of 6–20 ops tick
-//! the PMU once instead of per op. Fused sites inside a block execute
-//! as their *constituent templates* (exactly their bail path — the
-//! block already batches the tick, so the one-tick fused retire adds
-//! nothing); outside blocks they run the fused fast path.
+//! the PMU once instead of per op.
 //!
-//! **The observable-invariance contract** (same as fusion's and
-//! regalloc's): return values, `ExecStats`, cycles, instructions, PMU
-//! counter files, and sampling IPs/callchains are bit-identical to the
-//! decoded and reference engines — property-tested across the full
-//! engine × fusion × regalloc matrix on all four platform models.
-//! Near a counter wrap `block_ready` refuses the block and the
-//! templates run one by one with per-op ticks (exact overflow
-//! attribution, as everywhere else); a trap mid-block commits the
-//! partial accumulator first (counters are additive, so the split is
-//! unobservable) and propagates.
+//! **The observable-invariance contract**: return values, `ExecStats`,
+//! cycles, instructions, PMU counter files, and sampling IPs/callchains
+//! are bit-identical to the reference engine — property-tested across
+//! the engine × regalloc matrix on all four platform models. Near a
+//! counter wrap `block_ready` refuses the block and the templates run
+//! one by one with per-op ticks (exact overflow attribution, as
+//! everywhere else); a trap mid-block commits the partial accumulator
+//! first (counters are additive, so the split is unobservable) and
+//! propagates.
 //!
-//! **Adding a `DecodedOp`** now means: give it a template thunk
-//! (generic over `const DEFER: bool` for the single/block retire
-//! lanes), bind it in `threaded::bind`, and classify it in
+//! **Adding a `DecodedOp`** means: decode it in [`decode`], give it a
+//! template thunk (generic over `const DEFER: bool` for the single/block
+//! retire lanes), bind it in `threaded::bind`, and classify it in
 //! `threaded::unit_cost`; the equivalence properties gate the
-//! observables. `--engine threaded|decoded|reference` is wired through
+//! observables. `--engine threaded|reference` is wired through
 //! `miniperf` and `bench_trajectory` for bisection.
 //!
 //! ## The `Arc`/`Send` contract
@@ -218,7 +157,7 @@
 //! `mperf-sweep` / `miniperf::roofline_runner` — the setup closure runs
 //! on the worker to stage guest data, so it must be `Send + Sync`; all
 //! simulation state stays thread-local to the job. The same contract is
-//! what a future JIT or threaded-code dispatch will run under.
+//! what a future native JIT will run under.
 //!
 //! ## The exact-overflow watermark
 //!
@@ -247,13 +186,10 @@ pub mod regalloc;
 pub mod threaded;
 pub mod value;
 
-pub use decode::{
-    decode_module, decode_module_cfg, decode_module_with, DecodeConfig, DecodedModule, DecodedOp,
-    FusePattern, Fused, FusedSite, FusionStats,
-};
+pub use decode::{decode_module, decode_module_cfg, DecodeConfig, DecodedModule, DecodedOp};
 pub use error::{TrapInfo, VmError};
 pub use host::{HostHandler, RegionStats, RooflineRuntime};
-pub use interp::{Engine, ExecConfig, ExecStats, FusionDynamics, RegallocDynamics, Vm};
+pub use interp::{Engine, ExecConfig, ExecStats, RegallocDynamics, Vm};
 pub use memory::GuestMemory;
 pub use regalloc::RegallocStats;
 pub use value::{Lanes, Value};

@@ -54,18 +54,6 @@ impl GuestMemory {
         self.brk - NULL_GUARD
     }
 
-    /// Whether `[addr, addr + bytes)` is a mapped, non-null-guard range —
-    /// i.e. whether a read or write there would succeed. Fused
-    /// superinstructions use this as a pre-flight probe so a would-trap
-    /// access bails to unfused execution *before* any state changes.
-    #[inline]
-    pub fn in_bounds(&self, addr: u64, bytes: u64) -> bool {
-        match addr.checked_add(bytes) {
-            Some(end) => addr >= NULL_GUARD && end <= self.bytes.len() as u64,
-            None => false,
-        }
-    }
-
     fn check(&self, addr: u64, bytes: u64) -> Result<usize, VmError> {
         let end = addr
             .checked_add(bytes)

@@ -4,10 +4,8 @@
 //! After [`crate::decode`] flattens a function, roughly a third of its
 //! dynamic ops are `Copy`s — the `var = expr` lowering writes every
 //! expression into a temporary and copies it into the variable's
-//! register. The superinstruction pass can hide *some* of that behind
-//! the `bin+copy` pattern, but the copy still costs a `Value` clone, a
-//! register-stack write, and (when it separates two otherwise-adjacent
-//! pattern constituents) a lost fusion opportunity.
+//! register. Each such copy costs a `Value` clone and a register-stack
+//! write on top of the modeled `Move` it retires.
 //!
 //! This pass eliminates the data movement outright: it computes
 //! per-function liveness over the flat stream, builds a register
@@ -36,15 +34,10 @@
 //!
 //! Classes grow only through `Copy` ops, which the IR verifier
 //! type-checks, so merged registers always carry one type — the
-//! decoded engine's raw-`i64` lanes stay type-confusion-free. A read
+//! threaded engine's raw-`i64` lanes stay type-confusion-free. A read
 //! of a never-written register sees the zero-initialized slot exactly
 //! as before: any other class member's def inside the read's live
 //! range would have recorded interference and blocked the merge.
-//!
-//! The pass runs before superinstruction fusion, so the peephole
-//! matcher sees the coalesced stream and can fire patterns (e.g.
-//! `inc+cmp+br`) across former `Copy` boundaries — elided slots are
-//! transparent glue; see `fuse_func` in [`crate::decode`].
 
 use crate::decode::{op_defs, op_reads, DecodedFunc, DecodedOp};
 use mperf_ir::{Operand, Reg};
@@ -175,8 +168,7 @@ fn successors(op: &DecodedOp, i: usize, mut f: impl FnMut(usize)) {
 }
 
 /// Run copy coalescing + register compaction over one flattened
-/// function (pre-fusion: the stream must not contain [`DecodedOp::Fused`]
-/// slots yet). Accumulates into `stats`.
+/// function. Accumulates into `stats`.
 pub(crate) fn regalloc_func(df: &mut DecodedFunc, stats: &mut RegallocStats) {
     let nregs = df.num_regs as usize;
     let len = df.ops.len();
@@ -443,7 +435,6 @@ fn rewrite_op(op: &mut DecodedOp, map: &[u32]) {
             }
         }
         D::ProfCount(_) | D::Br { .. } | D::ElidedCopy => {}
-        D::Fused(_) => unreachable!("regalloc runs before fusion"),
     }
 }
 
@@ -453,18 +444,12 @@ mod tests {
     use crate::decode::{DecodeConfig, DecodedModule};
     use mperf_ir::compile;
 
-    fn decode_no_fuse(src: &str, optimize: bool) -> DecodedModule {
+    fn decode(src: &str, optimize: bool) -> DecodedModule {
         let mut module = compile("t", src).unwrap();
         if optimize {
             mperf_ir::transform::PassManager::standard().run(&mut module);
         }
-        DecodedModule::decode_cfg(
-            &module,
-            DecodeConfig {
-                fuse: false,
-                regalloc: true,
-            },
-        )
+        DecodedModule::decode(&module)
     }
 
     #[test]
@@ -480,7 +465,7 @@ mod tests {
                 return s;
             }
         "#;
-        let dec = decode_no_fuse(src, true);
+        let dec = decode(src, true);
         let st = &dec.regalloc;
         assert!(st.copies_static >= 2, "{st:?}");
         assert!(st.copies_coalesced >= 2, "{st:?}");
@@ -521,7 +506,7 @@ mod tests {
                 return cur;
             }
         "#;
-        let dec = decode_no_fuse(src, false);
+        let dec = decode(src, false);
         let f = &dec.funcs[0];
         assert!(
             f.ops.iter().any(|op| matches!(
@@ -549,20 +534,8 @@ mod tests {
         "#;
         let mut module = compile("t", src).unwrap();
         mperf_ir::transform::PassManager::standard().run(&mut module);
-        let plain = DecodedModule::decode_cfg(
-            &module,
-            DecodeConfig {
-                fuse: false,
-                regalloc: false,
-            },
-        );
-        let ra = DecodedModule::decode_cfg(
-            &module,
-            DecodeConfig {
-                fuse: false,
-                regalloc: true,
-            },
-        );
+        let plain = DecodedModule::decode_cfg(&module, DecodeConfig { regalloc: false });
+        let ra = DecodedModule::decode(&module);
         for (fp, fr) in plain.funcs.iter().zip(&ra.funcs) {
             assert_eq!(fp.ops.len(), fr.ops.len());
             assert_eq!(fp.pcs, fr.pcs);
@@ -575,7 +548,7 @@ mod tests {
     #[test]
     fn params_keep_distinct_slots() {
         let src = "fn f(a: i64, b: i64, c: i64) -> i64 { return a + b + c; }";
-        let dec = decode_no_fuse(src, false);
+        let dec = decode(src, false);
         let f = &dec.funcs[0];
         let mut seen = std::collections::HashSet::new();
         for p in f.params.iter() {

@@ -1,14 +1,13 @@
-//! Threaded template compilation: the baseline template-JIT layer over
-//! the coalesced + fused decoded stream.
+//! Threaded template compilation: the execution layer over the
+//! regalloc'd decoded stream.
 //!
-//! [`compile_func`] lowers each function's validated, regalloc'd, fused
-//! `DecodedOp` stream into a flat array of pre-bound [`Template`]s — a
-//! `fn` pointer paired with a packed operand struct ([`TArgs`]) — so the
-//! threaded engine's hot loop in `crate::interp` is
-//! `loop { (templates[ip].fn)(...) }` with **no `match` on op kind and
-//! no enum payload unpacking**: operands (register indices, immediates,
-//! jump targets, fused-site refs) are resolved at compile time into
-//! per-op monomorphic thunks.
+//! [`compile_func`] lowers each function's validated `DecodedOp` stream
+//! into a flat array of pre-bound [`Template`]s — a `fn` pointer paired
+//! with a packed operand struct ([`TArgs`]) — so the threaded engine's
+//! hot loop in `crate::interp` is `loop { (templates[ip].fn)(...) }`
+//! with **no `match` on op kind and no enum payload unpacking**:
+//! operands (register indices, immediates, jump targets) are resolved at
+//! compile time into per-op monomorphic thunks.
 //!
 //! ## Template binding rules
 //!
@@ -21,15 +20,8 @@
 //! - **Type-specialized `i64` lanes get their own templates**: `BinI` /
 //!   `CmpI` bind one monomorphic thunk per operator (`t_bini::<B_ADD>`,
 //!   …), scalar loads/stores one per [`MemTy`] — the op kind is a const
-//!   generic, folded at compile time.
-//! - **Each fusion pattern gets its own template** (`t_fused_*`),
-//!   binding directly to the per-pattern one-tick handlers shared with
-//!   the decoded engine (`Vm::fused_*`), and [`DecodedOp::ElidedCopy`]
-//!   binds its own retire-only thunk. Inside a superblock a fused
-//!   site's `block` entry is instead the template of its *first
-//!   constituent* (reconstructed from the payload): the block already
-//!   batches the PMU tick, so constituent templates are both faster
-//!   and trivially bit-identical (they are the site's bail path).
+//!   generic, folded at compile time. [`DecodedOp::ElidedCopy`] binds
+//!   its own retire-only thunk.
 //! - Payload-carrying cold ops (calls, `Ret` with 2+ values, vector
 //!   memory, FP-lane ops) keep a dec-bound thunk: a monomorphic handler
 //!   that reads its own `DecodedOp` (irrefutable match) — still no
@@ -40,7 +32,7 @@
 //! ## Superblock formation
 //!
 //! On top of the template stream, [`form_blocks`] forms straight-line
-//! superblocks at compile time: maximal runs of block-eligible units
+//! superblocks at compile time: maximal runs of block-eligible ops
 //! (everything except calls, returns, and vector memory ops) that no
 //! jump target lands inside, optionally ending in a branch. Each block
 //! precomputes its machine-op total, scalar-memory-reference count,
@@ -50,28 +42,25 @@
 //! 6–20 ops ticks the PMU a single time via
 //! [`mperf_sim::Core::retire_block`] instead of per op.
 //!
-//! **The observable-invariance contract** is the same as fusion's and
-//! regalloc's: cycles, instructions, PMU counter files, sampling
-//! IPs/callchains, and traps landing mid-block are bit-identical to the
-//! decoded and reference engines. Three mechanisms enforce it: the
-//! block-entry guard (whole-block fuel + PMU headroom, falling back to
-//! per-op template execution near a counter wrap), eager timing with
-//! deferred ticks (so `Core::cycles` stays exact mid-block and a
-//! mid-block trap commits the partial accumulator — additive counters
-//! make the split unobservable), and constituent-wise execution of
-//! fused sites inside blocks (identical to their bail path, so traps
-//! land exactly as in the decoded engine).
+//! **The observable-invariance contract** is the same as regalloc's:
+//! cycles, instructions, PMU counter files, sampling IPs/callchains, and
+//! traps landing mid-block are bit-identical to the reference engine.
+//! Two mechanisms enforce it: the block-entry guard (whole-block fuel +
+//! PMU headroom, falling back to per-op template execution near a
+//! counter wrap) and eager timing with deferred ticks (so `Core::cycles`
+//! stays exact mid-block and a mid-block trap commits the partial
+//! accumulator — additive counters make the split unobservable).
 //!
 //! **Adding a template for a new `DecodedOp`**: give it a thunk
 //! (generic over `const DEFER: bool` — `false` retires per op, `true`
 //! defers the PMU tick into the open block accumulator — dispatched via
 //! the `single`/`block` entries of its [`Template`]), bind it in
-//! [`bind`], and
-//! classify it in [`unit_cost`] (blockable? how many machine ops /
-//! memory refs / branches / FLOPs?). The cross-engine equivalence
-//! properties in `tests/properties.rs` then gate the observables.
+//! [`bind`], and classify it in [`unit_cost`] (blockable? how many
+//! machine ops / memory refs / branches / FLOPs?). The cross-engine
+//! equivalence properties in `tests/properties.rs` then gate the
+//! observables.
 
-use crate::decode::{DecodedFunc, DecodedModule, DecodedOp, Fused, HostTarget};
+use crate::decode::{DecodedFunc, DecodedModule, DecodedOp, HostTarget};
 use crate::error::VmError;
 use crate::interp::{eval_bin, eval_cast, eval_cmp, eval_fma, DFrame, Step, TCtx, Vm};
 use crate::value::{LanesF32, LanesF64, LanesI64, Value};
@@ -84,8 +73,8 @@ use std::fmt;
 pub const SLOT_CONST: u32 = 1 << 31;
 
 /// Packed pre-bound operands of one template: four generic `u32` fields
-/// (register/pool slots, jump targets, fused-site index — meaning fixed
-/// per thunk) plus the op's synthetic pc.
+/// (register/pool slots or jump targets — meaning fixed per thunk) plus
+/// the op's synthetic pc.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TArgs {
     pub a: u32,
@@ -106,9 +95,9 @@ pub(crate) type ThunkFn = for<'a, 'm> fn(
 ) -> Result<Step, VmError>;
 
 /// One pre-bound op: a tick-per-op entry point (`single`), a
-/// deferred-tick entry point for superblock execution (`block` —
-/// usually the same thunk monomorphized with `DEFER = true`; for fused
-/// sites, the first constituent's template), and the packed operands.
+/// deferred-tick entry point for superblock execution (`block` — the
+/// same thunk monomorphized with `DEFER = true`), and the packed
+/// operands.
 #[derive(Clone, Copy)]
 pub struct Template {
     pub(crate) single: ThunkFn,
@@ -133,7 +122,7 @@ pub struct BlockInfo {
     /// First covered op index.
     pub start: u32,
     /// Final covered slot index — the driver stops after dispatching
-    /// the template at (or past) this slot.
+    /// its template.
     pub last: u32,
     /// Total machine ops the block retires.
     pub machine_ops: u32,
@@ -162,17 +151,17 @@ pub struct ThreadedFunc {
     pub consts_i64: Vec<i64>,
 }
 
-/// Compile one decoded (validated, regalloc'd, fused) function into its
+/// Compile one decoded (validated, regalloc'd) function into its
 /// threaded template form. Runs once per decode, after `validate_func`
-/// — the thunks' unchecked register accesses rely on the same pinned
-/// invariants as the decoded engine's.
+/// — the thunks' unchecked register accesses rely on its pinned
+/// invariants.
 pub(crate) fn compile_func(df: &DecodedFunc) -> ThreadedFunc {
     let mut tf = ThreadedFunc {
         templates: Vec::with_capacity(df.ops.len()),
         ..ThreadedFunc::default()
     };
-    for (ip, op) in df.ops.iter().enumerate() {
-        let t = bind(op, df, &mut tf, df.pcs[ip]);
+    for (op, pc) in df.ops.iter().zip(&df.pcs) {
+        let t = bind(op, &mut tf, *pc);
         tf.templates.push(t);
     }
     form_blocks(df, &mut tf);
@@ -340,7 +329,7 @@ fn store_template(mem: MemTy, args: TArgs) -> Template {
 }
 
 /// Bind one decoded op to its template.
-fn bind(op: &DecodedOp, df: &DecodedFunc, tf: &mut ThreadedFunc, pc: u64) -> Template {
+fn bind(op: &DecodedOp, tf: &mut ThreadedFunc, pc: u64) -> Template {
     use DecodedOp as D;
     let args0 = TArgs {
         pc,
@@ -478,160 +467,6 @@ fn bind(op: &DecodedOp, df: &DecodedFunc, tf: &mut ThreadedFunc, pc: u64) -> Tem
             ),
             _ => single_only(t_retn, args0),
         },
-        D::Fused(fi) => {
-            let site = &df.fused[*fi as usize];
-            // Outside superblocks the site runs its one-tick fused
-            // handler; inside, it executes as constituent templates
-            // (identical to its bail path, hence bit-identical): the
-            // `block` entry is the template of the site's *first
-            // constituent*, reconstructed from the payload, and the
-            // tail slots keep their own templates.
-            let single: ThunkFn = match &site.op {
-                Fused::CmpBranch { .. } => t_fused_cmp_branch as ThunkFn,
-                Fused::IncCmpBranch { .. } => t_fused_inc_cmp_branch as ThunkFn,
-                Fused::BinCopy { .. } => t_fused_bin_copy as ThunkFn,
-                Fused::AddrLoad { .. } => t_fused_addr_load as ThunkFn,
-                Fused::AddrStore { .. } => t_fused_addr_store as ThunkFn,
-                Fused::LoadOp { .. } => t_fused_load_op as ThunkFn,
-                Fused::AddrLoadOp { .. } => t_fused_addr_load_op as ThunkFn,
-            };
-            let cons_op = first_constituent(site);
-            match cons_op {
-                // FP-lane constituents bind dec-bound templates, which
-                // read their own op from the stream — but the stream
-                // slot holds `Fused`. Those (rare, FP) sites are
-                // excluded from superblocks by `unit_cost`, so their
-                // `block` entry is never driven; point it at the fused
-                // handler defensively (like calls).
-                DecodedOp::Bin { .. } | DecodedOp::Cmp { .. } => Template {
-                    single,
-                    block: single,
-                    args: TArgs {
-                        pc,
-                        ..TArgs::default()
-                    },
-                },
-                _ => {
-                    let cons = bind(&cons_op, df, tf, pc);
-                    Template {
-                        single,
-                        block: cons.block,
-                        args: cons.args,
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Reconstruct the *first constituent* op of a fused site — exactly the
-/// op that sat at the site's slot before fusion replaced it (the same
-/// op the bail path executes). Inside a superblock the site runs this
-/// template and then the tail slots' own templates: bit-identical to
-/// the unfused stream, which is bit-identical to the fused one.
-fn first_constituent(site: &crate::decode::FusedSite) -> DecodedOp {
-    match &site.op {
-        Fused::CmpBranch {
-            op,
-            c_dst,
-            lhs,
-            rhs,
-            int,
-            ..
-        } => {
-            if *int {
-                DecodedOp::CmpI {
-                    op: *op,
-                    dst: *c_dst,
-                    lhs: *lhs,
-                    rhs: *rhs,
-                }
-            } else {
-                DecodedOp::Cmp {
-                    op: *op,
-                    dst: *c_dst,
-                    lhs: *lhs,
-                    rhs: *rhs,
-                }
-            }
-        }
-        Fused::IncCmpBranch {
-            i_op,
-            i_dst,
-            i_lhs,
-            i_rhs,
-            ..
-        } => DecodedOp::BinI {
-            op: *i_op,
-            class: OpClass::IntAlu,
-            dst: *i_dst,
-            lhs: *i_lhs,
-            rhs: *i_rhs,
-        },
-        Fused::BinCopy {
-            op,
-            class,
-            flops,
-            int,
-            b_dst,
-            lhs,
-            rhs,
-            ..
-        } => {
-            if *int {
-                DecodedOp::BinI {
-                    op: *op,
-                    class: *class,
-                    dst: *b_dst,
-                    lhs: *lhs,
-                    rhs: *rhs,
-                }
-            } else {
-                DecodedOp::Bin {
-                    op: *op,
-                    class: *class,
-                    flops: *flops,
-                    dst: *b_dst,
-                    lhs: *lhs,
-                    rhs: *rhs,
-                }
-            }
-        }
-        Fused::AddrLoad {
-            a_dst,
-            base,
-            offset,
-            ..
-        }
-        | Fused::AddrStore {
-            a_dst,
-            base,
-            offset,
-            ..
-        }
-        | Fused::AddrLoadOp {
-            a_dst,
-            base,
-            offset,
-            ..
-        } => DecodedOp::PtrAdd {
-            dst: *a_dst,
-            base: *base,
-            offset: *offset,
-        },
-        // The scalar-load template never reads the stride operand, so a
-        // synthesized unit stride is unobservable (the original stride
-        // was evaluated and discarded for `lanes == 1`).
-        Fused::LoadOp {
-            l_dst, addr, mem, ..
-        } => DecodedOp::Load {
-            class: OpClass::Load,
-            dst: *l_dst,
-            addr: *addr,
-            mem: *mem,
-            lanes: 1,
-            stride: Operand::I64(mem.bytes() as i64),
-        },
     }
 }
 
@@ -639,7 +474,6 @@ fn first_constituent(site: &crate::decode::FusedSite) -> DecodedOp {
 // Superblock formation.
 
 struct Unit {
-    width: u32,
     machine_ops: u32,
     mem_refs: u32,
     branches: u32,
@@ -650,10 +484,9 @@ struct Unit {
 /// Classify one op slot as a block unit, or `None` when it cannot sit
 /// inside a superblock (frame transfers, vector memory — their event
 /// footprint is unbounded by the block shape).
-fn unit_cost(op: &DecodedOp, df: &DecodedFunc) -> Option<Unit> {
+fn unit_cost(op: &DecodedOp) -> Option<Unit> {
     use DecodedOp as D;
     let unit = |machine_ops, mem_refs, branches, flops, term| Unit {
-        width: 1,
         machine_ops,
         mem_refs,
         branches,
@@ -672,44 +505,15 @@ fn unit_cost(op: &DecodedOp, df: &DecodedFunc) -> Option<Unit> {
         | D::Fma { flops, .. }
         | D::Reduce { flops, .. } => unit(1, 0, 0, *flops, false),
         D::Load { .. } | D::Store { .. } => unit(1, 1, 0, 0, false),
-        D::Fused(fi) => {
-            let site = &df.fused[*fi as usize];
-            let w = site.width as u32;
-            let (mem_refs, branches, flops, term) = match &site.op {
-                // FP-first-constituent sites have no slot-bound
-                // constituent template (their first op would be a
-                // dec-bound FP thunk, and the slot holds `Fused`), so
-                // they stay outside blocks and run their one-tick fused
-                // handler — an eager tick *inside* a block would
-                // double-count the telescoped cycles.
-                Fused::CmpBranch { int: false, .. } | Fused::BinCopy { int: false, .. } => {
-                    return None
-                }
-                Fused::CmpBranch { .. } | Fused::IncCmpBranch { .. } => (0, 1, 0, true),
-                Fused::BinCopy { flops, .. } => (0, 0, *flops, false),
-                Fused::AddrLoad { .. } | Fused::AddrStore { .. } => (1, 0, 0, false),
-                Fused::LoadOp { flops, .. } | Fused::AddrLoadOp { flops, .. } => {
-                    (1, 0, *flops, false)
-                }
-            };
-            Unit {
-                width: w,
-                machine_ops: w,
-                mem_refs,
-                branches,
-                flops,
-                term,
-            }
-        }
         // BinI, Cmp, CmpI, PtrAdd, Select, Cast, Copy, ElidedCopy, Splat.
         _ => unit(1, 0, 0, 0, false),
     })
 }
 
-/// Form maximal straight-line superblocks: runs of blockable units no
+/// Form maximal straight-line superblocks: runs of blockable ops no
 /// jump target lands inside, ending at a branch, a non-blockable op, or
-/// a block entry. Single-unit runs get no block (the per-op path is
-/// already optimal for them).
+/// a block entry. Runs retiring a single machine op get no block (the
+/// per-op path is already optimal for them).
 fn form_blocks(df: &DecodedFunc, tf: &mut ThreadedFunc) {
     let len = df.ops.len();
     tf.block_at = vec![u32::MAX; len];
@@ -719,39 +523,28 @@ fn form_blocks(df: &DecodedFunc, tf: &mut ThreadedFunc) {
     }
     let mut i = 0usize;
     while i < len {
-        let Some(first) = unit_cost(&df.ops[i], df) else {
-            i += 1;
-            continue;
-        };
         let start = i;
         let (mut mo, mut mem, mut br, mut fl) = (0u32, 0u32, 0u32, 0u32);
         let mut j = i;
-        loop {
-            if j >= len || (j > start && is_entry[j]) {
-                break;
-            }
-            let Some(u) = unit_cost(&df.ops[j], df) else {
+        while j < len && (j == start || !is_entry[j]) {
+            let Some(u) = unit_cost(&df.ops[j]) else {
                 break;
             };
             mo += u.machine_ops;
             mem += u.mem_refs;
             br += u.branches;
             fl += u.flops;
-            j += u.width as usize;
+            j += 1;
             if u.term {
                 break;
             }
         }
         // A block needs at least two machine ops to amortize its entry
-        // guard — which includes a lone multi-op fused site (a loop
-        // back edge at a block entry runs as a one-unit superblock).
+        // guard.
         if mo >= 2 {
             tf.block_at[start] = tf.blocks.len() as u32;
             tf.blocks.push(BlockInfo {
                 start: start as u32,
-                // The final covered *slot*: in-block execution advances
-                // slot by slot (fused sites run their constituents), so
-                // the driver stops after dispatching this slot.
                 last: (j - 1) as u32,
                 machine_ops: mo,
                 mem_refs: mem,
@@ -760,15 +553,15 @@ fn form_blocks(df: &DecodedFunc, tf: &mut ThreadedFunc) {
             });
             i = j;
         } else {
-            i = start + first.width.max(1) as usize;
+            i = start + 1;
         }
     }
 }
 
 // ---------------------------------------------------------------------
 // Thunks. Every thunk assumes the driver pre-incremented `ctx.cur.ip`
-// (so `ctx.cur.ip - 1` is this op's slot), mirrors the decoded engine's
-// order of effects (evaluate → trap → write → retire) exactly, and
+// (so `ctx.cur.ip - 1` is this op's slot), mirrors the reference
+// engine's order of effects (evaluate → trap → write → retire), and
 // retires through `Vm::retire_*::<DEFER>` — per-op ticks when driven
 // singly, deferred accumulation inside a guarded superblock.
 
@@ -1287,7 +1080,7 @@ fn t_callhost<const DEFER: bool>(
     }
     vm.stats.calls += 1;
     // One call op plus a few instructions of real notification work
-    // (mirrors the decoded engine's accounting).
+    // (mirrors `Vm::call_host`).
     vm.retire_classes::<DEFER>(
         &[
             OpClass::CallRet,
@@ -1489,44 +1282,6 @@ fn t_condbr<const DEFER: bool>(
     Ok(Step::Continue)
 }
 
-/// Per-pattern fused templates: bind straight to the handlers shared
-/// with the decoded engine. Single-dispatch only — inside a superblock
-/// a fused site executes as its constituent templates (the `block`
-/// entry of its [`Template`] is the reconstructed first constituent),
-/// because the block already batches the PMU tick. The site index is
-/// recovered from the op stream; the template's `args` belong to the
-/// constituent entry.
-macro_rules! fused_thunk {
-    ($name:ident, $method:ident) => {
-        fn $name(
-            vm: &mut Vm<'_>,
-            dec: &DecodedModule,
-            _tf: &ThreadedFunc,
-            _ta: &TArgs,
-            ctx: &mut TCtx,
-        ) -> Result<Step, VmError> {
-            let DecodedOp::Fused(fi) = cur_op(dec, ctx) else {
-                unreachable!("bound to Fused")
-            };
-            // SAFETY: func/ip/fused indices validated at decode time.
-            let df = unsafe { dec.funcs.get_unchecked(ctx.cur.func as usize) };
-            let ip = ctx.cur.ip as usize - 1;
-            let site = unsafe { df.fused.get_unchecked(*fi as usize) };
-            let base = ctx.cur.base as usize;
-            vm.$method(df, site, ip, base, &mut ctx.cur)?;
-            Ok(Step::Continue)
-        }
-    };
-}
-
-fused_thunk!(t_fused_cmp_branch, fused_cmp_branch);
-fused_thunk!(t_fused_inc_cmp_branch, fused_inc_cmp_branch);
-fused_thunk!(t_fused_bin_copy, fused_bin_copy);
-fused_thunk!(t_fused_addr_load, fused_addr_load);
-fused_thunk!(t_fused_addr_store, fused_addr_store);
-fused_thunk!(t_fused_load_op, fused_load_op);
-fused_thunk!(t_fused_addr_load_op, fused_addr_load_op);
-
 #[cfg(test)]
 mod tests {
     use crate::decode::DecodedModule;
@@ -1564,8 +1319,8 @@ mod tests {
 
     #[test]
     fn blocks_cover_the_hot_loop_body() {
-        // The spin loop body (fused bin+copy, fused back edge) must form
-        // at least one multi-op superblock with a branch at the end.
+        // The spin loop body must form at least one multi-op superblock
+        // with a branch at the end.
         let src = r#"
             fn spin(n: i64) -> i64 {
                 var s: i64 = 0;
@@ -1580,10 +1335,10 @@ mod tests {
         let dec = DecodedModule::decode(&module);
         let tf = &dec.threaded[0];
         assert!(!tf.blocks.is_empty(), "spin forms superblocks");
-        // The loop body (two bins, a fused bin+elided-copy assignment,
-        // and its terminator) collapses into one multi-op block — one
-        // PMU tick instead of four-plus. The back-edge compare-and-
-        // branch block is a jump target, so it stays its own unit.
+        // The loop body (the bins, the elided-copy assignment, and its
+        // terminator) collapses into one multi-op block — one PMU tick
+        // instead of four-plus. The back-edge compare-and-branch block
+        // is a jump target, so it forms its own block.
         assert!(
             tf.blocks.iter().any(|b| b.machine_ops >= 5),
             "a multi-op body block exists: {:?}",
@@ -1591,7 +1346,7 @@ mod tests {
         );
     }
 
-    /// A conditional inside a straight-line body keeps its fused
+    /// A conditional inside a straight-line body keeps its
     /// compare-and-branch *inside* the superblock (branch-terminated
     /// block).
     #[test]

@@ -8,10 +8,20 @@ use mperf_event::{Record, RingBuffer, SampleRecord, SampleType};
 use mperf_ir::transform::instrument::{InstrumentOptions, InstrumentPass};
 use mperf_ir::transform::PassManager;
 use mperf_sim::{Core, PlatformSpec};
-use mperf_vm::{Engine, Value, Vm, VmError};
+use mperf_vm::{Engine, ExecConfig, Value, Vm, VmError};
 use proptest::prelude::*;
 
-/// Program templates for the decoded/reference equivalence property.
+/// The four platform models every equivalence property runs on.
+fn platforms() -> [PlatformSpec; 4] {
+    [
+        PlatformSpec::x60(),
+        PlatformSpec::c910(),
+        PlatformSpec::u74(),
+        PlatformSpec::i5_1135g7(),
+    ]
+}
+
+/// Program templates for the threaded/reference equivalence property.
 /// Together they exercise arithmetic, control flow, memory traffic,
 /// guest-to-guest calls (recursion), floats, casts, and traps.
 const EQUIV_TEMPLATES: &[&str] = &[
@@ -70,43 +80,37 @@ const EQUIV_TEMPLATES: &[&str] = &[
     "#,
 ];
 
-/// Every decoded-engine pass combination the equivalence properties
-/// pin against the reference engine, with display labels.
-const DECODED_CONFIGS: [(&str, bool, bool); 4] = [
-    ("fused+regalloc", true, true),
-    ("fused", true, false),
-    ("regalloc", false, true),
-    ("bare", false, false),
-];
-
-/// The full engine × pass matrix pinned against the reference engine:
-/// the decoded (match-dispatch) and threaded (template + superblock)
-/// engines, each across the fusion × regalloc combinations.
-fn engine_matrix() -> Vec<(String, Engine, bool, bool)> {
-    let mut m = Vec::new();
-    for (engine, ename) in [(Engine::Decoded, "decoded"), (Engine::Threaded, "threaded")] {
-        for (label, fuse, regalloc) in DECODED_CONFIGS {
-            m.push((format!("{ename}/{label}"), engine, fuse, regalloc));
-        }
-    }
-    m
+/// The engine × pass matrix pinned against the reference engine: the
+/// threaded (template + superblock) engine with register allocation on
+/// and off.
+fn engine_matrix() -> [(&'static str, ExecConfig); 2] {
+    let threaded = |regalloc| ExecConfig {
+        engine: Engine::Threaded,
+        regalloc,
+    };
+    [
+        ("threaded/regalloc", threaded(true)),
+        ("threaded/bare", threaded(false)),
+    ]
 }
+
+/// The oracle every matrix entry is compared against.
+const REFERENCE: ExecConfig = ExecConfig {
+    engine: Engine::Reference,
+    regalloc: true,
+};
 
 /// Run one template on one platform/engine; returns every observable:
 /// (ret, stats, cycles, instructions, pmu counters).
 fn run_equiv(
     module: &mperf_ir::Module,
     spec: PlatformSpec,
-    engine: Engine,
-    fuse: bool,
-    regalloc: bool,
+    cfg: ExecConfig,
     data: &[i64],
     n: i64,
 ) -> (Vec<Value>, mperf_vm::ExecStats, u64, u64, Vec<u64>) {
     let mut vm = Vm::with_memory(module, Core::new(spec), 1 << 20);
-    vm.set_engine(engine);
-    vm.set_fusion(fuse);
-    vm.set_regalloc(regalloc);
+    vm.configure(cfg);
     let base = vm.mem.alloc(8 * data.len() as u64, 8).unwrap();
     for (i, v) in data.iter().enumerate() {
         vm.mem.write_u64(base + i as u64 * 8, *v as u64).unwrap();
@@ -219,14 +223,14 @@ proptest! {
         }
     }
 
-    /// The decoded engine — across the full register-allocation ×
-    /// fusion matrix — is observably identical to the reference
-    /// interpreter: for generated programs (random template, input
-    /// data, and trip count, with and without the optimization
-    /// pipeline) every configuration returns the same values and leaves
-    /// bit-identical `ExecStats`, cycle counts, instruction counts, and
-    /// PMU counter files on every platform model. Decode-time passes
-    /// change speed, never observables.
+    /// The threaded engine, which executes the decoded stream — with
+    /// and without register allocation — is observably identical to
+    /// the reference interpreter: for generated programs (random
+    /// template, input data, and trip count, with and without the
+    /// optimization pipeline) every configuration returns the same
+    /// values and leaves bit-identical `ExecStats`, cycle counts,
+    /// instruction counts, and PMU counter files on every platform
+    /// model. Decode-time passes change speed, never observables.
     #[test]
     fn decoded_engine_matches_reference(
         tpl in 0usize..4,
@@ -238,30 +242,22 @@ proptest! {
         if optimize == 1 {
             PassManager::standard().run(&mut module);
         }
-        for spec in [
-            PlatformSpec::x60(),
-            PlatformSpec::c910(),
-            PlatformSpec::u74(),
-            PlatformSpec::i5_1135g7(),
-        ] {
-            let reference =
-                run_equiv(&module, spec.clone(), Engine::Reference, true, true, &data, n);
-            for (label, engine, fuse, regalloc) in engine_matrix() {
-                let decoded = run_equiv(
-                    &module, spec.clone(), engine, fuse, regalloc, &data, n,
-                );
+        for spec in platforms() {
+            let reference = run_equiv(&module, spec.clone(), REFERENCE, &data, n);
+            for (label, cfg) in engine_matrix() {
+                let threaded = run_equiv(&module, spec.clone(), cfg, &data, n);
                 prop_assert_eq!(
-                    &reference.0, &decoded.0,
+                    &reference.0, &threaded.0,
                     "return values ({}, {})", spec.name, label
                 );
-                prop_assert_eq!(reference.1, decoded.1, "ExecStats ({}, {})", spec.name, label);
-                prop_assert_eq!(reference.2, decoded.2, "cycles ({}, {})", spec.name, label);
+                prop_assert_eq!(reference.1, threaded.1, "ExecStats ({}, {})", spec.name, label);
+                prop_assert_eq!(reference.2, threaded.2, "cycles ({}, {})", spec.name, label);
                 prop_assert_eq!(
-                    reference.3, decoded.3,
+                    reference.3, threaded.3,
                     "instructions ({}, {})", spec.name, label
                 );
                 prop_assert_eq!(
-                    &reference.4, &decoded.4,
+                    &reference.4, &threaded.4,
                     "PMU counters ({}, {})", spec.name, label
                 );
             }
@@ -274,9 +270,9 @@ proptest! {
     /// `RegionMeasurement`s, `ExecStats`, cycle counts, instruction
     /// counts, and PMU counter files as `jobs = 1` on every platform
     /// model — and the batched `run_roofline_sweep` over all four
-    /// platforms at once agrees cell for cell. The sweep runs the
-    /// *fused* decoded engine (the default decode), so this also pins
-    /// fused execution under the worker pool ≡ serial fused execution.
+    /// platforms at once agrees cell for cell. Every run is also pinned
+    /// against the reference engine, so parallel threaded execution ≡
+    /// serial reference execution.
     #[test]
     fn parallel_sweep_matches_serial_sweep(
         kernel in 0usize..2,
@@ -325,30 +321,20 @@ proptest! {
                 Value::F32(1.5),
             ])
         };
-        let specs = [
-            PlatformSpec::x60(),
-            PlatformSpec::c910(),
-            PlatformSpec::u74(),
-            PlatformSpec::i5_1135g7(),
-        ];
+        let specs = platforms();
         let mut serial_runs = Vec::new();
         for spec in &specs {
             let serial = RooflineRequest::new().run(&module, spec, entry, &setup).unwrap();
-            // The sweep defaults to the threaded engine; the decoded
+            // The sweep defaults to the threaded engine; the reference
             // engine must produce the identical run (cross-engine sweep
-            // identity), so parallel threaded ≡ serial decoded too.
-            let decoded_cfg = mperf_vm::ExecConfig {
-                engine: Engine::Decoded,
-                fuse: true,
-                regalloc: true,
-            };
-            let decoded = RooflineRequest::new()
-                .config(decoded_cfg)
+            // identity), so parallel threaded ≡ serial reference too.
+            let oracle = RooflineRequest::new()
+                .config(REFERENCE)
                 .run(&module, spec, entry, &setup)
                 .unwrap();
             prop_assert_eq!(
-                &serial, &decoded,
-                "threaded sweep diverges from decoded sweep ({})", spec.name
+                &serial, &oracle,
+                "threaded sweep diverges from reference sweep ({})", spec.name
             );
             for jobs in [2usize, 4] {
                 let parallel = RooflineRequest::new()
@@ -400,39 +386,39 @@ proptest! {
         }
     }
 
-    /// Traps are engine-equivalent too: every configuration stops at
-    /// the same op with the same error and the same partial statistics.
-    /// Random fuel values land the exhaustion point *inside* fused
-    /// patterns and *on* elided-copy slots (the loop body's `s = ...`
-    /// copy coalesces away under regalloc), exercising both the
-    /// superinstruction bail paths and the retire-only elided-copy
-    /// dispatch at the trap boundary.
+    /// Fuel traps are engine-equivalent too: every configuration stops
+    /// at the same op with the same error and the same partial
+    /// statistics on every platform model. Random fuel values land the
+    /// exhaustion point *inside* superblocks (the block-entry fuel guard
+    /// then runs the block op by op) and *on* elided-copy slots (the
+    /// loop body's `s = ...` copy coalesces away under regalloc).
     #[test]
     fn decoded_engine_matches_reference_on_traps(fuel in 50u64..400) {
         let src = "fn main(n: i64) -> i64 { var s: i64 = 0; while (true) { s = s + n; } return s; }";
         let module = mperf_ir::compile("trap", src).unwrap();
-        let run = |engine: Engine, fuse: bool, regalloc: bool| {
-            let mut vm = Vm::with_memory(&module, Core::new(PlatformSpec::x60()), 1 << 20);
-            vm.set_engine(engine);
-            vm.set_fusion(fuse);
-            vm.set_regalloc(regalloc);
-            vm.set_fuel(fuel);
-            let err = vm.call("main", &[Value::I64(3)]).unwrap_err();
-            (format!("{err:?}"), vm.stats(), vm.core.cycles())
-        };
-        let reference = run(Engine::Reference, true, true);
-        for (label, engine, fuse, regalloc) in engine_matrix() {
-            prop_assert_eq!(&reference, &run(engine, fuse, regalloc), "{}", label);
+        for spec in platforms() {
+            let run = |cfg: ExecConfig| {
+                let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), 1 << 20);
+                vm.configure(cfg);
+                vm.set_fuel(fuel);
+                let err = vm.call("main", &[Value::I64(3)]).unwrap_err();
+                (format!("{err:?}"), vm.stats(), vm.core.cycles())
+            };
+            let reference = run(REFERENCE);
+            for (label, cfg) in engine_matrix() {
+                prop_assert_eq!(&reference, &run(cfg), "{} ({})", label, spec.name);
+            }
         }
     }
 
-    /// Guest traps land identically mid-pattern: an out-of-bounds access
-    /// whose `ptradd`+`load` pair is fused must fault at the same op
-    /// with the same partial state as every other configuration (the
-    /// fused fast path pre-checks bounds and bails), with and without
-    /// the copy-coalescing pass rewriting the surrounding stream.
+    /// Out-of-bounds traps land identically mid-superblock: a guest load
+    /// through a bad pointer in a straight-line loop body faults at the
+    /// same op with the same partial state (`ExecStats`, cycles) as the
+    /// reference engine on every platform model — the block commits its
+    /// partial accumulator and propagates — with and without the
+    /// copy-coalescing pass rewriting the surrounding stream.
     #[test]
-    fn fused_memory_traps_match_unfused(n in 1i64..64, oob_at in 0i64..64) {
+    fn oob_traps_mid_superblock_match_reference(n in 1i64..64, oob_at in 0i64..64) {
         let src = r#"
             fn main(p: *i64, n: i64, bad: *i64, bad_at: i64) -> i64 {
                 var s: i64 = 0;
@@ -444,42 +430,44 @@ proptest! {
             }
         "#;
         let module = mperf_ir::compile("memtrap", src).unwrap();
-        let run = |engine: Engine, fuse: bool, regalloc: bool| {
-            let mut vm = Vm::with_memory(&module, Core::new(PlatformSpec::x60()), 1 << 20);
-            vm.set_engine(engine);
-            vm.set_fusion(fuse);
-            vm.set_regalloc(regalloc);
-            let base = vm.mem.alloc(8 * 16, 8).unwrap();
-            for i in 0..16u64 {
-                vm.mem.write_u64(base + i * 8, i * 3).unwrap();
+        for spec in platforms() {
+            let run = |cfg: ExecConfig| {
+                let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), 1 << 20);
+                vm.configure(cfg);
+                let base = vm.mem.alloc(8 * 16, 8).unwrap();
+                for i in 0..16u64 {
+                    vm.mem.write_u64(base + i * 8, i * 3).unwrap();
+                }
+                let r = vm.call(
+                    "main",
+                    &[
+                        Value::I64(base as i64),
+                        Value::I64(n),
+                        Value::I64(-8), // out-of-bounds pointer
+                        Value::I64(oob_at),
+                    ],
+                );
+                (format!("{r:?}"), vm.stats(), vm.core.cycles())
+            };
+            let reference = run(REFERENCE);
+            for (label, cfg) in engine_matrix() {
+                prop_assert_eq!(&reference, &run(cfg), "{} ({})", label, spec.name);
             }
-            let r = vm.call(
-                "main",
-                &[
-                    Value::I64(base as i64),
-                    Value::I64(n),
-                    Value::I64(-8), // out-of-bounds pointer
-                    Value::I64(oob_at),
-                ],
-            );
-            (format!("{r:?}"), vm.stats(), vm.core.cycles())
-        };
-        let reference = run(Engine::Reference, true, true);
-        for (label, engine, fuse, regalloc) in engine_matrix() {
-            prop_assert_eq!(&reference, &run(engine, fuse, regalloc), "{}", label);
         }
     }
 }
 
 /// Overflow sampling is engine-exact: driving identical sampling setups
-/// through every engine configuration (reference, and the decoded
-/// engine across the regalloc × fusion matrix) produces the same number
-/// of samples with the same IPs and callchains — overflow interrupts
-/// fire on the same ops, including samples landing on elided-copy slots
-/// (which retire the same `Move` at the same pc as the original copy).
-/// Near a counter wrap the fused engine's `fused_ready` guard degrades
-/// to per-op retire, which is what keeps the overflow attribution
-/// exact.
+/// through every engine configuration (reference, and the threaded
+/// engine with and without register allocation) produces the same
+/// number of samples with the same IPs and callchains — overflow
+/// interrupts fire on the same ops, including samples landing on
+/// elided-copy slots (which retire the same `Move` at the same pc as
+/// the original copy). Near a counter wrap the superblock guard
+/// (`block_ready`) degrades to per-op retire, which is what keeps the
+/// overflow attribution exact. Runs on every model that can sample:
+/// the X60 through its `u_mode_cycle` raw event (§3.3), the C910 and
+/// i5 on cycles; the U74 raises no overflow interrupts.
 #[test]
 fn decoded_engine_sampling_matches_reference() {
     use mperf_event::{EventKind, PerfEventAttr, PerfKernel, ReadFormat};
@@ -502,12 +490,16 @@ fn decoded_engine_sampling_matches_reference() {
     "#;
     let module = mperf_ir::compile("sampling", src).unwrap();
 
-    let run = |engine: Engine, fuse: bool, regalloc: bool| {
-        let mut core = Core::new(PlatformSpec::x60());
+    let run = |spec: &PlatformSpec, cfg: ExecConfig| {
+        let mut core = Core::new(spec.clone());
         let mut kernel = PerfKernel::new(&mut core);
-        let umc = core.spec.event_code(mperf_sim::HwEvent::UModeCycles);
+        let kind = if spec.name == PlatformSpec::x60().name {
+            EventKind::Raw(core.spec.event_code(mperf_sim::HwEvent::UModeCycles))
+        } else {
+            EventKind::Hardware(mperf_event::HwCounter::Cycles)
+        };
         let attr = PerfEventAttr {
-            kind: EventKind::Raw(umc),
+            kind,
             sample_period: 700,
             sample_type: SampleType::full(),
             read_format: ReadFormat {
@@ -518,11 +510,9 @@ fn decoded_engine_sampling_matches_reference() {
         };
         let fd = kernel.open(&mut core, attr, None).unwrap();
         kernel.enable(&mut core, fd).unwrap();
-        let mut vm = Vm::with_memory(&module, Core::new(PlatformSpec::x60()), 1 << 20);
+        let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), 1 << 20);
         vm.core = core;
-        vm.set_engine(engine);
-        vm.set_fusion(fuse);
-        vm.set_regalloc(regalloc);
+        vm.configure(cfg);
         vm.attach_kernel(kernel);
         let base = vm.mem.alloc(8 * 32, 8).unwrap();
         for i in 0..32u64 {
@@ -544,17 +534,24 @@ fn decoded_engine_sampling_matches_reference() {
         (samples, kernel.samples_taken())
     };
 
-    let (ref_samples, ref_taken) = run(Engine::Reference, true, true);
-    assert!(
-        ref_taken > 5,
-        "expected a healthy sample stream: {ref_taken}"
-    );
-    for (label, engine, fuse, regalloc) in engine_matrix() {
-        let (samples, taken) = run(engine, fuse, regalloc);
-        assert_eq!(ref_taken, taken, "sample counts diverge ({label})");
-        assert_eq!(
-            ref_samples, samples,
-            "sample IPs/callchains diverge ({label})"
+    for spec in [
+        PlatformSpec::x60(),
+        PlatformSpec::c910(),
+        PlatformSpec::i5_1135g7(),
+    ] {
+        let name = spec.name;
+        let (ref_samples, ref_taken) = run(&spec, REFERENCE);
+        assert!(
+            ref_taken > 5,
+            "expected a healthy sample stream on {name}: {ref_taken}"
         );
+        for (label, cfg) in engine_matrix() {
+            let (samples, taken) = run(&spec, cfg);
+            assert_eq!(ref_taken, taken, "sample counts diverge ({label}, {name})");
+            assert_eq!(
+                ref_samples, samples,
+                "sample IPs/callchains diverge ({label}, {name})"
+            );
+        }
     }
 }
