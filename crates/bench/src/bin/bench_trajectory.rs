@@ -596,9 +596,8 @@ fn run_sweep_scaling(opts: &Opts) {
     let host_cpus = mperf_sweep::default_jobs();
     let matrix = SweepMatrix::build(if full { 1.0 } else { 0.25 });
     println!(
-        "\nsweep scaling: {} cells ({} phase jobs) on a {host_cpus}-cpu host",
-        matrix.len(),
-        matrix.len() * 2
+        "\nsweep scaling: {} cells on a {host_cpus}-cpu host",
+        matrix.len()
     );
 
     let mut thread_counts = vec![1usize, 2, 4];
@@ -609,46 +608,46 @@ fn run_sweep_scaling(opts: &Opts) {
 
     // Warm-up pass so first-touch costs (lazy pages, allocator growth)
     // don't land on the serial measurement. With `--journal` this pass
-    // runs under the fault-tolerant supervisor, checkpointing every
-    // cell; `--resume` then satisfies already-journaled cells so an
-    // interrupted run restarts with only the remaining cells.
-    let reference: Vec<_> = if let Some(path) = &opts.journal {
-        let (_, sweep) = match matrix.run_supervised(1, Some(path.clone()), opts.resume) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bench_trajectory: cannot open sweep journal: {e}");
-                std::process::exit(1);
-            }
-        };
-        if !sweep.resumed.is_empty() {
-            println!(
-                "  reference pass: {}/{} cells resumed from {}",
-                sweep.resumed.len(),
-                matrix.len(),
-                path.display()
-            );
-        }
-        if !sweep.report.all_ok() {
-            for f in &sweep.report.failed {
-                eprintln!("  cell {} failed: {}", f.index, f.error);
-            }
-            eprintln!(
-                "bench_trajectory: {} sweep cell(s) failed, {} skipped; completed cells \
-                 are journaled — re-run with --resume to retry only the rest",
-                sweep.report.failed.len(),
-                sweep.report.skipped.len()
-            );
+    // checkpoints every cell; `--resume` then satisfies
+    // already-journaled cells so an interrupted run restarts with only
+    // the remaining cells.
+    let (_, sweep) = match matrix.run_supervised(1, opts.journal.clone(), opts.resume) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("bench_trajectory: cannot open sweep journal: {e}");
             std::process::exit(1);
         }
-        sweep.report.results.into_iter().flatten().collect()
-    } else {
-        matrix.run_at(1).1
     };
+    if let (Some(path), false) = (&opts.journal, sweep.resumed.is_empty()) {
+        println!(
+            "  reference pass: {}/{} cells resumed from {}",
+            sweep.resumed.len(),
+            matrix.len(),
+            path.display()
+        );
+    }
+    if !sweep.report.all_ok() {
+        for f in &sweep.report.failed {
+            eprintln!("  cell {} failed: {}", f.index, f.error);
+        }
+        eprintln!(
+            "bench_trajectory: {} sweep cell(s) failed, {} skipped; with --journal, \
+             completed cells are journaled — re-run with --resume to retry only the rest",
+            sweep.report.failed.len(),
+            sweep.report.skipped.len()
+        );
+        std::process::exit(1);
+    }
+    let reference: Vec<_> = sweep.report.results.into_iter().flatten().collect();
 
     let mut rows = Vec::new();
     let mut serial_ms = 0.0f64;
     for &threads in &thread_counts {
-        let (wall, runs) = matrix.run_at(threads);
+        let (wall, sweep) = matrix
+            .run_supervised(threads, None, false)
+            .expect("supervised sweep (no journal attached)");
+        assert!(sweep.report.all_ok(), "sweep at {threads} threads failed");
+        let runs: Vec<_> = sweep.report.results.into_iter().flatten().collect();
         assert_eq!(
             runs, reference,
             "parallel sweep at {threads} threads diverges from the serial sweep"
@@ -734,11 +733,10 @@ fn run_sweep_scaling(opts: &Opts) {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"mperf-bench-sweep/v3\",");
+    let _ = writeln!(json, "  \"schema\": \"mperf-bench-sweep/v4\",");
     let _ = writeln!(json, "  \"quick\": {},", !full);
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"cells\": {},", matrix.len());
-    let _ = writeln!(json, "  \"phase_jobs\": {},", matrix.len() * 2);
     let _ = writeln!(json, "  \"identical_across_thread_counts\": true,");
     json.push_str("  \"scaling\": [\n");
     for (i, (threads, ms, speedup)) in rows.iter().enumerate() {

@@ -1,16 +1,16 @@
 //! The roofline sweep-scaling harness: the full `platform × workload`
-//! roofline matrix driven through the `mperf-sweep` scheduler at
-//! several worker counts, for `bench_trajectory`'s `BENCH_sweep.json`
-//! section.
+//! roofline matrix driven through the supervised sweep at several
+//! worker counts (and through worker processes), for
+//! `bench_trajectory`'s `BENCH_sweep.json` section.
 //!
-//! Every cell is one workload compiled (instrumented) for one platform;
-//! the sweep expands each cell into its baseline + instrumented phase
-//! jobs. `jobs = 1` is the serial sweep the parallel timings are
-//! compared — and bit-identity-checked — against.
+//! Every cell is one workload compiled (instrumented) for one platform,
+//! run as one supervised job (both of its phases). `threads = 1` is the
+//! serial sweep the parallel timings are compared — and
+//! bit-identity-checked — against.
 
 use miniperf::{
-    run_roofline_sweep, run_roofline_sweep_sharded, RooflineJob, RooflineRequest, RooflineRun,
-    SetupSpec, ShardedCellSpec, ShardedSweep, ShardedSweepOptions, SupervisedSweep,
+    run_roofline_sweep_sharded, RooflineJob, RooflineRequest, SetupSpec, ShardedCellSpec,
+    ShardedSweep, ShardedSweepOptions, SupervisedSweep,
 };
 use mperf_ir::Module;
 use mperf_sim::Platform;
@@ -106,7 +106,7 @@ impl SweepMatrix {
         SweepMatrix { cells }
     }
 
-    /// Number of cells (each expands into two phase jobs).
+    /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()
     }
@@ -138,38 +138,11 @@ impl SweepMatrix {
             .collect()
     }
 
-    /// Run the full sweep under `threads` workers; returns wall-clock
-    /// and the per-cell results (in cell order).
-    ///
-    /// # Panics
-    /// Panics if any cell traps — the matrix is fixed, so that is a bug.
-    pub fn run_at(&self, threads: usize) -> (Duration, Vec<RooflineRun>) {
-        let jobs = self.jobs();
-        let t0 = Instant::now();
-        let results = run_roofline_sweep(&jobs, threads);
-        let wall = t0.elapsed();
-        let runs = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|e| {
-                    let c = &self.cells[i];
-                    panic!(
-                        "sweep cell {i} ({} on {}) trapped: {e}",
-                        c.entry,
-                        c.platform.spec().name
-                    )
-                })
-            })
-            .collect();
-        (wall, runs)
-    }
-
-    /// Run the full sweep under the fault-tolerant supervisor,
-    /// optionally checkpointing every completed cell to `journal` and
-    /// (with `resume`) satisfying already-journaled cells without
-    /// re-executing them. Completed cells are bit-identical to
-    /// [`SweepMatrix::run_at`].
+    /// Run the full sweep under the fault-tolerant supervisor with
+    /// `threads` cell workers, optionally checkpointing every completed
+    /// cell to `journal` and (with `resume`) satisfying
+    /// already-journaled cells without re-executing them. Completed
+    /// cells are bit-identical at any `threads`.
     ///
     /// # Errors
     /// Journal open failures (bad path, foreign file); per-cell
@@ -220,7 +193,7 @@ impl SweepMatrix {
     /// Run the full sweep across `shards` worker *processes* (spawned
     /// from `worker`, which must dispatch into
     /// [`miniperf::worker_main`]). Completed cells are bit-identical to
-    /// [`SweepMatrix::run_at`].
+    /// [`SweepMatrix::run_supervised`].
     ///
     /// # Errors
     /// Journal errors only (none are possible here: no journal is
@@ -250,33 +223,37 @@ impl SweepMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use miniperf::RooflineRun;
+
+    fn runs(sweep: SupervisedSweep) -> Vec<RooflineRun> {
+        assert!(sweep.report.all_ok());
+        sweep.report.results.into_iter().flatten().collect()
+    }
 
     #[test]
     fn tiny_matrix_is_deterministic_across_thread_counts() {
         let matrix = SweepMatrix::build(0.15);
         assert_eq!(matrix.len(), 12, "3 workloads × 4 platforms");
-        let (_, serial) = matrix.run_at(1);
-        let (_, parallel) = matrix.run_at(4);
-        assert_eq!(serial, parallel);
+        let (_, serial) = matrix.run_supervised(1, None, false).unwrap();
+        let (_, parallel) = matrix.run_supervised(4, None, false).unwrap();
+        assert_eq!(runs(serial), runs(parallel));
     }
 
     #[test]
     fn supervised_matches_direct_and_resumes_from_journal() {
         let matrix = SweepMatrix::build(0.15);
-        let (_, direct) = matrix.run_at(1);
+        let (_, direct) = matrix.run_supervised(1, None, false).unwrap();
+        let direct = runs(direct);
         let path = std::env::temp_dir().join(format!("mperf-bench-jrn-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let (_, sweep) = matrix.run_supervised(2, Some(path.clone()), false).unwrap();
-        assert!(sweep.report.all_ok());
         assert!(sweep.resumed.is_empty());
-        let runs: Vec<RooflineRun> = sweep.report.results.into_iter().flatten().collect();
-        assert_eq!(runs, direct);
+        assert_eq!(runs(sweep), direct);
         // A resume pass satisfies every cell from the journal,
         // byte-identical to re-execution.
         let (_, resumed) = matrix.run_supervised(1, Some(path.clone()), true).unwrap();
         assert_eq!(resumed.resumed.len(), matrix.len());
-        let runs: Vec<RooflineRun> = resumed.report.results.into_iter().flatten().collect();
-        assert_eq!(runs, direct);
+        assert_eq!(runs(resumed), direct);
         let _ = std::fs::remove_file(&path);
     }
 }

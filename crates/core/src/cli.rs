@@ -20,7 +20,8 @@ use crate::record::{record, RecordConfig};
 use crate::report::{text_table, thousands};
 use crate::roofline_runner::{RooflineJob, RooflineRequest, RooflineRun};
 use crate::shard_exec::{
-    cli_triad_setup, run_roofline_sweep_sharded, SetupSpec, ShardedCellSpec, ShardedSweepOptions,
+    cli_triad_setup, run_roofline_sweep_sharded, SetupSpec, ShardedCellSpec, ShardedSweep,
+    ShardedSweepOptions,
 };
 use crate::stat::{stat, StatReport};
 use crate::sweep_supervisor::SupervisedSweep;
@@ -128,8 +129,10 @@ options:
   --state-dir <DIR>              serve: keyed sweep jobs checkpoint their
                                  journals here; a restarted daemon resumes
                                  them when the same spec + key is resubmitted
-  --cache-dir <DIR>              serve: persist the warm decode cache here
-                                 so a restarted daemon performs zero decodes
+  --cache-dir <DIR>              serve: persist the warm decode cache as one
+                                 crash-safe journal, DIR/decode-cache.jrnl
+                                 (created at the first fresh decode), so a
+                                 restarted daemon performs zero decodes
   --max-jobs <N>                 serve: concurrent job cap — submits beyond
                                  it are rejected immediately, never queued
                                  silently (default: 32)
@@ -188,13 +191,17 @@ impl CommonOpts {
         )
     }
 
-    /// The `config:` header for an in-process sweep.
+    /// The `config:` header for a sweep: its worker threads, or its
+    /// worker processes under `--shards`.
     pub fn sweep_config_line(&self) -> String {
+        let workers = match self.shards {
+            0 => format!("jobs={}", self.jobs),
+            n => format!("shards={n}"),
+        };
         format!(
-            "config: sweep platforms={} {} jobs={} retries={}{}{}",
+            "config: sweep platforms={} {} {workers} retries={}{}{}",
             Platform::ALL.len(),
             self.exec.describe(),
-            self.jobs,
             self.retries,
             self.journal
                 .as_ref()
@@ -438,13 +445,7 @@ pub fn run(cmd: Command) -> i32 {
         Command::Record(o) => cmd_record(&o),
         Command::Stat(o) => cmd_stat(&o),
         Command::Roofline(o) => cmd_roofline(&o),
-        Command::Sweep(o) => {
-            if o.shards > 0 {
-                cmd_sweep_sharded(&o)
-            } else {
-                cmd_sweep(&o)
-            }
-        }
+        Command::Sweep(o) => cmd_sweep(&o),
         Command::SweepWorker => crate::worker_main(),
         Command::Serve {
             socket,
@@ -780,9 +781,9 @@ pub struct SweepFailure {
 }
 
 /// A sweep's renderable outcome, normalized from [`SupervisedSweep`]
-/// (batch path) or reassembled from streamed `CellDone` events plus the
-/// job summary (submit path). Both paths render and map to an exit code
-/// through this one type.
+/// or [`ShardedSweep`] (batch paths) or reassembled from streamed
+/// `CellDone` events plus the job summary (submit path). Every path
+/// renders and maps to an exit code through this one type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// Per-cell platform names (for failed/skipped lines).
@@ -793,6 +794,11 @@ pub struct SweepOutcome {
     pub retried: Vec<(usize, u32)>,
     pub skipped: Vec<usize>,
     pub resumed: Vec<usize>,
+    /// Cells quarantined for repeatedly killing their worker process.
+    pub poisoned: Vec<usize>,
+    /// Worker-process respawns: `Some` exactly for a process-sharded
+    /// sweep, whose summary line also counts poison cells.
+    pub respawns: Option<u32>,
 }
 
 impl SweepOutcome {
@@ -814,6 +820,35 @@ impl SweepOutcome {
             retried: sweep.report.retried.clone(),
             skipped: sweep.report.skipped.clone(),
             resumed: sweep.resumed.clone(),
+            poisoned: Vec::new(),
+            respawns: None,
+        }
+    }
+
+    pub fn from_sharded(sweep: &ShardedSweep, names: Vec<String>) -> SweepOutcome {
+        SweepOutcome {
+            names,
+            results: sweep.results.clone(),
+            failed: sweep
+                .failed
+                .iter()
+                .map(|f| SweepFailure {
+                    index: f.index,
+                    attempts: f.attempts,
+                    quarantined: f.quarantined,
+                    error: f.error.to_string(),
+                })
+                .collect(),
+            // The shard report records the attempt each retry granted.
+            retried: sweep
+                .retried
+                .iter()
+                .map(|&(i, granted)| (i, granted.saturating_sub(1)))
+                .collect(),
+            skipped: sweep.skipped.clone(),
+            resumed: sweep.resumed.clone(),
+            poisoned: sweep.poisoned.clone(),
+            respawns: Some(sweep.respawns),
         }
     }
 
@@ -852,7 +887,9 @@ impl SweepOutcome {
                 }
                 None => {
                     if let Some(f) = self.failed.iter().find(|f| f.index == i) {
-                        let why = if f.quarantined {
+                        let why = if self.poisoned.contains(&i) {
+                            format!("poison cell, quarantined after {} attempts", f.attempts)
+                        } else if f.quarantined {
                             format!("quarantined after {} attempts", f.attempts)
                         } else {
                             format!("attempt {}", f.attempts)
@@ -869,10 +906,17 @@ impl SweepOutcome {
                 }
             }
         }
+        let (poison, respawns) = match self.respawns {
+            Some(n) => (
+                format!(" ({} poison)", self.poisoned.len()),
+                format!(" {n} worker respawns,"),
+            ),
+            None => Default::default(),
+        };
         let _ = writeln!(
             out,
-            "sweep: {}/{} cells completed, {} failed, {} skipped, \
-             {} retries granted, {} resumed from journal",
+            "sweep: {}/{} cells completed, {} failed{poison}, {} skipped, \
+             {} retries granted,{respawns} {} resumed from journal",
             self.completed(),
             self.names.len(),
             self.failed.len(),
@@ -970,6 +1014,8 @@ impl SweepOutcome {
                 retried,
                 skipped,
                 resumed,
+                poisoned: Vec::new(),
+                respawns: None,
             })
         };
         let mut out = inner(&mut d).map_err(|e| format!("malformed sweep summary: {e}"))?;
@@ -979,6 +1025,14 @@ impl SweepOutcome {
         out.results = results;
         Ok(out)
     }
+}
+
+/// The CLI sweep's cell names: every platform model, in cell order.
+pub fn platform_names() -> Vec<String> {
+    Platform::ALL
+        .iter()
+        .map(|p| p.spec().name.to_string())
+        .collect()
 }
 
 /// Build the CLI triad sweep cells (one per platform model) over
@@ -1098,150 +1152,70 @@ fn cmd_roofline(opts: &CommonOpts) -> i32 {
 }
 
 /// Supervised roofline sweep of the triad kernel across every platform
-/// model. Each cell is panic-isolated and retried per `--retries`;
-/// healthy cells always complete and are reported even when others
-/// fail. Exit status: 0 = every cell completed, 3 = partial results,
-/// 4 = fatal failure or no results at all.
+/// model, on worker threads or — with `--shards N` — worker
+/// *processes*, where crashes, hangs, and corrupt frames are survived by
+/// kill + respawn + retry. Each cell is isolated and retried per
+/// `--retries`; healthy cells always complete, bit-identical in either
+/// mode, and are reported even when others fail. Exit status: 0 = every
+/// cell completed, 3 = partial results, 4 = fatal failure or no results
+/// at all.
 fn cmd_sweep(opts: &CommonOpts) -> i32 {
     println!("{}", opts.sweep_config_line());
-    let modules: Vec<mperf_ir::Module> = Platform::ALL.iter().map(|&p| triad_module(p)).collect();
-    let cells = triad_sweep_cells(&modules, None, CLI_TRIAD_N);
-    let request = RooflineRequest::new()
-        .jobs(opts.jobs)
-        .config(opts.exec)
-        .policy(RetryPolicy {
-            max_attempts: opts.retries,
-            retry_panics: true,
-        })
-        .journal_opt(opts.journal.clone())
-        .resume(opts.resume);
-    let sweep = match request.run_supervised(&cells) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sweep failed before any cell ran: {e}");
-            return 4;
-        }
+    let policy = RetryPolicy {
+        max_attempts: opts.retries,
+        retry_panics: true,
     };
-    let names = Platform::ALL
-        .iter()
-        .map(|p| p.spec().name.to_string())
-        .collect();
-    let outcome = SweepOutcome::from_supervised(&sweep, names);
-    print!("{}", outcome.body());
-    outcome.exit_code()
-}
-
-/// `sweep --shards N`: the same triad sweep pushed across worker
-/// *processes* — crashes, hangs, and corrupt frames are survived by
-/// kill + respawn + retry, and completed cells are bit-identical to
-/// the in-process sweep. Same exit-status contract as [`cmd_sweep`].
-fn cmd_sweep_sharded(opts: &CommonOpts) -> i32 {
-    println!(
-        "config: sweep platforms={} {} shards={} retries={}{}{}",
-        Platform::ALL.len(),
-        opts.exec.describe(),
-        opts.shards,
-        opts.retries,
-        opts.journal
-            .as_ref()
-            .map(|p| format!(" journal={}", p.display()))
-            .unwrap_or_default(),
-        if opts.resume { " resume" } else { "" },
-    );
-    let specs: Vec<ShardedCellSpec> = Platform::ALL
-        .iter()
-        .map(|&p| ShardedCellSpec {
-            workload: "cli".into(),
-            source: KERNEL.into(),
-            entry: "triad".into(),
-            platform: p,
-            setup: SetupSpec::CliTriad { n: CLI_TRIAD_N },
-        })
-        .collect();
-    let exe = std::env::current_exe().expect("current exe");
-    let mut worker = WorkerCmd::new(exe);
-    worker.args.push("sweep-worker".into());
-    let sharded_opts = ShardedSweepOptions {
-        shards: opts.shards,
-        cfg: opts.exec,
-        policy: RetryPolicy {
-            max_attempts: opts.retries,
-            retry_panics: true,
-        },
-        journal: opts.journal.clone(),
-        resume: opts.resume,
-        deadline_ticks: 600,
-        tick: Duration::from_millis(50),
-        worker,
-    };
-    let sweep = match run_roofline_sweep_sharded(&specs, &sharded_opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sweep failed before any cell ran: {e}");
-            return 4;
-        }
-    };
-    for (i, spec) in specs.iter().enumerate() {
-        let retries = sweep.retried.iter().filter(|(idx, _)| *idx == i).count();
-        let tag = if sweep.resumed.contains(&i) {
-            " [resumed]".to_string()
-        } else if retries > 0 {
-            format!(
-                " [{retries} retr{}]",
-                if retries == 1 { "y" } else { "ies" }
-            )
-        } else {
-            String::new()
+    let outcome = if opts.shards > 0 {
+        let specs: Vec<ShardedCellSpec> = Platform::ALL
+            .iter()
+            .map(|&p| ShardedCellSpec {
+                workload: "cli".into(),
+                source: KERNEL.into(),
+                entry: "triad".into(),
+                platform: p,
+                setup: SetupSpec::CliTriad { n: CLI_TRIAD_N },
+            })
+            .collect();
+        let mut worker = WorkerCmd::new(std::env::current_exe().expect("current exe"));
+        worker.args.push("sweep-worker".into());
+        let sharded_opts = ShardedSweepOptions {
+            shards: opts.shards,
+            cfg: opts.exec,
+            policy,
+            journal: opts.journal.clone(),
+            resume: opts.resume,
+            deadline_ticks: 600,
+            tick: Duration::from_millis(50),
+            worker,
         };
-        match &sweep.results[i] {
-            Some(run) => {
-                let r = &run.regions[0];
-                println!(
-                    "  {:<22} triad {:>6.2} GFLOP/s at AI {:.3} FLOP/B (overhead {:.2}x){tag}",
-                    run.platform_name,
-                    r.gflops(run.freq_hz),
-                    r.ai(),
-                    r.overhead_factor()
-                );
+        run_roofline_sweep_sharded(&specs, &sharded_opts).map(|sweep| {
+            if let Some(fatal) = &sweep.fatal {
+                eprintln!("sweep cancelled: {fatal}");
             }
-            None => {
-                let name = spec.platform.spec().name;
-                if let Some(f) = sweep.failed.iter().find(|f| f.index == i) {
-                    let why = if sweep.poisoned.contains(&i) {
-                        format!("poison cell, quarantined after {} attempts", f.attempts)
-                    } else if f.quarantined {
-                        format!("quarantined after {} attempts", f.attempts)
-                    } else {
-                        format!("attempt {}", f.attempts)
-                    };
-                    println!("  {name:<22} triad FAILED ({why}): {}{tag}", f.error);
-                } else {
-                    println!("  {name:<22} triad SKIPPED (sweep cancelled by a fatal failure)");
-                }
-            }
-        }
-    }
-    if let Some(fatal) = &sweep.fatal {
-        eprintln!("sweep cancelled: {fatal}");
-    }
-    let completed = sweep.completed();
-    println!(
-        "sweep: {completed}/{} cells completed, {} failed ({} poison), {} skipped, \
-         {} retries granted, {} worker respawns, {} resumed from journal",
-        specs.len(),
-        sweep.failed.len(),
-        sweep.poisoned.len(),
-        sweep.skipped.len(),
-        sweep.retried.len(),
-        sweep.respawns,
-        sweep.resumed.len()
-    );
-    if sweep.all_ok() {
-        0
-    } else if completed > 0 && sweep.skipped.is_empty() {
-        3
+            SweepOutcome::from_sharded(&sweep, platform_names())
+        })
     } else {
-        4
+        let modules: Vec<mperf_ir::Module> =
+            Platform::ALL.iter().map(|&p| triad_module(p)).collect();
+        let cells = triad_sweep_cells(&modules, None, CLI_TRIAD_N);
+        RooflineRequest::new()
+            .jobs(opts.jobs)
+            .config(opts.exec)
+            .policy(policy)
+            .journal_opt(opts.journal.clone())
+            .resume(opts.resume)
+            .run_supervised(&cells)
+            .map(|sweep| SweepOutcome::from_supervised(&sweep, platform_names()))
+    };
+    match outcome {
+        Ok(outcome) => {
+            print!("{}", outcome.body());
+            outcome.exit_code()
+        }
+        Err(e) => {
+            eprintln!("sweep failed before any cell ran: {e}");
+            4
+        }
     }
 }
 
@@ -1409,6 +1383,8 @@ mod tests {
             retried: vec![(1, 0), (1, 1)],
             skipped: vec![0],
             resumed: vec![],
+            poisoned: vec![],
+            respawns: None,
         };
         let bytes = outcome.encode_summary();
         let back =
@@ -1434,5 +1410,7 @@ mod tests {
         assert!(opts
             .sweep_config_line()
             .starts_with("config: sweep platforms=4"));
+        let sharded = CommonOpts { shards: 2, ..opts };
+        assert!(sharded.sweep_config_line().contains(" shards=2 retries=3"));
     }
 }

@@ -40,8 +40,7 @@ pub use hotspot::{hotspot_table, HotspotRow};
 pub use profile::{ProfSample, Profile};
 pub use record::{record, RecordConfig};
 pub use roofline_runner::{
-    run_roofline_sweep, PhaseObservables, RegionMeasurement, RooflineJob, RooflineRequest,
-    RooflineRun, SetupFn,
+    PhaseObservables, RegionMeasurement, RooflineJob, RooflineRequest, RooflineRun, SetupFn,
 };
 pub use serve::{run_daemon, run_submit, ServeHandle, ServeOptions, ServeStats};
 pub use shard_exec::{

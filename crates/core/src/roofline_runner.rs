@@ -13,29 +13,34 @@
 //! The two phases are *independent simulations*: each runs on a fresh
 //! VM/core from identical initial state (the determinism assumption of
 //! §4.4), so nothing orders baseline before instrumented except the
-//! final correlation. [`RooflineRequest::run`] exploits that by
-//! submitting each phase as one job to the `mperf-sweep` scheduler —
-//! both share one `Arc`-shared decode — and correlating the collected
-//! results. [`run_roofline_sweep`] scales the same shape to a whole
-//! `workload × platform` matrix: every cell expands into its two phase
-//! jobs, all jobs drain through one worker pool, and results come back
-//! in cell order, bit-identical to the serial sweep (`jobs = 1` *is*
-//! the serial sweep — no threads are spawned).
+//! final correlation. One crate-private cell executor
+//! (`RooflineRequest::execute`) exploits that: it submits each phase as
+//! one job to the `mperf-sweep` scheduler — both share one
+//! `Arc`-shared decode — and correlates the collected results. `jobs =
+//! 1` runs the phases serially on the calling thread, and with both
+//! failing the baseline error wins at any worker count. Every driver of
+//! a cell runs through it: [`RooflineRequest::run`] with the request's
+//! worker count, and the supervised sweep and the `sweep-worker`
+//! process one phase at a time, so their retry and journal unit stays
+//! the cell.
 //!
 //! ## One entry point
 //!
 //! [`RooflineRequest`] is a builder over every knob of a measurement:
 //! worker threads, engine configuration, retry policy, journal path,
 //! resume. Defaults are a serial run on the default engine with no
-//! journal.
+//! journal. A single cell runs through [`RooflineRequest::run`]; a cell
+//! matrix through [`RooflineRequest::run_supervised`] (threads) or
+//! [`crate::run_roofline_sweep_sharded`] (worker processes).
 
-use crate::sweep_supervisor::{SupervisedSweep, SweepOptions};
+use crate::sweep_supervisor::{supervised_sweep_hooked, SupervisedSweep, SweepHooks};
 use mperf_ir::Module;
 use mperf_sim::{pmu::NUM_COUNTERS, Core, PlatformSpec};
 use mperf_sweep::journal::JournalError;
 use mperf_sweep::{queue, Phase, RetryPolicy};
 use mperf_vm::{
-    decode_module_cfg, DecodedModule, ExecConfig, ExecStats, RegionStats, Value, Vm, VmError,
+    decode_module_cfg, DecodedModule, ExecConfig, ExecStats, RegionStats, TrapInfo, Value, Vm,
+    VmError,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -160,8 +165,6 @@ impl RooflineRun {
 }
 
 /// One cell of a roofline sweep: a compiled workload on one platform.
-/// [`run_roofline_sweep`] expands each cell into its baseline and
-/// instrumented phase jobs.
 pub struct RooflineJob<'a> {
     pub module: &'a Module,
     /// Pre-built shared decode. `None` = decode once inside the sweep;
@@ -174,70 +177,14 @@ pub struct RooflineJob<'a> {
 }
 
 /// Raw output of one phase job, pre-correlation.
-pub(crate) struct PhaseOutput {
+struct PhaseOutput {
     regions: Vec<(u32, RegionStats)>,
-    pub(crate) obs: PhaseObservables,
+    obs: PhaseObservables,
 }
 
-/// Execute one phase of one cell on a fresh VM sharing `decoded`.
-fn run_phase(
-    module: &Module,
-    decoded: &Arc<DecodedModule>,
-    spec: &PlatformSpec,
-    entry: &str,
-    setup: SetupFn,
-    phase: Phase,
-    engine: mperf_vm::Engine,
-) -> Result<PhaseOutput, VmError> {
-    run_phase_opts(module, decoded, spec, entry, setup, phase, engine, None).map_err(|(e, _)| e)
-}
-
-/// [`run_phase`] with an optional fuel clamp (the supervised sweep's
-/// injected fuel-exhaustion fault) and, on error, the trap site the VM
-/// captured alongside it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_phase_opts(
-    module: &Module,
-    decoded: &Arc<DecodedModule>,
-    spec: &PlatformSpec,
-    entry: &str,
-    setup: SetupFn,
-    phase: Phase,
-    engine: mperf_vm::Engine,
-    fuel: Option<u64>,
-) -> Result<PhaseOutput, (VmError, Option<mperf_vm::TrapInfo>)> {
-    let mut vm = Vm::new(module, Core::new(spec.clone()));
-    vm.set_decoded(Arc::clone(decoded));
-    vm.set_engine(engine);
-    if let Some(f) = fuel {
-        vm.set_fuel(f);
-    }
-    vm.roofline.instrumented = phase.instrumented();
-    let trap_of = |vm: &Vm, e: VmError| {
-        let t = vm.trap_info().cloned();
-        (e, t)
-    };
-    let args = match setup(&mut vm) {
-        Ok(a) => a,
-        Err(e) => return Err(trap_of(&vm, e)),
-    };
-    let t0 = vm.core.cycles();
-    if let Err(e) = vm.call(entry, &args) {
-        return Err(trap_of(&vm, e));
-    }
-    let total_cycles = vm.core.cycles() - t0;
-    let pmu = (0..NUM_COUNTERS).map(|i| vm.core.pmu().read(i)).collect();
-    Ok(PhaseOutput {
-        regions: vm.roofline.regions(),
-        obs: PhaseObservables {
-            total_cycles,
-            exec: vm.stats(),
-            instructions: vm.core.instructions(),
-            pmu,
-            unbalanced_ends: vm.roofline.unbalanced_ends(),
-        },
-    })
-}
+/// How a cell failed: the failing phase, its error, and the trap site
+/// the VM captured alongside it.
+pub(crate) type PhaseTrap = (Phase, VmError, Option<TrapInfo>);
 
 /// Correlate a cell's two phase outputs against the module's region
 /// metadata. Regions sharing a source location are merged: the
@@ -245,7 +192,7 @@ pub(crate) fn run_phase_opts(
 /// remainder, and users care about the *source* loop (`LoopInfo{line,
 /// func}` in the paper). Region lookups are `HashMap`s keyed by region
 /// id, so correlation is linear in the region count.
-pub(crate) fn correlate(
+fn correlate(
     module: &Module,
     spec: &PlatformSpec,
     base: PhaseOutput,
@@ -323,11 +270,11 @@ pub(crate) fn correlate(
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RooflineRequest {
-    jobs: Option<usize>,
-    cfg: ExecConfig,
-    policy: RetryPolicy,
-    journal: Option<PathBuf>,
-    resume: bool,
+    pub(crate) jobs: Option<usize>,
+    pub(crate) cfg: ExecConfig,
+    pub(crate) policy: RetryPolicy,
+    pub(crate) journal: Option<PathBuf>,
+    pub(crate) resume: bool,
 }
 
 impl RooflineRequest {
@@ -414,9 +361,51 @@ impl RooflineRequest {
         entry: &str,
         setup: SetupFn,
     ) -> Result<RooflineRun, VmError> {
+        self.execute(module, decoded, spec, entry, setup, None)
+            .map_err(|(_, error, _)| error)
+    }
+
+    /// The one cell executor: both phases of one cell, each a job on a
+    /// fresh VM sharing `decoded`, run on up to [`Self::jobs`] threads
+    /// and then correlated. `fuel` clamps each phase's fuel (the
+    /// `sweep.cell` failpoint's injected exhaustion). Serial at `jobs ≤
+    /// 1`; the first failure stops the queue, and the baseline phase's
+    /// failure wins.
+    pub(crate) fn execute(
+        &self,
+        module: &Module,
+        decoded: &Arc<DecodedModule>,
+        spec: &PlatformSpec,
+        entry: &str,
+        setup: SetupFn,
+        fuel: Option<u64>,
+    ) -> Result<RooflineRun, PhaseTrap> {
         let jobs = self.jobs.unwrap_or(1);
         let mut phases = queue::try_run_jobs(Vec::from(Phase::BOTH), jobs, |_, phase| {
-            run_phase(module, decoded, spec, entry, setup, phase, self.cfg.engine)
+            let mut vm = Vm::new(module, Core::new(spec.clone()));
+            vm.set_decoded(Arc::clone(decoded));
+            vm.set_engine(self.cfg.engine);
+            if let Some(f) = fuel {
+                vm.set_fuel(f);
+            }
+            vm.roofline.instrumented = phase.instrumented();
+            let timed = |vm: &mut Vm| -> Result<u64, VmError> {
+                let args = setup(vm)?;
+                let t0 = vm.core.cycles();
+                vm.call(entry, &args)?;
+                Ok(vm.core.cycles() - t0)
+            };
+            let total_cycles = timed(&mut vm).map_err(|e| (phase, e, vm.trap_info().cloned()))?;
+            Ok(PhaseOutput {
+                regions: vm.roofline.regions(),
+                obs: PhaseObservables {
+                    total_cycles,
+                    exec: vm.stats(),
+                    instructions: vm.core.instructions(),
+                    pmu: (0..NUM_COUNTERS).map(|i| vm.core.pmu().read(i)).collect(),
+                    unbalanced_ends: vm.roofline.unbalanced_ends(),
+                },
+            })
         })?;
         let inst = phases.pop().expect("instrumented phase ran");
         let base = phases.pop().expect("baseline phase ran");
@@ -434,7 +423,7 @@ impl RooflineRequest {
     /// happens while sweeping is reported per cell in the returned
     /// report.
     pub fn run_supervised(&self, cells: &[RooflineJob]) -> Result<SupervisedSweep, JournalError> {
-        crate::sweep_supervisor::supervised_sweep(cells, &self.sweep_options())
+        supervised_sweep_hooked(cells, self, SweepHooks::default())
     }
 
     /// [`Self::run_supervised`] with streaming and cancellation: every
@@ -452,74 +441,15 @@ impl RooflineRequest {
         on_cell: &(dyn Fn(usize, &RooflineRun) + Sync),
         cancel: &std::sync::atomic::AtomicBool,
     ) -> Result<SupervisedSweep, JournalError> {
-        crate::sweep_supervisor::supervised_sweep_hooked(
+        supervised_sweep_hooked(
             cells,
-            &self.sweep_options(),
-            crate::sweep_supervisor::SweepHooks {
+            self,
+            SweepHooks {
                 on_cell: Some(on_cell),
                 cancel: Some(cancel),
             },
         )
     }
-
-    fn sweep_options(&self) -> SweepOptions {
-        SweepOptions {
-            jobs: self.jobs.unwrap_or(1),
-            cfg: self.cfg,
-            policy: self.policy.clone(),
-            journal: self.journal.clone(),
-            resume: self.resume,
-        }
-    }
-}
-
-/// Run a whole roofline sweep: every cell's baseline and instrumented
-/// phases become independent jobs draining through one pool of `jobs`
-/// worker threads, and the per-cell results come back in cell order.
-/// Output is bit-identical to running [`RooflineRequest::run`] over the
-/// cells in a loop with the default [`ExecConfig`] — a failed cell
-/// reports its error (baseline phase's error first) without disturbing
-/// the other cells.
-pub fn run_roofline_sweep(cells: &[RooflineJob], jobs: usize) -> Vec<Result<RooflineRun, VmError>> {
-    let cfg = ExecConfig::default();
-    // One decode per cell, built up front on the calling thread (cells
-    // may share one via `RooflineJob::decoded`).
-    let decodes: Vec<Arc<DecodedModule>> = cells
-        .iter()
-        .map(|c| {
-            c.decoded
-                .clone()
-                .unwrap_or_else(|| decode_module_cfg(c.module, cfg.decode()))
-        })
-        .collect();
-    // Expand cells into phase jobs in serial order: cell-major, then
-    // baseline before instrumented (matching `Phase::BOTH`).
-    let phase_jobs: Vec<(usize, Phase)> = cells
-        .iter()
-        .enumerate()
-        .flat_map(|(i, _)| Phase::BOTH.map(|p| (i, p)))
-        .collect();
-    let mut outs = queue::run_jobs(phase_jobs, jobs, |_, (ci, phase)| {
-        let cell = &cells[ci];
-        run_phase(
-            cell.module,
-            &decodes[ci],
-            &cell.spec,
-            &cell.entry,
-            &*cell.setup,
-            phase,
-            cfg.engine,
-        )
-    })
-    .into_iter();
-    cells
-        .iter()
-        .map(|cell| {
-            let base = outs.next().expect("baseline phase ran");
-            let inst = outs.next().expect("instrumented phase ran");
-            Ok(correlate(cell.module, &cell.spec, base?, inst?))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -528,7 +458,6 @@ mod tests {
     use mperf_ir::compile;
     use mperf_ir::transform::instrument::{InstrumentOptions, InstrumentPass};
     use mperf_ir::transform::PassManager;
-    use mperf_vm::decode_module;
 
     const TRIAD: &str = r#"
         fn triad(a: *f32, b: *f32, c: *f32, n: i64, k: f32) {
@@ -718,76 +647,6 @@ mod tests {
             .run(&module, &spec, "triad", &setup)
             .unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn sweep_matches_per_cell_runs_and_keeps_order() {
-        let module = instrumented_module(TRIAD);
-        let decoded = decode_module(&module);
-        let specs = [
-            mperf_sim::PlatformSpec::x60(),
-            mperf_sim::PlatformSpec::u74(),
-            mperf_sim::PlatformSpec::i5_1135g7(),
-        ];
-        let cells: Vec<RooflineJob> = specs
-            .iter()
-            .map(|spec| RooflineJob {
-                module: &module,
-                decoded: Some(Arc::clone(&decoded)),
-                spec: spec.clone(),
-                entry: "triad".into(),
-                setup: Box::new(triad_setup(512)),
-            })
-            .collect();
-        let swept = run_roofline_sweep(&cells, 3);
-        assert_eq!(swept.len(), 3);
-        for (spec, got) in specs.iter().zip(&swept) {
-            let got = got.as_ref().unwrap();
-            assert_eq!(got.platform_name, spec.name, "cell order preserved");
-            let lone = RooflineRequest::new()
-                .run(&module, spec, "triad", &triad_setup(512))
-                .unwrap();
-            assert_eq!(got, &lone, "sweep cell == standalone run on {}", spec.name);
-        }
-    }
-
-    #[test]
-    fn sweep_reports_cell_errors_without_disturbing_others() {
-        let module = instrumented_module(TRIAD);
-        let good = triad_setup(256);
-        // Second cell's setup passes a null pointer for `a`.
-        let bad = |vm: &mut Vm| -> Result<Vec<Value>, VmError> {
-            let b = vm.mem.alloc(256 * 4, 64)?;
-            Ok(vec![
-                Value::I64(0),
-                Value::I64(b as i64),
-                Value::I64(b as i64),
-                Value::I64(256),
-                Value::F32(1.0),
-            ])
-        };
-        let cells = vec![
-            RooflineJob {
-                module: &module,
-                decoded: None,
-                spec: mperf_sim::PlatformSpec::x60(),
-                entry: "triad".into(),
-                setup: Box::new(good),
-            },
-            RooflineJob {
-                module: &module,
-                decoded: None,
-                spec: mperf_sim::PlatformSpec::x60(),
-                entry: "triad".into(),
-                setup: Box::new(bad),
-            },
-        ];
-        let swept = run_roofline_sweep(&cells, 2);
-        assert!(swept[0].is_ok());
-        assert!(matches!(
-            swept[1].as_ref().unwrap_err(),
-            VmError::OutOfBounds { .. }
-        ));
     }
 
     #[test]

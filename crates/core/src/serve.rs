@@ -62,14 +62,17 @@
 //! [`cell_key`] — the sweep journal's content-hash key (platform ×
 //! entry × exec config × module text) — so the second identical job
 //! performs **zero** module decodes. With
-//! [`ServeOptions::cache_dir`] set, each decode also persists a small
-//! on-disk entry holding the *recipe* (workload source + config) under
-//! its `cell_key`; on restart the daemon re-derives those decodes
-//! synchronously before accepting clients, so a warm restart performs
-//! zero decodes on the job path (`preloaded` counts the re-derived
-//! entries; corrupt or foreign entries are treated as a miss, never an
-//! error). [`ServeHandle::stats`] exposes all counters so tests can
-//! assert exact accounting.
+//! [`ServeOptions::cache_dir`] set, each fresh decode also appends its
+//! *recipe* (workload source + config) under its `cell_key` to one
+//! crash-safe sweep [`Journal`], `<cache-dir>/decode-cache.jrnl`; on
+//! restart the daemon re-derives those decodes synchronously before
+//! accepting clients, so a warm restart performs zero decodes on the
+//! job path (`preloaded` counts the re-derived entries). A torn tail is
+//! recovered by the journal itself; a malformed, stale or foreign
+//! record is a miss, and a foreign file at that path turns persistence
+//! off — never an error, and never overwritten. The journal is created
+//! at the first fresh decode, not at daemon start. [`ServeHandle::stats`]
+//! exposes all counters so tests can assert exact accounting.
 //!
 //! ## Exit-status contract
 //!
@@ -97,8 +100,8 @@ use mperf_sweep::proto::{
     read_msg, write_msg, Msg, CODE_CANCELLED, CODE_REJECTED, CODE_STALLED, CODE_TIMEOUT,
 };
 use mperf_sweep::serve::{handshake_accept, ClientSession};
-use mperf_sweep::wire::{crc32, fnv1a, Dec, Enc, WireError};
-use mperf_sweep::RetryPolicy;
+use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
+use mperf_sweep::{Journal, RetryPolicy};
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Vm};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
@@ -298,8 +301,8 @@ pub struct ServeOptions {
     /// Per-job-key sweep journals live here, making keyed sweep
     /// submits crash-resumable across daemon restarts.
     pub state_dir: Option<PathBuf>,
-    /// Decode-cache entries persist here, making the warm cache
-    /// survive daemon restarts.
+    /// The decode-cache journal (`decode-cache.jrnl`) lives here,
+    /// making the warm cache survive daemon restarts.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -352,21 +355,36 @@ pub struct ServeStats {
 /// What a decode was *made from* — enough to persist a cache entry that
 /// a restarted daemon can re-derive and verify against its `cell_key`.
 #[derive(Clone, Copy)]
-struct CacheSource<'a> {
-    workload: &'a str,
-    source: &'a str,
+struct CacheSource {
+    workload: &'static str,
+    source: &'static str,
     instrument: bool,
 }
 
-const CACHE_MAGIC: &[u8; 8] = b"MPDCACH1";
+/// The demo workload `record`/`stat` run (uninstrumented).
+const DEMO_SOURCE: CacheSource = CacheSource {
+    workload: "cli",
+    source: cli::DEMO,
+    instrument: false,
+};
+
+/// The triad kernel `roofline`/`sweep` run (instrumented).
+const TRIAD_SOURCE: CacheSource = CacheSource {
+    workload: "cli",
+    source: cli::KERNEL,
+    instrument: true,
+};
+
+/// The decode-cache journal's file name inside the cache directory.
+const CACHE_JOURNAL: &str = "decode-cache.jrnl";
 /// Bumped on any recipe-codec change; entries of another schema are a
 /// silent miss. Schema 2 carries the two-field [`ExecConfig`] wire form.
 const CACHE_SCHEMA: u32 = 2;
 
-/// Body of one on-disk cache entry: the decode recipe. The file is
-/// `MAGIC ++ crc32(body) ++ body`, named `<cell_key:016x>.mpdc`.
+/// One decode-cache journal payload: the decode recipe, journaled under
+/// the decode's `cell_key`.
 fn encode_cache_entry(
-    src: CacheSource<'_>,
+    src: CacheSource,
     platform: Platform,
     entry: &str,
     exec: ExecConfig,
@@ -383,18 +401,13 @@ fn encode_cache_entry(
 }
 
 /// Decoded recipe: `(platform, entry, exec, workload, source,
-/// instrument)`. Any malformation — wrong magic, bad CRC, unknown
-/// schema or code, trailing bytes — is `None`: a miss, never an error.
+/// instrument)`. Any malformation — unknown schema or code, truncation,
+/// trailing bytes — is `None`: a miss, never an error.
 #[allow(clippy::type_complexity)]
 fn decode_cache_entry(
     bytes: &[u8],
 ) -> Option<(Platform, String, ExecConfig, String, String, bool)> {
-    let body = bytes.strip_prefix(CACHE_MAGIC.as_slice())?;
-    let (crc_bytes, body) = body.split_first_chunk::<4>()?;
-    if crc32(body) != u32::from_le_bytes(*crc_bytes) {
-        return None;
-    }
-    let mut d = Dec::new(body);
+    let mut d = Dec::new(bytes);
     let inner = |d: &mut Dec| -> Option<(Platform, String, ExecConfig, String, String, bool)> {
         if d.u32().ok()? != CACHE_SCHEMA {
             return None;
@@ -412,25 +425,55 @@ fn decode_cache_entry(
     Some(out)
 }
 
+/// The decode cache's on-disk half.
+#[derive(Default)]
+enum CacheStore {
+    /// No cache directory, or its journal path holds something that is
+    /// not a journal: nothing persists for the daemon's life.
+    #[default]
+    Off,
+    /// Not opened yet. Opening creates (and fsyncs) a missing file, so
+    /// that waits for the first fresh decode, never daemon start.
+    Closed(PathBuf),
+    Open(Journal),
+}
+
+impl CacheStore {
+    /// The journal, opened on first use; a failed open (a foreign file
+    /// is refused untouched) turns persistence off.
+    fn journal(&mut self) -> Option<&mut Journal> {
+        if let CacheStore::Closed(path) = self {
+            *self = Journal::open(path).map_or(CacheStore::Off, CacheStore::Open);
+        }
+        match self {
+            CacheStore::Open(j) => Some(j),
+            _ => None,
+        }
+    }
+}
+
 /// All connections share one decoded-module cache keyed by
 /// [`cell_key`] — the same content hash the sweep journal files cells
 /// under — so identical jobs across clients share one decode. With a
-/// persistence directory, each on-demand decode also writes its recipe
-/// to disk (atomic tempfile + rename), and [`DecodeCache::preload`]
-/// re-derives those decodes at startup.
+/// cache directory, each on-demand decode also appends its recipe to
+/// the cache journal, and [`DecodeCache::preload`] re-derives those
+/// decodes at startup.
 #[derive(Default)]
 struct DecodeCache {
     map: Mutex<HashMap<u64, Arc<DecodedModule>>>,
     decodes: AtomicU64,
     hits: AtomicU64,
     preloaded: AtomicU64,
-    dir: Option<PathBuf>,
+    /// Locked after `map`, never before.
+    store: Mutex<CacheStore>,
 }
 
 impl DecodeCache {
-    fn new(dir: Option<PathBuf>) -> DecodeCache {
+    fn new(dir: Option<&Path>) -> DecodeCache {
         DecodeCache {
-            dir,
+            store: Mutex::new(dir.map_or(CacheStore::Off, |d| {
+                CacheStore::Closed(d.join(CACHE_JOURNAL))
+            })),
             ..DecodeCache::default()
         }
     }
@@ -446,7 +489,7 @@ impl DecodeCache {
         platform: Platform,
         entry: &str,
         exec: ExecConfig,
-        src: Option<CacheSource<'_>>,
+        src: CacheSource,
     ) -> Arc<DecodedModule> {
         let key = cell_key(&platform.spec(), entry, exec, &module.to_string());
         let mut map = self.map.lock().unwrap();
@@ -457,39 +500,33 @@ impl DecodeCache {
         let d = decode_module_cfg(module, exec.decode());
         self.decodes.fetch_add(1, Ordering::Relaxed);
         map.insert(key, Arc::clone(&d));
-        if let (Some(dir), Some(src)) = (&self.dir, src) {
-            persist_cache_entry(dir, key, &encode_cache_entry(src, platform, entry, exec));
+        // A failed append costs a future preload, never this job.
+        if let Some(journal) = self.store.lock().unwrap().journal() {
+            let _ = journal.append(key, &encode_cache_entry(src, platform, entry, exec));
         }
         d
     }
 
-    /// Re-derive every valid on-disk entry into the in-memory map.
+    /// Re-derive every valid journaled recipe into the in-memory map.
     /// Runs synchronously at startup, before the daemon accepts
     /// clients, so a warm restart performs zero decodes on the job
-    /// path. Entries that fail any validation — unparsable name, bad
-    /// magic/CRC/schema, a recipe that no longer compiles, or a
-    /// `cell_key` that does not match the filename (a foreign or
-    /// tampered entry) — are skipped silently: a miss, never an error.
-    fn preload(&self, dir: &Path) {
-        let Ok(rd) = std::fs::read_dir(dir) else {
+    /// path. Only an existing journal is opened here. A record that
+    /// fails any check — a malformed or stale recipe, one that no
+    /// longer compiles, or a `cell_key` that does not match the
+    /// record's key (a foreign or tampered entry) — is skipped
+    /// silently: a miss, never an error.
+    fn preload(&self) {
+        let mut map = self.map.lock().unwrap();
+        let mut store = self.store.lock().unwrap();
+        if !matches!(&*store, CacheStore::Closed(path) if path.exists()) {
+            return;
+        }
+        let Some(journal) = store.journal() else {
             return;
         };
-        for ent in rd.flatten() {
-            let path = ent.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(hex) = name.strip_suffix(".mpdc") else {
-                continue;
-            };
-            let Ok(claimed) = u64::from_str_radix(hex, 16) else {
-                continue;
-            };
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
+        for (claimed, recipe) in journal.entries() {
             let Some((platform, entry, exec, workload, source, instrument)) =
-                decode_cache_entry(&bytes)
+                decode_cache_entry(recipe)
             else {
                 continue;
             };
@@ -498,10 +535,9 @@ impl DecodeCache {
                 continue;
             };
             let key = cell_key(&platform.spec(), &entry, exec, &module.to_string());
-            if key != claimed {
+            if key != *claimed {
                 continue;
             }
-            let mut map = self.map.lock().unwrap();
             if let std::collections::hash_map::Entry::Vacant(e) = map.entry(key) {
                 e.insert(decode_module_cfg(&module, exec.decode()));
                 self.preloaded.fetch_add(1, Ordering::Relaxed);
@@ -516,19 +552,6 @@ impl DecodeCache {
             preloaded: self.preloaded.load(Ordering::Relaxed),
             ..ServeStats::default()
         }
-    }
-}
-
-/// Best-effort atomic write of one cache entry; a failed write costs a
-/// future preload, never the current job.
-fn persist_cache_entry(dir: &Path, key: u64, body: &[u8]) {
-    let mut bytes = Vec::with_capacity(CACHE_MAGIC.len() + 4 + body.len());
-    bytes.extend_from_slice(CACHE_MAGIC);
-    bytes.extend_from_slice(&crc32(body).to_le_bytes());
-    bytes.extend_from_slice(body);
-    let tmp = dir.join(format!(".tmp-{key:016x}"));
-    if std::fs::write(&tmp, &bytes).is_ok() {
-        let _ = std::fs::rename(&tmp, dir.join(format!("{key:016x}.mpdc")));
     }
 }
 
@@ -979,8 +1002,8 @@ fn reclaim_stale_socket(socket: &Path) -> io::Result<()> {
 /// Bind `socket` and start accepting clients in a background thread.
 /// A stale socket file from a dead daemon is reclaimed; a live
 /// daemon's socket (or a non-socket file) refuses the start with
-/// `AddrInUse`. With a cache directory, the on-disk decode cache is
-/// preloaded synchronously before the first accept.
+/// `AddrInUse`. With a cache directory, an existing decode-cache
+/// journal is preloaded synchronously before the first accept.
 ///
 /// # Errors
 /// Bind/listen failures (bad path, permissions, a live listener).
@@ -994,10 +1017,8 @@ pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Resu
     }
     let listener = UnixListener::bind(socket)?;
     listener.set_nonblocking(true)?;
-    let cache = DecodeCache::new(sopts.cache_dir.clone());
-    if let Some(dir) = &sopts.cache_dir {
-        cache.preload(dir);
-    }
+    let cache = DecodeCache::new(sopts.cache_dir.as_deref());
+    cache.preload();
     let ctx = Arc::new(DaemonCtx {
         opts: opts.clone(),
         sopts: sopts.clone(),
@@ -1233,23 +1254,22 @@ fn execute_job(
         return cancel_status(state, &ctx.sopts);
     }
     match spec.kind {
-        JobKind::Record => {
+        JobKind::Record | JobKind::Stat => {
             let module = cli::compile_demo(spec.platform);
-            let decoded = ctx.cache.decoded_for(
-                &module,
-                spec.platform,
-                "demo",
-                spec.exec,
-                Some(CacheSource {
-                    workload: "cli",
-                    source: cli::DEMO,
-                    instrument: false,
-                }),
-            );
+            let decoded =
+                ctx.cache
+                    .decoded_for(&module, spec.platform, "demo", spec.exec, DEMO_SOURCE);
             let mut vm = Vm::new(&module, Core::new(spec.platform.spec()));
             vm.configure(spec.exec);
             vm.set_decoded(decoded);
             let args = cli::demo_args(&mut vm);
+            if spec.kind == JobKind::Stat {
+                let events = cli::stat_events(spec.platform);
+                return match stat(&mut vm, "demo", &args, &events) {
+                    Ok(rep) => (0, String::new(), encode_stat(&rep)),
+                    Err(e) => (1, format!("stat failed: {e}"), Vec::new()),
+                };
+            }
             let mut sink = |s: ProfSample| {
                 conn.send(
                     ctx,
@@ -1267,42 +1287,11 @@ fn execute_job(
                 Err(e) => (1, cli::record_failure_message(&e), Vec::new()),
             }
         }
-        JobKind::Stat => {
-            let module = cli::compile_demo(spec.platform);
-            let decoded = ctx.cache.decoded_for(
-                &module,
-                spec.platform,
-                "demo",
-                spec.exec,
-                Some(CacheSource {
-                    workload: "cli",
-                    source: cli::DEMO,
-                    instrument: false,
-                }),
-            );
-            let mut vm = Vm::new(&module, Core::new(spec.platform.spec()));
-            vm.configure(spec.exec);
-            vm.set_decoded(decoded);
-            let args = cli::demo_args(&mut vm);
-            let events = cli::stat_events(spec.platform);
-            match stat(&mut vm, "demo", &args, &events) {
-                Ok(rep) => (0, String::new(), encode_stat(&rep)),
-                Err(e) => (1, format!("stat failed: {e}"), Vec::new()),
-            }
-        }
         JobKind::Roofline => {
             let module = cli::triad_module(spec.platform);
-            let decoded = ctx.cache.decoded_for(
-                &module,
-                spec.platform,
-                "triad",
-                spec.exec,
-                Some(CacheSource {
-                    workload: "cli",
-                    source: cli::KERNEL,
-                    instrument: true,
-                }),
-            );
+            let decoded =
+                ctx.cache
+                    .decoded_for(&module, spec.platform, "triad", spec.exec, TRIAD_SOURCE);
             let setup = crate::shard_exec::cli_triad_setup(spec.n);
             let request = RooflineRequest::new().jobs(spec.jobs).config(spec.exec);
             match request.run_prepared(&module, &decoded, &spec.platform.spec(), "triad", &setup) {
@@ -1345,17 +1334,8 @@ fn execute_job(
                 .iter()
                 .zip(Platform::ALL)
                 .map(|(m, p)| {
-                    ctx.cache.decoded_for(
-                        m,
-                        p,
-                        "triad",
-                        spec.exec,
-                        Some(CacheSource {
-                            workload: "cli",
-                            source: cli::KERNEL,
-                            instrument: true,
-                        }),
-                    )
+                    ctx.cache
+                        .decoded_for(m, p, "triad", spec.exec, TRIAD_SOURCE)
                 })
                 .collect();
             let cells = cli::triad_sweep_cells(&modules, Some(decodeds), spec.n);
@@ -1410,11 +1390,7 @@ fn execute_job(
                     if state.cancel.load(Ordering::SeqCst) {
                         return cancel_status(state, &ctx.sopts);
                     }
-                    let names = Platform::ALL
-                        .iter()
-                        .map(|p| p.spec().name.to_string())
-                        .collect();
-                    let outcome = SweepOutcome::from_supervised(&sweep, names);
+                    let outcome = SweepOutcome::from_supervised(&sweep, cli::platform_names());
                     (
                         outcome.exit_code() as u32,
                         String::new(),
@@ -1663,11 +1639,7 @@ fn drain_sweep(
         // Cancelled or failed before any accounting existed: no body.
         return Ok(res.code as i32);
     }
-    let names = Platform::ALL
-        .iter()
-        .map(|p| p.spec().name.to_string())
-        .collect();
-    let outcome = SweepOutcome::decode_summary(&res.payload, names, results)?;
+    let outcome = SweepOutcome::decode_summary(&res.payload, cli::platform_names(), results)?;
     print!("{}", outcome.body());
     Ok(res.code as i32)
 }
@@ -1740,8 +1712,8 @@ mod tests {
         let cache = DecodeCache::default();
         let module = cli::compile_demo(Platform::SpacemitX60);
         let exec = ExecConfig::default();
-        let a = cache.decoded_for(&module, Platform::SpacemitX60, "demo", exec, None);
-        let b = cache.decoded_for(&module, Platform::SpacemitX60, "demo", exec, None);
+        let a = cache.decoded_for(&module, Platform::SpacemitX60, "demo", exec, DEMO_SOURCE);
+        let b = cache.decoded_for(&module, Platform::SpacemitX60, "demo", exec, DEMO_SOURCE);
         assert!(Arc::ptr_eq(&a, &b), "second job reuses the warm decode");
         assert_eq!(
             cache.stats(),
@@ -1756,7 +1728,13 @@ mod tests {
             regalloc: false,
             ..ExecConfig::default()
         };
-        cache.decoded_for(&module, Platform::SpacemitX60, "demo", no_regalloc, None);
+        cache.decoded_for(
+            &module,
+            Platform::SpacemitX60,
+            "demo",
+            no_regalloc,
+            DEMO_SOURCE,
+        );
         assert_eq!(
             cache.stats(),
             ServeStats {
@@ -1769,43 +1747,35 @@ mod tests {
 
     #[test]
     fn cache_entry_codec_treats_any_malformation_as_a_miss() {
-        let src = CacheSource {
-            workload: "cli",
-            source: cli::KERNEL,
-            instrument: true,
-        };
-        let body = encode_cache_entry(src, Platform::SpacemitX60, "triad", ExecConfig::default());
-        let mut file = Vec::new();
-        file.extend_from_slice(CACHE_MAGIC);
-        file.extend_from_slice(&crc32(&body).to_le_bytes());
-        file.extend_from_slice(&body);
+        let body = encode_cache_entry(
+            TRIAD_SOURCE,
+            Platform::SpacemitX60,
+            "triad",
+            ExecConfig::default(),
+        );
         let (platform, entry, exec, workload, source, instrument) =
-            decode_cache_entry(&file).expect("well-formed entry decodes");
+            decode_cache_entry(&body).expect("well-formed entry decodes");
         assert_eq!(platform, Platform::SpacemitX60);
         assert_eq!(entry, "triad");
         assert_eq!(exec, ExecConfig::default());
         assert_eq!(workload, "cli");
         assert_eq!(source, cli::KERNEL);
         assert!(instrument);
-        // Every malformation is None, never a panic or error: flipped
-        // payload byte (CRC), truncation, wrong magic, trailing bytes.
-        let mut flipped = file.clone();
-        *flipped.last_mut().unwrap() ^= 0xff;
-        assert!(decode_cache_entry(&flipped).is_none());
-        assert!(decode_cache_entry(&file[..file.len() - 1]).is_none());
-        assert!(decode_cache_entry(&file[..7]).is_none());
-        let mut alien = file.clone();
+        // Every malformation is None, never a panic or error: another
+        // schema, truncation, trailing bytes.
+        let mut alien = body.clone();
         alien[0] ^= 0xff;
         assert!(decode_cache_entry(&alien).is_none());
-        let mut trailing = file.clone();
+        assert!(decode_cache_entry(&body[..body.len() - 1]).is_none());
+        let mut trailing = body.clone();
         trailing.push(0);
         assert!(decode_cache_entry(&trailing).is_none());
         assert!(decode_cache_entry(b"").is_none());
     }
 
     /// An entry written by an older codec (schema 1: engine, fuse, and
-    /// regalloc bytes) under the very filename the current daemon would
-    /// use is skipped silently at startup — no error, nothing preloaded —
+    /// regalloc bytes) under the very key the current daemon would use
+    /// is skipped silently at startup — no error, nothing preloaded —
     /// while the same recipe at the current schema preloads.
     #[test]
     fn stale_schema_cache_entries_are_skipped_silently() {
@@ -1816,6 +1786,10 @@ mod tests {
         let module = cli::triad_module(platform);
         let exec = ExecConfig::default();
         let key = cell_key(&platform.spec(), "triad", exec, &module.to_string());
+        let append = |recipe: &[u8]| {
+            let mut store = DecodeCache::new(Some(&dir)).store.into_inner().unwrap();
+            store.journal().unwrap().append(key, recipe).unwrap();
+        };
         let mut e = Enc::new();
         e.u32(1);
         e.u8(cli::platform_code(platform));
@@ -1826,7 +1800,7 @@ mod tests {
         e.str("cli");
         e.str(cli::KERNEL);
         e.u8(1);
-        persist_cache_entry(&dir, key, &e.into_bytes());
+        append(&e.into_bytes());
 
         let socket = dir.join("d.sock");
         let sopts = ServeOptions {
@@ -1838,14 +1812,9 @@ mod tests {
         assert_eq!(handle.stats().preloaded, 0, "stale schema is a miss");
         handle.stop();
 
-        let src = CacheSource {
-            workload: "cli",
-            source: cli::KERNEL,
-            instrument: true,
-        };
-        persist_cache_entry(&dir, key, &encode_cache_entry(src, platform, "triad", exec));
-        let cache = DecodeCache::new(Some(dir.clone()));
-        cache.preload(&dir);
+        append(&encode_cache_entry(TRIAD_SOURCE, platform, "triad", exec));
+        let cache = DecodeCache::new(Some(&dir));
+        cache.preload();
         assert_eq!(cache.stats().preloaded, 1, "the current schema preloads");
         let _ = std::fs::remove_dir_all(&dir);
     }

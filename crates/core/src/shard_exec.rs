@@ -8,15 +8,19 @@
 //! decode, and simulation are all deterministic. Workers keep a warm
 //! decode cache keyed by `(workload, source, platform, config)` —
 //! cells sharing a module pay for compilation + decode once per worker
-//! incarnation.
+//! incarnation — and run each cell on the same cell executor as the
+//! in-process sweep.
 //!
-//! Journal keys are computed by the supervisor with the same
-//! [`cell_key`] as the in-process sweep (it compiles the specs locally
-//! anyway, to price cost-ordered dispatch), so `--journal`/`--resume`
-//! compose across modes: a serial sweep's journal resumes a sharded
-//! sweep byte-identically and vice versa. The journal fd stays in the
+//! The supervisor runs inside the same journaled-sweep frame as the
+//! in-process sweep (`sweep_supervisor::SweepFrame`: one `cell_key`,
+//! one resume and fold path; it compiles the specs locally anyway, to
+//! price cost-ordered dispatch), so `--journal`/`--resume` compose
+//! across modes: a serial sweep's journal resumes a sharded sweep
+//! byte-identically and vice versa. The journal fd stays in the
 //! supervisor — std opens files `O_CLOEXEC` on Linux, so worker
-//! children never inherit it — and the supervisor alone appends.
+//! children never inherit it — and the supervisor alone appends. A
+//! crc-clean result that does not decode burns an attempt like a
+//! corrupt frame and never reaches the journal.
 //!
 //! Failpoints (feature `failpoints`), all keyed by
 //! [`mperf_sweep::proto::fault_key`] (`attempt << 32 | cell`) so a
@@ -27,17 +31,19 @@
 //! response frame. Plans reach workers via [`mperf_fault::ENV_VAR`].
 
 use crate::cli::{dec_exec, enc_exec};
-use crate::roofline_runner::{correlate, run_phase_opts, BoxedSetupFn, RooflineRun};
+use crate::roofline_runner::{BoxedSetupFn, RooflineRequest, RooflineRun};
 use crate::sweep_supervisor::{
-    cell_key, classify_cell_error, decode_run, encode_run, SweepCellError,
+    classify_cell_error, decode_run, encode_run, SweepCellError, SweepFrame,
 };
 use mperf_ir::Module;
-use mperf_sim::Platform;
-use mperf_sweep::journal::{Journal, JournalError};
+use mperf_sim::{Platform, PlatformSpec};
+use mperf_sweep::journal::JournalError;
 use mperf_sweep::proto::{fault_key, serve_worker, WorkerFailure};
-use mperf_sweep::shard::{run_sharded, ShardCell, ShardFailure, ShardOptions, WorkerCmd};
+use mperf_sweep::shard::{
+    run_sharded, ShardCell, ShardCellError, ShardFailure, ShardOptions, WorkerCmd,
+};
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
-use mperf_sweep::{Phase, RetryPolicy};
+use mperf_sweep::RetryPolicy;
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Value, Vm, VmError};
 use mperf_workloads::{matmul::MatmulBench, stencil::StencilBench, stream::StreamBench};
 use std::collections::HashMap;
@@ -323,40 +329,26 @@ pub fn worker_main() -> i32 {
             }
             let wm = &warm[&warm_key];
 
-            let plat_spec = spec.platform.spec();
             let setup = setup_closure(&spec.setup);
-            let mut phases = Vec::with_capacity(2);
-            for phase in Phase::BOTH {
-                match run_phase_opts(
+            let run = RooflineRequest::new()
+                .config(cfg)
+                .execute(
                     &wm.module,
                     &wm.decoded,
-                    &plat_spec,
+                    &spec.platform.spec(),
                     &spec.entry,
                     &*setup,
-                    phase,
-                    cfg.engine,
                     None,
-                ) {
-                    Ok(out) => phases.push(out),
-                    Err((error, trap)) => {
-                        let err = SweepCellError::Trap { phase, error, trap };
-                        let class = classify_cell_error(&err);
-                        let message = err.to_string();
-                        let trap = match err {
-                            SweepCellError::Trap { trap, .. } => trap,
-                            SweepCellError::Journal(_) | SweepCellError::Cancelled => None,
-                        };
-                        return Err(WorkerFailure {
-                            class,
-                            message,
-                            trap,
-                        });
+                )
+                .map_err(|(phase, error, trap)| {
+                    let remote = trap.clone();
+                    let err = SweepCellError::Trap { phase, error, trap };
+                    WorkerFailure {
+                        class: classify_cell_error(&err),
+                        message: err.to_string(),
+                        trap: remote,
                     }
-                }
-            }
-            let inst = phases.pop().expect("instrumented phase ran");
-            let base = phases.pop().expect("baseline phase ran");
-            let run = correlate(&wm.module, &plat_spec, base, inst);
+                })?;
             Ok(encode_run(&run))
         },
     );
@@ -429,63 +421,41 @@ impl ShardedSweep {
 ///
 /// # Panics
 /// If a spec does not compile (sweep specs are built from known-good
-/// workload sources) or a worker returns an undecodable payload the
-/// sink already validated.
+/// workload sources).
 pub fn run_roofline_sweep_sharded(
     specs: &[ShardedCellSpec],
     opts: &ShardedSweepOptions,
 ) -> Result<ShardedSweep, JournalError> {
-    let mut journal = match &opts.journal {
-        Some(path) => Some(Journal::open(path)?),
-        None => None,
-    };
     // Compile locally: the journal key hashes the module text, and the
     // module prices cost-ordered dispatch. (Workers recompile — the
     // pipeline is deterministic, so both sides hold the same module.)
-    let modules: Vec<Module> = specs
+    let texts: Vec<String> = specs
         .iter()
-        .map(|s| compile_spec(s).expect("sweep cell compiles"))
+        .map(|s| compile_spec(s).expect("sweep cell compiles").to_string())
         .collect();
-    let module_texts: Vec<String> = modules.iter().map(|m| m.to_string()).collect();
-    let keys: Vec<u64> = specs
-        .iter()
-        .zip(&module_texts)
-        .map(|(s, text)| cell_key(&s.platform.spec(), &s.entry, opts.cfg, text))
-        .collect();
-
-    // Resume: satisfy cells straight from the journal.
-    let mut results: Vec<Option<RooflineRun>> = Vec::with_capacity(specs.len());
-    results.resize_with(specs.len(), || None);
-    let mut resumed = Vec::new();
-    if opts.resume {
-        if let Some(j) = &journal {
-            for (i, spec) in specs.iter().enumerate() {
-                if let Some(payload) = j.lookup(keys[i]) {
-                    if let Ok(run) = decode_run(payload, &spec.platform.spec()) {
-                        results[i] = Some(run);
-                        resumed.push(i);
-                    }
-                }
-            }
-        }
-    }
-    let pending: Vec<usize> = (0..specs.len()).filter(|i| results[*i].is_none()).collect();
+    let plats: Vec<PlatformSpec> = specs.iter().map(|s| s.platform.spec()).collect();
+    let frame = SweepFrame::open(
+        opts.journal.as_deref(),
+        opts.resume,
+        opts.cfg,
+        plats
+            .iter()
+            .zip(specs)
+            .zip(&texts)
+            .map(|((p, s), text)| (p, s.entry.as_str(), text.as_str())),
+    )?;
 
     // Cost-ordered dispatch: last-known runtime (total simulated
     // cycles) from the journal when available, module size otherwise.
-    let cells: Vec<ShardCell> = pending
+    let cells: Vec<ShardCell> = frame
+        .pending
         .iter()
-        .map(|&i| {
-            let cost = journal
-                .as_ref()
-                .and_then(|j| j.lookup(keys[i]))
-                .and_then(|p| decode_run(p, &specs[i].platform.spec()).ok())
+        .map(|&i| ShardCell {
+            payload: encode_cell(&specs[i], opts.cfg),
+            cost: frame
+                .journaled(i, &plats[i])
                 .map(|r| r.baseline_total_cycles + r.instrumented_total_cycles)
-                .unwrap_or(module_texts[i].len() as u64);
-            ShardCell {
-                payload: encode_cell(&specs[i], opts.cfg),
-                cost,
-            }
+                .unwrap_or(texts[i].len() as u64),
         })
         .collect();
 
@@ -495,51 +465,45 @@ pub fn run_roofline_sweep_sharded(
         deadline_ticks: opts.deadline_ticks,
         tick: opts.tick,
     };
-    let report = run_sharded(
+    let mut runs = vec![None; cells.len()];
+    let mut report = run_sharded(
         &cells,
         &shard_opts,
         |_slot| opts.worker.spawn(),
-        // The sink validates (a CRC-clean but undecodable payload is a
-        // codec bug — fatal) and checkpoints; the supervisor alone
-        // touches the journal.
-        |local, payload| {
-            let g = pending[local];
-            decode_run(payload, &specs[g].platform.spec())
-                .map_err(|e| format!("undecodable worker result: {e}"))?;
-            if let Some(j) = journal.as_mut() {
-                j.append(keys[g], payload).map_err(|e| e.to_string())?;
-            }
+        // The sink validates, then checkpoints; the supervisor alone
+        // touches the journal. An undecodable result is retried like a
+        // corrupt frame; a failed append is fatal.
+        |j, payload| {
+            let i = frame.pending[j];
+            let run = decode_run(payload, &plats[i]).map_err(|e| ShardCellError::Frame {
+                detail: format!("undecodable worker result: {e}"),
+            })?;
+            frame
+                .append(i, payload)
+                .map_err(|e| ShardCellError::Fatal {
+                    detail: e.to_string(),
+                })?;
+            runs[j] = Some(run);
             Ok(())
         },
     );
 
-    // Fold the pending-index report back onto cell indexes.
-    for (local, payload) in report.results.into_iter().enumerate() {
-        if let Some(p) = payload {
-            let g = pending[local];
-            let run = decode_run(&p, &specs[g].platform.spec()).expect("validated in sink");
-            results[g] = Some(run);
-        }
-    }
+    let indexes = report
+        .failed
+        .iter_mut()
+        .map(|f| &mut f.index)
+        .chain(report.retried.iter_mut().map(|(i, _)| i))
+        .chain(&mut report.skipped)
+        .chain(&mut report.poisoned);
+    let (results, resumed) = frame.fold(runs, indexes);
     Ok(ShardedSweep {
         results,
-        failed: report
-            .failed
-            .into_iter()
-            .map(|mut f| {
-                f.index = pending[f.index];
-                f
-            })
-            .collect(),
-        retried: report
-            .retried
-            .into_iter()
-            .map(|(i, a)| (pending[i], a))
-            .collect(),
-        skipped: report.skipped.into_iter().map(|i| pending[i]).collect(),
+        failed: report.failed,
+        retried: report.retried,
+        skipped: report.skipped,
         resumed,
         respawns: report.respawns,
-        poisoned: report.poisoned.into_iter().map(|i| pending[i]).collect(),
+        poisoned: report.poisoned,
         fatal: report.fatal,
     })
 }

@@ -1,12 +1,12 @@
 //! Fault-tolerant, resumable roofline sweeps.
 //!
-//! [`crate::RooflineRequest::run_supervised`] runs the same `platform × workload`
-//! cell matrix as [`crate::run_roofline_sweep`], but each cell (both of
-//! its §4.3 phases) executes under the `mperf-sweep` supervisor: a
-//! panicking or trapping cell is isolated and reported with its
-//! faulting pc and function ([`mperf_vm::TrapInfo`]), transient
-//! failures retry with deterministic backoff, and a journal failure
-//! cancels the sweep instead of silently losing checkpoints.
+//! [`crate::RooflineRequest::run_supervised`] runs a `platform ×
+//! workload` cell matrix with each cell (both of its §4.3 phases, on
+//! the one cell executor every driver shares) under the `mperf-sweep`
+//! supervisor: a panicking or trapping cell is isolated and reported
+//! with its faulting pc and function ([`mperf_vm::TrapInfo`]),
+//! transient failures retry with deterministic backoff, and a journal
+//! failure cancels the sweep instead of silently losing checkpoints.
 //!
 //! With a journal attached, every completed cell is appended under a
 //! content-hash key of everything that determines its result: platform
@@ -14,7 +14,10 @@
 //! printed module text. `resume` then satisfies matching cells straight
 //! from the journal — bit-identical to re-execution, because the
 //! simulation itself is deterministic and the codec is bit-exact
-//! (`f64` fields travel as `to_bits`).
+//! (`f64` fields travel as `to_bits`). That open/key/resume/fold
+//! bookkeeping is one frame, [`SweepFrame`], which the process-sharded
+//! sweep ([`crate::run_roofline_sweep_sharded`]) runs inside too, so a
+//! journal resumes across both.
 //!
 //! Failpoints (feature `failpoints`): `sweep.cell`, keyed by cell
 //! index, fires before a cell executes — `Panic` unwinds the job,
@@ -24,15 +27,15 @@
 //! append failures, which classify as fatal.
 
 use crate::roofline_runner::{
-    correlate, run_phase_opts, PhaseObservables, RegionMeasurement, RooflineJob, RooflineRun,
+    PhaseObservables, RegionMeasurement, RooflineJob, RooflineRequest, RooflineRun,
 };
 use mperf_sim::PlatformSpec;
 use mperf_sweep::journal::{Journal, JournalError};
-use mperf_sweep::supervise::{run_jobs_supervised, FailureClass, RetryPolicy, SweepReport};
+use mperf_sweep::supervise::{run_jobs_supervised, FailureClass, SweepReport};
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
 use mperf_sweep::Phase;
 use mperf_vm::{decode_module_cfg, ExecConfig, TrapInfo, VmError};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Mutex;
 
 /// Journal payload schema version (bumped on codec or key changes; a
@@ -94,22 +97,6 @@ pub fn classify_cell_error(e: &SweepCellError) -> FailureClass {
             _ => FailureClass::Permanent,
         },
     }
-}
-
-/// Options for [`supervised_sweep`] (built by
-/// [`crate::RooflineRequest`]).
-pub(crate) struct SweepOptions {
-    /// Worker threads (1 = strictly serial).
-    pub jobs: usize,
-    /// Engine configuration for every cell.
-    pub cfg: ExecConfig,
-    /// Retry/quarantine policy.
-    pub policy: RetryPolicy,
-    /// Checkpoint journal path; `None` disables journaling.
-    pub journal: Option<PathBuf>,
-    /// Satisfy cells from the journal instead of re-executing them
-    /// (requires `journal`).
-    pub resume: bool,
 }
 
 /// Outcome of a supervised sweep: the per-cell report plus which cells
@@ -248,6 +235,100 @@ pub fn decode_run(bytes: &[u8], spec: &PlatformSpec) -> Result<RooflineRun, Stri
     Ok(run)
 }
 
+/// The journaled-sweep frame both sweep drivers run inside: it opens
+/// the journal, keys every cell with [`cell_key`], satisfies resumable
+/// cells from the journal, lists the pending ones for the scheduler,
+/// checkpoints completed cells, and folds the scheduler's report back
+/// onto cell indexes. The journal handle never leaves the frame, so in
+/// a sharded sweep only the supervisor process appends.
+pub(crate) struct SweepFrame {
+    journal: Option<Mutex<Journal>>,
+    keys: Vec<u64>,
+    /// Per-cell results: the resumed cells, then what [`Self::fold`]
+    /// lands.
+    pub results: Vec<Option<RooflineRun>>,
+    /// Cells satisfied from the journal, in order.
+    pub resumed: Vec<usize>,
+    /// Cells left to execute: scheduler job `j` is cell `pending[j]`.
+    pub pending: Vec<usize>,
+}
+
+impl SweepFrame {
+    /// Open `journal` (if any) and key `cells`, each given as its
+    /// platform, entry point and printed module text; with `resume`,
+    /// satisfy every cell the journal holds a decodable run for.
+    ///
+    /// # Errors
+    /// Journal open problems only.
+    pub(crate) fn open<'a>(
+        journal: Option<&Path>,
+        resume: bool,
+        cfg: ExecConfig,
+        cells: impl IntoIterator<Item = (&'a PlatformSpec, &'a str, &'a str)>,
+    ) -> Result<SweepFrame, JournalError> {
+        let (specs, keys): (Vec<_>, Vec<_>) = cells
+            .into_iter()
+            .map(|(spec, entry, text)| (spec, cell_key(spec, entry, cfg, text)))
+            .unzip();
+        let mut frame = SweepFrame {
+            journal: journal.map(Journal::open).transpose()?.map(Mutex::new),
+            keys,
+            results: vec![None; specs.len()],
+            resumed: Vec::new(),
+            pending: Vec::new(),
+        };
+        for (i, spec) in specs.iter().enumerate() {
+            match resume.then(|| frame.journaled(i, spec)).flatten() {
+                Some(run) => {
+                    frame.results[i] = Some(run);
+                    frame.resumed.push(i);
+                }
+                None => frame.pending.push(i),
+            }
+        }
+        Ok(frame)
+    }
+
+    /// The run the journal holds for cell `i`. A payload that fails to
+    /// decode is a miss: the cell simply re-executes.
+    pub(crate) fn journaled(&self, i: usize, spec: &PlatformSpec) -> Option<RooflineRun> {
+        let journal = self.journal.as_ref()?;
+        let journal = journal.lock().unwrap_or_else(|e| e.into_inner());
+        decode_run(journal.lookup(self.keys[i])?, spec).ok()
+    }
+
+    /// Checkpoint cell `i`'s encoded run (a no-op without a journal).
+    pub(crate) fn append(&self, i: usize, payload: &[u8]) -> Result<(), JournalError> {
+        match &self.journal {
+            Some(j) => j
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .append(self.keys[i], payload),
+            None => Ok(()),
+        }
+    }
+
+    /// Fold a report over the pending cells back onto cell indexes:
+    /// `runs[j]` lands in cell `pending[j]`, and every job index
+    /// `indexes` yields is rewritten to its cell index. Returns the
+    /// per-cell results and the resumed cells.
+    pub(crate) fn fold<'a>(
+        mut self,
+        runs: Vec<Option<RooflineRun>>,
+        indexes: impl IntoIterator<Item = &'a mut usize>,
+    ) -> (Vec<Option<RooflineRun>>, Vec<usize>) {
+        for i in indexes {
+            *i = self.pending[*i];
+        }
+        for (j, run) in runs.into_iter().enumerate() {
+            if run.is_some() {
+                self.results[self.pending[j]] = run;
+            }
+        }
+        (self.results, self.resumed)
+    }
+}
+
 /// A borrowed cell-completion callback (see [`SweepHooks::on_cell`]).
 pub(crate) type OnCellFn<'a> = &'a (dyn Fn(usize, &RooflineRun) + Sync);
 
@@ -265,76 +346,51 @@ pub(crate) struct SweepHooks<'a> {
     pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
 }
 
-/// The supervised-sweep implementation: panic isolation, retry with
-/// quarantine, trap-site reporting, and (optionally) checkpoint
-/// journaling with resume. Completed cells are bit-identical to a
-/// fault-free serial [`crate::run_roofline_sweep`] over the same cells
-/// with the same [`ExecConfig`].
-pub(crate) fn supervised_sweep(
-    cells: &[RooflineJob],
-    opts: &SweepOptions,
-) -> Result<SupervisedSweep, JournalError> {
-    supervised_sweep_hooked(cells, opts, SweepHooks::default())
-}
-
-/// [`supervised_sweep`] with streaming/cancellation hooks.
+/// The supervised sweep: panic isolation, retry with quarantine,
+/// trap-site reporting, and (optionally) checkpoint journaling with
+/// resume, all per [`RooflineRequest`]'s knobs; its `jobs` is the cell
+/// worker count. Completed cells are bit-identical to fault-free
+/// [`RooflineRequest::run`] calls with the same [`ExecConfig`].
 pub(crate) fn supervised_sweep_hooked(
     cells: &[RooflineJob],
-    opts: &SweepOptions,
+    request: &RooflineRequest,
     hooks: SweepHooks,
 ) -> Result<SupervisedSweep, JournalError> {
-    let journal = match &opts.journal {
-        Some(path) => Some(Mutex::new(Journal::open(path)?)),
-        None => None,
-    };
-    // Per-cell decode (cells may share one) and journal key.
+    let texts: Vec<String> = cells.iter().map(|c| c.module.to_string()).collect();
+    let frame = SweepFrame::open(
+        request.journal.as_deref(),
+        request.resume,
+        request.cfg,
+        cells
+            .iter()
+            .zip(&texts)
+            .map(|(c, text)| (&c.spec, c.entry.as_str(), text.as_str())),
+    )?;
+    // Per-cell decode (cells may share one).
     let decodes: Vec<_> = cells
         .iter()
         .map(|c| {
             c.decoded
                 .clone()
-                .unwrap_or_else(|| decode_module_cfg(c.module, opts.cfg.decode()))
+                .unwrap_or_else(|| decode_module_cfg(c.module, request.cfg.decode()))
         })
         .collect();
-    let keys: Vec<u64> = cells
-        .iter()
-        .map(|c| cell_key(&c.spec, &c.entry, opts.cfg, &c.module.to_string()))
-        .collect();
-
-    // Resume: satisfy cells straight from the journal.
-    let mut prefilled: Vec<Option<RooflineRun>> = Vec::with_capacity(cells.len());
-    prefilled.resize_with(cells.len(), || None);
-    let mut resumed = Vec::new();
-    if opts.resume {
-        if let Some(j) = &journal {
-            let j = j.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, cell) in cells.iter().enumerate() {
-                if let Some(payload) = j.lookup(keys[i]) {
-                    // A payload that fails to decode is treated as a
-                    // miss — the cell simply re-executes.
-                    if let Ok(run) = decode_run(payload, &cell.spec) {
-                        prefilled[i] = Some(run);
-                        resumed.push(i);
-                    }
-                }
-            }
-        }
-    }
     if let Some(on_cell) = hooks.on_cell {
-        for &i in &resumed {
-            on_cell(i, prefilled[i].as_ref().expect("resumed cell prefilled"));
+        for &i in &frame.resumed {
+            on_cell(
+                i,
+                frame.results[i].as_ref().expect("resumed cell prefilled"),
+            );
         }
     }
-    let pending: Vec<usize> = (0..cells.len())
-        .filter(|i| prefilled[*i].is_none())
-        .collect();
 
-    // One supervised job per pending cell: both phases, serially, so
+    // One supervised job per pending cell, its phases run serially, so
     // retry/journal granularity is the cell.
-    let inner = run_jobs_supervised(
-        &pending,
-        opts.jobs,
-        &opts.policy,
+    let serial = RooflineRequest::new().config(request.cfg);
+    let mut report = run_jobs_supervised(
+        &frame.pending,
+        request.jobs.unwrap_or(1),
+        &request.policy,
         |_, &ci, _ctx| -> Result<RooflineRun, SweepCellError> {
             if let Some(c) = hooks.cancel {
                 if c.load(std::sync::atomic::Ordering::Acquire) {
@@ -344,23 +400,18 @@ pub(crate) fn supervised_sweep_hooked(
             let cell = &cells[ci];
             let mut fuel = None;
             if let Some(kind) = mperf_fault::hit("sweep.cell", ci as u64) {
+                let injected = |msg: &str| SweepCellError::Trap {
+                    phase: Phase::Baseline,
+                    error: VmError::HostFault(msg.into()),
+                    trap: None,
+                };
                 match kind {
                     mperf_fault::FaultKind::Panic => {
                         mperf_fault::injected_panic("sweep.cell", ci as u64)
                     }
-                    mperf_fault::FaultKind::Trap => {
-                        return Err(SweepCellError::Trap {
-                            phase: Phase::Baseline,
-                            error: VmError::HostFault("injected trap".into()),
-                            trap: None,
-                        })
-                    }
+                    mperf_fault::FaultKind::Trap => return Err(injected("injected trap")),
                     mperf_fault::FaultKind::TransientIo => {
-                        return Err(SweepCellError::Trap {
-                            phase: Phase::Baseline,
-                            error: VmError::HostFault("transient i/o (injected)".into()),
-                            trap: None,
-                        })
+                        return Err(injected("transient i/o (injected)"))
                     }
                     mperf_fault::FaultKind::FuelExhaustion => fuel = Some(10),
                     // Process-level kinds target the sharded worker's
@@ -369,30 +420,19 @@ pub(crate) fn supervised_sweep_hooked(
                     mperf_fault::FaultKind::Exit | mperf_fault::FaultKind::Stall => {}
                 }
             }
-            let mut phases = Vec::with_capacity(2);
-            for phase in Phase::BOTH {
-                match run_phase_opts(
+            let run = serial
+                .execute(
                     cell.module,
                     &decodes[ci],
                     &cell.spec,
                     &cell.entry,
                     &*cell.setup,
-                    phase,
-                    opts.cfg.engine,
                     fuel,
-                ) {
-                    Ok(out) => phases.push(out),
-                    Err((error, trap)) => return Err(SweepCellError::Trap { phase, error, trap }),
-                }
-            }
-            let inst = phases.pop().expect("instrumented phase ran");
-            let base = phases.pop().expect("baseline phase ran");
-            let run = correlate(cell.module, &cell.spec, base, inst);
-            if let Some(j) = &journal {
-                let mut j = j.lock().unwrap_or_else(|e| e.into_inner());
-                j.append(keys[ci], &encode_run(&run))
-                    .map_err(|e| SweepCellError::Journal(e.to_string()))?;
-            }
+                )
+                .map_err(|(phase, error, trap)| SweepCellError::Trap { phase, error, trap })?;
+            frame
+                .append(ci, &encode_run(&run))
+                .map_err(|e| SweepCellError::Journal(e.to_string()))?;
             if let Some(on_cell) = hooks.on_cell {
                 on_cell(ci, &run);
             }
@@ -401,29 +441,15 @@ pub(crate) fn supervised_sweep_hooked(
         classify_cell_error,
     );
 
-    // Fold the pending-index report back onto cell indexes.
-    let mut report = SweepReport {
-        results: prefilled,
-        failed: inner
-            .failed
-            .into_iter()
-            .map(|mut f| {
-                f.index = pending[f.index];
-                f
-            })
-            .collect(),
-        retried: inner
-            .retried
-            .into_iter()
-            .map(|(i, a)| (pending[i], a))
-            .collect(),
-        skipped: inner.skipped.into_iter().map(|i| pending[i]).collect(),
-    };
-    for (slot, r) in inner.results.into_iter().enumerate() {
-        if let Some(run) = r {
-            report.results[pending[slot]] = Some(run);
-        }
-    }
+    let runs = std::mem::take(&mut report.results);
+    let indexes = report
+        .failed
+        .iter_mut()
+        .map(|f| &mut f.index)
+        .chain(report.retried.iter_mut().map(|(i, _)| i))
+        .chain(&mut report.skipped);
+    let (results, resumed) = frame.fold(runs, indexes);
+    report.results = results;
     Ok(SupervisedSweep { report, resumed })
 }
 

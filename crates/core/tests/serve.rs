@@ -410,6 +410,69 @@ fn warm_restart_from_the_cache_dir_performs_zero_decodes() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// A daemon options block persisting its decode cache under a fresh,
+/// empty per-test directory.
+fn cache_opts(tag: &str) -> (PathBuf, ServeOptions) {
+    let dir = std::env::temp_dir().join(format!("mperf-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let sopts = ServeOptions {
+        cache_dir: Some(dir.clone()),
+        ..ServeOptions::default()
+    };
+    (dir, sopts)
+}
+
+/// The decode cache journal is created at the first fresh decode, not
+/// at daemon start, and a torn tail still preloads every complete
+/// entry.
+#[test]
+fn cache_journal_is_created_lazily_and_survives_a_torn_tail() {
+    let socket = socket_path("lazy-cache");
+    let (dir, sopts) = cache_opts("lazy-cache");
+    let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "start writes nothing"
+    );
+    let (code, _) = run_sweep(&mut connect(&socket), &sweep_spec(128, 1));
+    assert_eq!(code, 0);
+    handle.stop();
+    // A crash mid-append: a frame header promising more than follows.
+    let path = dir.join("decode-cache.jrnl");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&[200, 0, 0, 0, 1, 2, 3, 4, 5]);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
+    let stats = handle.stats();
+    assert_eq!(stats.preloaded, Platform::ALL.len() as u64);
+    assert_eq!(stats.decodes, 0);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_foreign_file_at_the_cache_journal_path_disables_persistence() {
+    let socket = socket_path("foreign-cache");
+    let (dir, sopts) = cache_opts("foreign-cache");
+    let path = dir.join("decode-cache.jrnl");
+    std::fs::write(&path, b"precious data").unwrap();
+    let handle = serve::start(&socket, &CommonOpts::default(), &sopts)
+        .expect("a foreign cache file is no error");
+    assert_eq!(handle.stats().preloaded, 0);
+    let (code, _) = run_sweep(&mut connect(&socket), &sweep_spec(128, 1));
+    assert_eq!(code, 0, "jobs still run");
+    handle.stop();
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        b"precious data",
+        "never overwritten"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn killed_daemon_restarts_and_resumes_a_keyed_sweep_byte_identically() {
     const N: u64 = 4096;

@@ -19,9 +19,12 @@
 //! - **Poison cells** (crash-loop protection): a cell that kills its
 //!   worker `max_attempts` times is quarantined and listed in
 //!   [`ShardReport::poisoned`] while healthy cells keep flowing.
+//! - **Rejected results**: a result the sink refuses (it does not
+//!   decode) is handled like a corrupt frame — kill, respawn, requeue.
 //! - **Fatal errors** (a worker-reported [`FailureClass::Fatal`], a
-//!   result-sink failure, protocol version skew, or a spawn
-//!   crash-loop) cancel still-queued cells across all shards.
+//!   fatal result-sink failure such as a failed journal append,
+//!   protocol version skew, or a spawn crash-loop) cancel still-queued
+//!   cells across all shards.
 //!
 //! ## Determinism contract
 //!
@@ -244,12 +247,15 @@ fn reap(child: &mut Child) -> String {
 /// with the shard slot index; real callers use [`WorkerCmd::spawn`],
 /// tests substitute in-process mocks). `sink` observes each completed
 /// cell `(index, payload)` *before* the result is recorded — the
-/// journal append hook; a sink error is fatal (checkpoints are
-/// silently lost otherwise).
+/// validation and journal append hook. A [`ShardCellError::Fatal`]
+/// sink error cancels the sweep (checkpoints are silently lost
+/// otherwise); any other sink error rejects the result like a corrupt
+/// frame: the worker is killed and respawned, and the cell requeued
+/// under the retry policy.
 pub fn run_sharded<S, K>(cells: &[ShardCell], opts: &ShardOptions, spawn: S, sink: K) -> ShardReport
 where
     S: FnMut(usize) -> io::Result<WorkerLink>,
-    K: FnMut(usize, &[u8]) -> Result<(), String>,
+    K: FnMut(usize, &[u8]) -> Result<(), ShardCellError>,
 {
     let report = ShardReport {
         results: vec![None; cells.len()],
@@ -349,7 +355,7 @@ struct Supervisor<'a, S, K> {
 impl<S, K> Supervisor<'_, S, K>
 where
     S: FnMut(usize) -> io::Result<WorkerLink>,
-    K: FnMut(usize, &[u8]) -> Result<(), String>,
+    K: FnMut(usize, &[u8]) -> Result<(), ShardCellError>,
 {
     fn run(&mut self, rx: &mpsc::Receiver<(usize, u64, Event)>) {
         loop {
@@ -579,22 +585,29 @@ where
                 }
             }
             Event::Msg(Msg::Done { index, payload }) => match self.take_busy(s, index) {
-                Some(entry) => {
-                    self.slots[s].state = SlotState::Idle;
-                    match (self.sink)(entry.idx, &payload) {
-                        Ok(()) => self.report.results[entry.idx] = Some(payload),
-                        Err(e) => {
-                            self.report.failed.push(ShardFailure {
-                                index: entry.idx,
-                                attempts: entry.attempt + 1,
-                                quarantined: false,
-                                error: ShardCellError::Fatal { detail: e.clone() },
-                            });
-                            self.cancel =
-                                Some(format!("result sink failed for cell {}: {e}", entry.idx));
-                        }
+                Some(entry) => match (self.sink)(entry.idx, &payload) {
+                    Ok(()) => {
+                        self.slots[s].state = SlotState::Idle;
+                        self.report.results[entry.idx] = Some(payload);
                     }
-                }
+                    Err(ShardCellError::Fatal { detail }) => {
+                        self.slots[s].state = SlotState::Idle;
+                        self.cancel = Some(format!(
+                            "result sink failed for cell {}: {detail}",
+                            entry.idx
+                        ));
+                        self.report.failed.push(ShardFailure {
+                            index: entry.idx,
+                            attempts: entry.attempt + 1,
+                            quarantined: false,
+                            error: ShardCellError::Fatal { detail },
+                        });
+                    }
+                    // A rejected result means the stream produced bytes
+                    // the supervisor cannot use: treat it like a
+                    // corrupt frame.
+                    Err(error) => self.worker_death(s, |_exit| error),
+                },
                 None => self.stream_failure(s, format!("done for unexpected cell {index}")),
             },
             Event::Msg(Msg::Fail {
@@ -1010,7 +1023,11 @@ mod tests {
             &cells,
             &fast_opts(1),
             |_| mock_link(healthy),
-            |idx, _| Err(format!("journal append failed for {idx}")),
+            |idx, _| {
+                Err(ShardCellError::Fatal {
+                    detail: format!("journal append failed for {idx}"),
+                })
+            },
         );
         assert_eq!(report.failed.len(), 1);
         let f = &report.failed[0];
@@ -1020,6 +1037,37 @@ mod tests {
         assert_eq!(report.skipped, vec![1, 2, 3]);
         assert_eq!(report.completed(), 0);
         assert!(report.fatal.as_deref().unwrap().contains("sink"));
+    }
+
+    #[test]
+    fn rejected_result_respawns_the_worker_and_retries_the_cell() {
+        let cells = cells(3);
+        let mut rejected = false;
+        let report = run_sharded(
+            &cells,
+            &fast_opts(1),
+            |_| mock_link(healthy),
+            |idx, _| {
+                if idx == 0 && !std::mem::replace(&mut rejected, true) {
+                    return Err(ShardCellError::Frame {
+                        detail: "undecodable worker result".into(),
+                    });
+                }
+                Ok(())
+            },
+        );
+        assert_eq!(report.retried, vec![(0, 1)]);
+        assert_eq!(
+            report.respawns, 1,
+            "the rejecting stream's worker is replaced"
+        );
+        assert!(report.all_ok(), "{:?}", report.failed);
+        for (i, c) in cells.iter().enumerate() {
+            assert_eq!(
+                report.results[i].as_deref(),
+                Some(doubled(&c.payload).as_slice())
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 #![cfg(feature = "failpoints")]
 
 use miniperf::sweep_supervisor::encode_run;
-use miniperf::{run_roofline_sweep, RooflineJob, RooflineRequest};
+use miniperf::{RooflineJob, RooflineRequest, RooflineRun};
 use mperf_fault::{arm_scoped, drain_log, FaultKind, FaultPlan, PANIC_PREFIX};
 use mperf_sim::Platform;
 use mperf_sweep::{CellError, RetryPolicy};
@@ -67,6 +67,19 @@ fn triad_cells(elems: u64) -> Vec<RooflineJob<'static>> {
         .collect()
 }
 
+/// The serial oracle: each cell run alone through the plain
+/// single-cell path.
+fn serial_runs(cells: &[RooflineJob]) -> Vec<RooflineRun> {
+    cells
+        .iter()
+        .map(|c| {
+            RooflineRequest::new()
+                .run(c.module, &c.spec, &c.entry, &*c.setup)
+                .expect("serial cell runs")
+        })
+        .collect()
+}
+
 fn tmp_journal(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("mperf-fp-{name}-{}", std::process::id()));
@@ -84,10 +97,7 @@ fn tmp_journal(name: &str) -> PathBuf {
 fn faults_in_three_cells_spare_healthy_cells_and_resume_completes() {
     quiet_injected_panics();
     let cells = triad_cells(1024);
-    let serial: Vec<_> = run_roofline_sweep(&cells, 1)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let serial = serial_runs(&cells);
     let serial_bytes: Vec<Vec<u8>> = serial.iter().map(encode_run).collect();
     let path = tmp_journal("acceptance");
 
@@ -165,10 +175,7 @@ fn faults_in_three_cells_spare_healthy_cells_and_resume_completes() {
 fn fuel_exhaustion_is_transient_and_recovers() {
     quiet_injected_panics();
     let cells = triad_cells(512);
-    let serial: Vec<_> = run_roofline_sweep(&cells, 1)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let serial = serial_runs(&cells);
     let _armed =
         arm_scoped(FaultPlan::new(11).inject("sweep.cell", 2, FaultKind::FuelExhaustion, 1));
     let sweep = RooflineRequest::new().run_supervised(&cells).unwrap();
@@ -193,10 +200,7 @@ fn fuel_exhaustion_is_transient_and_recovers() {
 fn scattered_faults_are_deterministic_and_recoverable() {
     quiet_injected_panics();
     let cells = triad_cells(512);
-    let serial: Vec<_> = run_roofline_sweep(&cells, 1)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let serial = serial_runs(&cells);
     let mut plan = FaultPlan::new(42);
     let keys = plan.scatter("sweep.cell", FaultKind::TransientIo, 3, cells.len() as u64);
     assert_eq!(keys.len(), 3, "three distinct faulty cells");

@@ -5,7 +5,7 @@
 //! torn-tail journal — to a byte-identical final report.
 
 use miniperf::sweep_supervisor::encode_run;
-use miniperf::{run_roofline_sweep, RooflineJob, RooflineRequest};
+use miniperf::{RooflineJob, RooflineRequest, RooflineRun};
 use mperf_sim::Platform;
 use mperf_sweep::{run_jobs_supervised, FailureClass, RetryPolicy};
 use mperf_vm::{Value, Vm};
@@ -58,6 +58,19 @@ fn triad_cells(elems: u64) -> Vec<RooflineJob<'static>> {
                 entry: "triad".into(),
                 setup: Box::new(move |vm: &mut Vm| bench.setup_triad(vm)),
             }
+        })
+        .collect()
+}
+
+/// The serial oracle: each cell run alone through the plain
+/// single-cell path.
+fn serial_runs(cells: &[RooflineJob]) -> Vec<RooflineRun> {
+    cells
+        .iter()
+        .map(|c| {
+            RooflineRequest::new()
+                .run(c.module, &c.spec, &c.entry, &*c.setup)
+                .expect("serial cell runs")
         })
         .collect()
 }
@@ -163,10 +176,7 @@ proptest! {
 #[test]
 fn supervised_sweep_matches_serial_and_resumes_byte_identically() {
     let cells = triad_cells(1024);
-    let serial: Vec<_> = run_roofline_sweep(&cells, 1)
-        .into_iter()
-        .map(|r| r.expect("serial cell runs"))
-        .collect();
+    let serial = serial_runs(&cells);
     let serial_bytes: Vec<Vec<u8>> = serial.iter().map(encode_run).collect();
 
     let path = tmp_journal("resume");
@@ -220,10 +230,7 @@ fn supervised_sweep_matches_serial_and_resumes_byte_identically() {
 fn trapping_cell_reports_trap_site_and_spares_healthy_cells() {
     let mut cells = triad_cells(512);
     let healthy = cells.len();
-    let serial: Vec<_> = run_roofline_sweep(&cells, 1)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let serial = serial_runs(&cells);
     let src = "fn boom(a: i64, b: i64) -> i64 { return a / b; }";
     let module = Box::leak(Box::new(
         mperf_workloads::compile_for("boom", src, Platform::SifiveU74, true).unwrap(),

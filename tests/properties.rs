@@ -3,7 +3,7 @@
 //! buffer round-trips arbitrary samples, PMU counting is exact, and the
 //! thread-parallel roofline sweep is bit-identical to the serial sweep.
 
-use miniperf::{run_roofline_sweep, RooflineJob, RooflineRequest};
+use miniperf::{RooflineJob, RooflineRequest};
 use mperf_event::{Record, RingBuffer, SampleRecord, SampleType};
 use mperf_ir::transform::instrument::{InstrumentOptions, InstrumentPass};
 use mperf_ir::transform::PassManager;
@@ -269,8 +269,8 @@ proptest! {
     /// two-phase protocol at `jobs ∈ {2, 4}` produces the same
     /// `RegionMeasurement`s, `ExecStats`, cycle counts, instruction
     /// counts, and PMU counter files as `jobs = 1` on every platform
-    /// model — and the batched `run_roofline_sweep` over all four
-    /// platforms at once agrees cell for cell. Every run is also pinned
+    /// model — and the supervised sweep over all four platforms at once
+    /// agrees cell for cell. Every run is also pinned
     /// against the reference engine, so parallel threaded execution ≡
     /// serial reference execution.
     #[test]
@@ -364,8 +364,8 @@ proptest! {
             }
             serial_runs.push(serial);
         }
-        // The batched matrix sweep (all four platforms as cells in one
-        // worker pool) agrees with the per-platform serial runs, in
+        // The supervised matrix sweep (all four platforms as cells in
+        // one worker pool) agrees with the per-platform serial runs, in
         // cell order.
         let cells: Vec<RooflineJob> = specs
             .iter()
@@ -378,8 +378,8 @@ proptest! {
             })
             .collect();
         for jobs in [2usize, 4] {
-            let swept = run_roofline_sweep(&cells, jobs);
-            for (serial, cell) in serial_runs.iter().zip(&swept) {
+            let swept = RooflineRequest::new().jobs(jobs).run_supervised(&cells).unwrap();
+            for (serial, cell) in serial_runs.iter().zip(&swept.report.results) {
                 let cell = cell.as_ref().unwrap();
                 prop_assert_eq!(serial, cell, "sweep cell (jobs={})", jobs);
             }
