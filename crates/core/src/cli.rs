@@ -29,7 +29,7 @@ use crate::{hotspot_table, probe_sampling};
 use mperf_event::{EventKind, HwCounter, PerfKernel};
 use mperf_sim::{Core, Platform};
 use mperf_sweep::wire::{Dec, Enc, WireError};
-use mperf_sweep::{RetryPolicy, WorkerCmd};
+use mperf_sweep::{CellFailure, RetryPolicy, WorkerCmd};
 use mperf_vm::{Engine, ExecConfig, Value, Vm};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -790,7 +790,9 @@ pub struct SweepOutcome {
     pub names: Vec<String>,
     pub results: Vec<Option<RooflineRun>>,
     pub failed: Vec<SweepFailure>,
-    /// Every granted retry as `(index, attempt_that_failed)`.
+    /// Every granted retry as `(index, attempt granted)` — the 0-based
+    /// attempt the retry runs as, under threads and processes alike —
+    /// sorted.
     pub retried: Vec<(usize, u32)>,
     pub skipped: Vec<usize>,
     pub resumed: Vec<usize>,
@@ -801,22 +803,25 @@ pub struct SweepOutcome {
     pub respawns: Option<u32>,
 }
 
+/// Both supervisors' failure records, rendered alike.
+fn sweep_failures<E: std::fmt::Display>(failed: &[CellFailure<E>]) -> Vec<SweepFailure> {
+    failed
+        .iter()
+        .map(|f| SweepFailure {
+            index: f.index,
+            attempts: f.attempts,
+            quarantined: f.quarantined,
+            error: f.error.to_string(),
+        })
+        .collect()
+}
+
 impl SweepOutcome {
     pub fn from_supervised(sweep: &SupervisedSweep, names: Vec<String>) -> SweepOutcome {
         SweepOutcome {
             names,
             results: sweep.report.results.clone(),
-            failed: sweep
-                .report
-                .failed
-                .iter()
-                .map(|f| SweepFailure {
-                    index: f.index,
-                    attempts: f.attempts,
-                    quarantined: f.quarantined,
-                    error: f.error.to_string(),
-                })
-                .collect(),
+            failed: sweep_failures(&sweep.report.failed),
             retried: sweep.report.retried.clone(),
             skipped: sweep.report.skipped.clone(),
             resumed: sweep.resumed.clone(),
@@ -829,22 +834,8 @@ impl SweepOutcome {
         SweepOutcome {
             names,
             results: sweep.results.clone(),
-            failed: sweep
-                .failed
-                .iter()
-                .map(|f| SweepFailure {
-                    index: f.index,
-                    attempts: f.attempts,
-                    quarantined: f.quarantined,
-                    error: f.error.to_string(),
-                })
-                .collect(),
-            // The shard report records the attempt each retry granted.
-            retried: sweep
-                .retried
-                .iter()
-                .map(|&(i, granted)| (i, granted.saturating_sub(1)))
-                .collect(),
+            failed: sweep_failures(&sweep.failed),
+            retried: sweep.retried.clone(),
             skipped: sweep.skipped.clone(),
             resumed: sweep.resumed.clone(),
             poisoned: sweep.poisoned.clone(),

@@ -3,8 +3,8 @@
 //! Reproduces the three contributions of *Dissecting RISC-V Performance*
 //! (PACT 2025) on the simulated platform stack:
 //!
-//! 1. **Practical PMU sampling workaround** ([`record`]): hardware
-//!    detection through CPU identity registers (not perf event
+//! 1. **Practical PMU sampling workaround** ([`record`](mod@record)):
+//!    hardware detection through CPU identity registers (not perf event
 //!    discovery), and automatic counter grouping that samples
 //!    `mcycle`/`minstret` through a sampling-capable `u_mode_cycle`
 //!    leader on SpacemiT X60-class hardware where direct sampling
@@ -14,11 +14,11 @@
 //!    prepared with [`mperf_ir`]'s instrumentation pass, correlated into
 //!    throughput, memory traffic, and arithmetic intensity without PMU
 //!    dependence.
-//! 3. **An integrated workflow**: [`stat`]-style counting, flame graphs
-//!    ([`flamegraph`]) from either cycles or instructions, hotspot
-//!    tables ([`hotspot`], the paper's Table 2), and roofline reports,
-//!    plus a TMA-style top-level breakdown ([`tma`], the paper's §6
-//!    future-work direction) on platforms with full PMUs.
+//! 3. **An integrated workflow**: [`stat`](mod@stat)-style counting,
+//!    flame graphs ([`flamegraph`]) from either cycles or instructions,
+//!    hotspot tables ([`hotspot`], the paper's Table 2), and roofline
+//!    reports, plus a TMA-style top-level breakdown ([`tma`], the
+//!    paper's §6 future-work direction) on platforms with full PMUs.
 
 pub mod cli;
 pub mod detect;

@@ -58,7 +58,7 @@
 //!
 //! ## Warm decode cache
 //!
-//! All connections share one [`DecodeCache`] keyed by
+//! All connections share one `DecodeCache` keyed by
 //! [`cell_key`] — the sweep journal's content-hash key (platform ×
 //! entry × exec config × module text) — so the second identical job
 //! performs **zero** module decodes. With
@@ -80,9 +80,12 @@
 //! code (0 ok, 1 record/stat/roofline failure, 2 malformed job
 //! description, sweep 0/3/4) plus the supervision codes:
 //! [`CODE_CANCELLED`] (client cancel, disconnect, or drain),
-//! [`CODE_REJECTED`] (shed), [`CODE_TIMEOUT`] (deadline), and
+//! [`CODE_REJECTED`] (shed), [`CODE_TIMEOUT`] (deadline),
 //! [`CODE_STALLED`] (stalled client; normally never delivered — the
-//! stalled connection is gone). `miniperf submit` exits with that code
+//! stalled connection is gone), and [`CODE_PANICKED`] (the job
+//! panicked — the exit status of a panicking batch command; the
+//! message is `job panicked: <payload>`, and the connection and the
+//! daemon keep serving). `miniperf submit` exits with that code
 //! and renders through the same [`crate::cli`] body functions the
 //! batch commands print through, so streamed output is byte-identical
 //! to batch output.
@@ -97,15 +100,18 @@ use crate::sweep_supervisor::{cell_key, decode_run, encode_run};
 use mperf_event::EventKind;
 use mperf_sim::{Core, Platform};
 use mperf_sweep::proto::{
-    read_msg, write_msg, Msg, CODE_CANCELLED, CODE_REJECTED, CODE_STALLED, CODE_TIMEOUT,
+    read_msg, write_msg, Msg, CODE_CANCELLED, CODE_PANICKED, CODE_REJECTED, CODE_STALLED,
+    CODE_TIMEOUT,
 };
 use mperf_sweep::serve::{handshake_accept, ClientSession};
+use mperf_sweep::supervise::panic_payload;
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
 use mperf_sweep::{Journal, RetryPolicy};
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Vm};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -1190,8 +1196,17 @@ fn handle_conn(ctx: &Arc<DaemonCtx>, mut stream: UnixStream, conn_id: u64) {
                     let conn = Arc::clone(&conn);
                     let ctx = Arc::clone(ctx);
                     s.spawn(move || {
+                        // A panic stays inside its job: the client still
+                        // gets a terminal status and the job's table
+                        // entries are released below.
                         let (code, message, summary) = match JobSpec::decode(&payload) {
-                            Ok(spec) => execute_job(&ctx, &spec, job, seq, &conn, &state),
+                            Ok(spec) => catch_unwind(AssertUnwindSafe(|| {
+                                execute_job(&ctx, &spec, job, seq, &conn, &state)
+                            }))
+                            .unwrap_or_else(|panic| {
+                                let message = format!("job panicked: {}", panic_payload(&*panic));
+                                (CODE_PANICKED, message, Vec::new())
+                            }),
                             Err(e) => (2, format!("miniperf: {e}"), Vec::new()),
                         };
                         conn.send(
@@ -1242,13 +1257,17 @@ fn execute_job(
     conn: &ConnShared,
     state: &JobState,
 ) -> (u32, String, Vec<u8>) {
-    // A hung job, on demand: park until the supervision machinery
-    // (deadline, cancel, drain) flips the cancel flag. Keyed by the
-    // daemon-global job sequence number.
-    if let Some(mperf_fault::FaultKind::Stall) = mperf_fault::hit("serve.job_hang", seq) {
-        while !state.cancel.load(Ordering::SeqCst) {
-            thread::sleep(ctx.sopts.tick);
+    // A hung or panicking job, on demand, keyed by the daemon-global
+    // job sequence number. A hung job parks until the supervision
+    // machinery (deadline, cancel, drain) flips the cancel flag.
+    match mperf_fault::hit("serve.job_hang", seq) {
+        Some(mperf_fault::FaultKind::Stall) => {
+            while !state.cancel.load(Ordering::SeqCst) {
+                thread::sleep(ctx.sopts.tick);
+            }
         }
+        Some(mperf_fault::FaultKind::Panic) => mperf_fault::injected_panic("serve.job_hang", seq),
+        _ => {}
     }
     if state.cancel.load(Ordering::SeqCst) {
         return cancel_status(state, &ctx.sopts);

@@ -39,11 +39,9 @@ use mperf_ir::Module;
 use mperf_sim::{Platform, PlatformSpec};
 use mperf_sweep::journal::JournalError;
 use mperf_sweep::proto::{fault_key, serve_worker, WorkerFailure};
-use mperf_sweep::shard::{
-    run_sharded, ShardCell, ShardCellError, ShardFailure, ShardOptions, WorkerCmd,
-};
+use mperf_sweep::shard::{run_sharded, ShardCell, ShardCellError, ShardOptions, WorkerCmd};
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
-use mperf_sweep::RetryPolicy;
+use mperf_sweep::{CellFailure, RetryPolicy};
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Value, Vm, VmError};
 use mperf_workloads::{matmul::MatmulBench, stencil::StencilBench, stream::StreamBench};
 use std::collections::HashMap;
@@ -88,12 +86,17 @@ pub struct ShardedCellSpec {
 }
 
 /// The CLI triad staging shared by the serial and sharded sweep paths
-/// (bit-identity across modes requires one implementation).
+/// (bit-identity across modes requires one implementation). An `n`
+/// whose arrays cannot fit guest memory fails with
+/// [`VmError::OutOfBounds`].
 pub fn cli_triad_setup(n: u64) -> impl Fn(&mut Vm) -> Result<Vec<Value>, VmError> + Send + Sync {
     move |vm: &mut Vm| {
-        let a = vm.mem.alloc(n * 8, 64)?;
-        let b = vm.mem.alloc(n * 8, 64)?;
-        let c = vm.mem.alloc(n * 8, 64)?;
+        // `n` arrives from clients: an array size that overflows `u64`
+        // saturates, and no guest memory can hold `u64::MAX` bytes.
+        let bytes = n.saturating_mul(8);
+        let a = vm.mem.alloc(bytes, 64)?;
+        let b = vm.mem.alloc(bytes, 64)?;
+        let c = vm.mem.alloc(bytes, 64)?;
         for i in 0..n {
             vm.mem.write_f64(b + i * 8, i as f64)?;
             vm.mem.write_f64(c + i * 8, 0.25)?;
@@ -387,8 +390,12 @@ pub struct ShardedSweep {
     /// `results[i]` is cell `i`'s run; completed slots are
     /// bit-identical to a fault-free serial sweep at any shard count.
     pub results: Vec<Option<RooflineRun>>,
-    pub failed: Vec<ShardFailure>,
+    /// Cells that ultimately failed, sorted by index.
+    pub failed: Vec<CellFailure<ShardCellError>>,
+    /// Every granted retry as `(cell index, attempt granted)`, sorted
+    /// (see [`mperf_sweep::ShardReport::retried`]).
     pub retried: Vec<(usize, u32)>,
+    /// Cells a fatal error cancelled before they could finish, sorted.
     pub skipped: Vec<usize>,
     /// Cells satisfied from the journal instead of executed.
     pub resumed: Vec<usize>,

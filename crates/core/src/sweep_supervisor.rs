@@ -15,7 +15,7 @@
 //! from the journal — bit-identical to re-execution, because the
 //! simulation itself is deterministic and the codec is bit-exact
 //! (`f64` fields travel as `to_bits`). That open/key/resume/fold
-//! bookkeeping is one frame, [`SweepFrame`], which the process-sharded
+//! bookkeeping is one frame, `SweepFrame`, which the process-sharded
 //! sweep ([`crate::run_roofline_sweep_sharded`]) runs inside too, so a
 //! journal resumes across both.
 //!
@@ -31,7 +31,7 @@ use crate::roofline_runner::{
 };
 use mperf_sim::PlatformSpec;
 use mperf_sweep::journal::{Journal, JournalError};
-use mperf_sweep::supervise::{run_jobs_supervised, FailureClass, SweepReport};
+use mperf_sweep::supervise::{run_jobs_supervised, CellError, FailureClass, SweepReport};
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
 use mperf_sweep::Phase;
 use mperf_vm::{decode_module_cfg, ExecConfig, TrapInfo, VmError};
@@ -104,7 +104,7 @@ pub fn classify_cell_error(e: &SweepCellError) -> FailureClass {
 pub struct SupervisedSweep {
     /// `results[i]` is cell `i`'s run (`None` = failed or skipped);
     /// completed slots are bit-identical to a fault-free serial sweep.
-    pub report: SweepReport<RooflineRun, SweepCellError>,
+    pub report: SweepReport<RooflineRun, CellError<SweepCellError>>,
     /// Cells decoded from the journal instead of executed, in order.
     pub resumed: Vec<usize>,
 }

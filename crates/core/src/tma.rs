@@ -5,7 +5,7 @@
 //! much more systematic way to diagnose performance limitations". This
 //! module implements that extension for the platforms whose PMUs expose
 //! enough events, using the standard four top-level categories with the
-//! approximations the SiFive workshop paper (paper ref. [6]) uses for
+//! approximations the SiFive workshop paper (paper ref. `[6]`) uses for
 //! in-order RISC-V parts:
 //!
 //! - **retiring** ≈ IPC / issue-width

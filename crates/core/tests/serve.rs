@@ -13,6 +13,7 @@ use mperf_sweep::serve::ClientSession;
 use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// A short, per-test socket path (bind fails past ~100 bytes).
 fn socket_path(tag: &str) -> PathBuf {
@@ -179,6 +180,37 @@ fn malformed_job_descriptions_fail_with_the_usage_exit_code() {
     let job = session.submit(e.into_bytes()).unwrap();
     let res = session.drain_job(job, |_| {}).unwrap();
     assert_eq!(res.code, 2, "stale schema is a usage-class failure");
+    drop(session);
+    handle.stop();
+}
+
+#[test]
+fn a_roofline_whose_arrays_overflow_fails_instead_of_hanging_its_client() {
+    let socket = socket_path("huge-n");
+    let handle = serve::start(&socket, &CommonOpts::default(), &ServeOptions::default()).unwrap();
+    let stream = UnixStream::connect(&socket).expect("daemon is listening");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    let mut session = ClientSession::connect(reader, stream).expect("handshake");
+
+    // `n * 8` overflows u64: the staging must refuse the size, not
+    // panic (debug) or wrap (release).
+    let spec = JobSpec {
+        n: 1 << 62,
+        ..JobSpec::from_opts(JobKind::Roofline, &CommonOpts::default())
+    };
+    let job = session.submit(spec.encode()).unwrap();
+    let res = session
+        .drain_job(job, |_| {})
+        .expect("a terminal status before the read timeout");
+    assert_eq!(res.code, 1, "{}", res.message);
+    assert!(
+        res.message.starts_with("roofline failed: ") && res.message.contains("out of bounds"),
+        "{}",
+        res.message
+    );
     drop(session);
     handle.stop();
 }

@@ -18,7 +18,7 @@ use miniperf::sweep_supervisor::encode_run;
 use miniperf::{CommonOpts, RooflineRequest, ServeOptions};
 use mperf_fault::{FaultKind, FaultPlan};
 use mperf_sim::Platform;
-use mperf_sweep::proto::{Msg, CODE_CANCELLED, CODE_REJECTED, CODE_TIMEOUT};
+use mperf_sweep::proto::{Msg, CODE_CANCELLED, CODE_PANICKED, CODE_REJECTED, CODE_TIMEOUT};
 use mperf_sweep::serve::ClientSession;
 use std::io::BufReader;
 use std::os::unix::net::UnixStream;
@@ -233,6 +233,11 @@ fn drain_sheds_new_submits_and_force_cancels_the_hung_job() {
     let hung = session
         .submit(JobSpec::from_opts(JobKind::Record, &CommonOpts::default()).encode())
         .unwrap();
+    // A connection's frames are handled in order: once a malformed
+    // submit's status is back, the hung job has been admitted (as
+    // daemon seq 1), so the drain below cannot shed it.
+    let probe = session.submit(vec![0xff]).unwrap();
+    assert_eq!(session.drain_job(probe, |_| {}).unwrap().code, 2);
     let drainer = std::thread::spawn(move || {
         handle.drain();
         handle
@@ -303,6 +308,46 @@ fn drain_sheds_new_submits_and_force_cancels_the_hung_job() {
     let handle = drainer.join().unwrap();
     assert!(handle.stats().rejected >= 1);
     assert!(!socket.exists(), "drain reclaims the socket file");
+}
+
+#[test]
+fn a_panicking_job_answers_101_and_its_connection_keeps_serving() {
+    let socket = socket_path("panic");
+    let _armed =
+        mperf_fault::arm_scoped(FaultPlan::new(5).inject("serve.job_hang", 1, FaultKind::Panic, 1));
+    let sopts = ServeOptions {
+        tick: Duration::from_millis(5),
+        drain_deadline_ticks: 200,
+        ..ServeOptions::default()
+    };
+    let mut handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
+
+    let mut session = connect(&socket);
+    let job = session.submit(sweep_spec(64).encode()).unwrap();
+    let res = session.drain_job(job, |_| {}).unwrap();
+    assert_eq!(res.code, CODE_PANICKED, "{}", res.message);
+    assert!(
+        res.message.starts_with("job panicked: ")
+            && res.message.contains(mperf_fault::PANIC_PREFIX),
+        "{}",
+        res.message
+    );
+
+    // Same connection, next job: unaffected, byte-identical to batch.
+    let (code, cells) = run_sweep(&mut session, &sweep_spec(64));
+    assert_eq!(code, 0);
+    assert_eq!(cells, batch_reference(64));
+
+    // The panicked job released its table entry: drain has nothing to
+    // wait for.
+    let t0 = Instant::now();
+    handle.drain();
+    assert!(
+        t0.elapsed() < sopts.tick * sopts.drain_deadline_ticks,
+        "drain took {:?}",
+        t0.elapsed()
+    );
+    drop(session);
 }
 
 #[test]

@@ -38,7 +38,7 @@
 //!
 //! ## Arming
 //!
-//! Tests arm a plan with [`arm_scoped`], which also serialises armed
+//! Tests arm a plan with `arm_scoped`, which also serialises armed
 //! sections across test threads (the registry is process-global) and
 //! disarms on drop:
 //!
@@ -261,7 +261,7 @@ impl FaultPlan {
 }
 
 /// Environment variable worker child processes read a serialized
-/// [`FaultPlan`] from (see [`FaultPlan::to_env`] / [`arm_process`]).
+/// [`FaultPlan`] from (see [`FaultPlan::to_env`] / `arm_process`).
 pub const ENV_VAR: &str = "MPERF_FAULT_PLAN";
 
 fn splitmix64(state: &mut u64) -> u64 {

@@ -441,7 +441,7 @@ impl Core {
     /// FLOP-free, scalar class, skipping `MachineOp` construction.
     ///
     /// This and [`Core::block_apply_branch`] intentionally duplicate
-    /// [`Core::apply_op`]'s timing arithmetic (its slim path and its
+    /// `Core::apply_op`'s timing arithmetic (its slim path and its
     /// branch handling): skipping `MachineOp` construction and the full
     /// `EventDeltas` bundle is what makes the in-block lanes cheap. A
     /// timing change in `apply_op` must be mirrored here — the

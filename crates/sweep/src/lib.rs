@@ -11,11 +11,11 @@
 //! This crate schedules that matrix over worker threads while keeping
 //! the output **bit-identical to the serial order**:
 //!
-//! - [`queue`] — a work-stealing-free job queue over
-//!   [`std::thread::scope`]: workers pop jobs front-to-back, results are
-//!   collected *by job index*, and `jobs = 1` (or a single job) takes a
-//!   strictly serial path with no threads spawned. No external
-//!   dependencies.
+//! - [`queue`] — a work-stealing-free job queue over the crate's one
+//!   [`std::thread::scope`] pool: workers pop jobs front-to-back,
+//!   results are collected *by job index*, and `jobs = 1` (or a single
+//!   job) takes a strictly serial path with no threads spawned. No
+//!   external dependencies.
 //! - [`plan`] — the shared sweep vocabulary: [`Phase`] (the two-phase
 //!   protocol order every sweep's serial output is pinned to) and
 //!   [`SharedModule`] (a compiled workload bundled with its one
@@ -33,16 +33,19 @@
 //! must survive misbehaving cells and interrupted runs. Three layers
 //! provide that, each independently testable:
 //!
-//! - [`supervise`] — [`run_jobs_supervised`] wraps every job in
-//!   `catch_unwind`, so a panicking cell becomes a structured
-//!   [`CellError::Panicked`] instead of tearing down the sweep.
+//! - [`supervise`] — one retry queue and two isolation supervisors.
 //!   Failures are classified ([`FailureClass`]): *transient* ones
 //!   retry with a deterministic backoff (counted in queue pops, never
 //!   wall-clock) until quarantined, *permanent* ones fail just their
-//!   own cell, and *fatal* ones flip a shared cancellation flag that
-//!   keeps still-queued cells from starting (reported as skipped).
-//!   The [`SweepReport`] keeps the core determinism contract: every
-//!   completed slot is bit-identical to a serial run of the same jobs.
+//!   own cell, and *fatal* ones cancel the queue so still-queued cells
+//!   never start (reported as skipped). That rule lives in one
+//!   crate-private retry queue, which both supervisors run on:
+//!   [`run_jobs_supervised`] isolates threads with `catch_unwind` (a
+//!   panicking cell becomes [`CellError::Panicked`]), and
+//!   [`run_sharded`] isolates worker processes (see below). Both
+//!   return the same [`CellFailure`] records and the same `retried`
+//!   convention, and every completed slot is bit-identical to a serial
+//!   run of the same jobs.
 //! - [`journal`] — an append-only checkpoint file (`MPSWJRN1`) of
 //!   CRC-framed records keyed by a content hash of the producing
 //!   configuration. A torn tail from a crash mid-append is detected
@@ -98,7 +101,7 @@
 //! | `CellDone {job, index, payload}` | daemon → client | one sweep cell result — the bit-exact `RooflineRun` journal codec |
 //! | `Progress {job, done, total}` | daemon → client | informational: `done` of `total` sweep cells finished (journal-resumed cells count); safe to ignore |
 //! | `Cancel {job}` | client → daemon | stop `job` at the next cell/drain boundary |
-//! | `JobStatus {job, code, message, payload}` | daemon → client | terminal, exactly one per job; `code` mirrors the batch CLI exit code plus the supervision codes — 130 = cancelled/disconnect/drain ([`proto::CODE_CANCELLED`]), 75 = shed by admission control or drain mode ([`proto::CODE_REJECTED`]), 124 = job deadline exceeded ([`proto::CODE_TIMEOUT`]), 131 = client stalled ([`proto::CODE_STALLED`]); `payload` is a job-kind summary |
+//! | `JobStatus {job, code, message, payload}` | daemon → client | terminal, exactly one per job; `code` mirrors the batch CLI exit code plus the supervision codes — 130 = cancelled/disconnect/drain ([`proto::CODE_CANCELLED`]), 75 = shed by admission control or drain mode ([`proto::CODE_REJECTED`]), 124 = job deadline exceeded ([`proto::CODE_TIMEOUT`]), 131 = client stalled ([`proto::CODE_STALLED`]), 101 = the job panicked, like a panicking batch command ([`proto::CODE_PANICKED`]); `payload` is a job-kind summary |
 //! | `Shutdown` | client → daemon | end of session (EOF is equivalent) |
 //!
 //! **Versioning rules.** One [`proto::SCHEMA`] gates shard *and* serve
@@ -114,8 +117,11 @@
 //! **Failure taxonomy.** Worker crash (nonzero exit, signal,
 //! unexpected EOF), stall (per-cell deadline in heartbeat *ticks*, not
 //! wall-clock), and corrupt/short frames all classify as transient:
-//! kill + respawn the worker and requeue the cell through the shared
-//! [`RetryPolicy`] attempt accounting. A cell that kills its worker
+//! kill + respawn the worker and requeue the cell on the same retry
+//! queue, under the same [`RetryPolicy`], as the thread supervisor.
+//! The shard supervisor adds only process isolation: spawn/kill/
+//! respawn, tick deadlines, handshake crash-loop protection, the result
+//! sink, and poison tracking. A cell that kills its worker
 //! `max_attempts` times is quarantined as a **poison cell**
 //! (crash-loop protection) while healthy cells keep flowing.
 //! Worker-reported failures keep their class across the wire; fatal
@@ -146,8 +152,7 @@ pub use proto::{ProtoError, WorkerFailure};
 pub use queue::{default_jobs, run_jobs, try_run_jobs};
 pub use serve::{ClientSession, JobResult};
 pub use shard::{
-    run_sharded, ShardCell, ShardCellError, ShardFailure, ShardOptions, ShardReport, WorkerCmd,
-    WorkerLink,
+    run_sharded, ShardCell, ShardCellError, ShardOptions, ShardReport, WorkerCmd, WorkerLink,
 };
 pub use supervise::{
     run_jobs_supervised, CellError, CellFailure, FailureClass, JobCtx, RetryPolicy, SweepReport,

@@ -198,6 +198,11 @@ pub const CODE_TIMEOUT: u32 = 124;
 /// and logs can tell "client died" from "client wedged".
 pub const CODE_STALLED: u32 = 131;
 
+/// [`Msg::JobStatus`] code for a job that panicked inside the daemon:
+/// the exit status of a panicking batch command. The panic is confined
+/// to the job — the connection and the daemon keep serving.
+pub const CODE_PANICKED: u32 = 101;
+
 impl Msg {
     /// The canonical hello for this binary's protocol version.
     pub fn hello() -> Msg {

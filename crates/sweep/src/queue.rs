@@ -1,15 +1,19 @@
-//! The deterministic job queue.
+//! The deterministic job queue and the crate's one thread pool.
 //!
 //! Scheduling model: a locked `VecDeque` of `(index, job)` pairs popped
-//! front-to-back by `workers` scoped threads. Which *thread* runs which
+//! front-to-back by the workers of `pool`. Which *thread* runs which
 //! job is timing-dependent; which *result slot* a job fills is not —
 //! results land at their job's index, so the returned `Vec` is
 //! bit-identical to a serial `map` regardless of interleaving. Workers
 //! are plain `std::thread::scope` threads, so jobs may borrow from the
 //! caller's stack (modules, setup closures) without `Arc`-wrapping
-//! everything.
+//! everything. `pool` is the crate's one thread scaffold: [`run_jobs`],
+//! [`try_run_jobs`] and the supervised sweep
+//! ([`crate::run_jobs_supervised`]) all spawn, join and re-raise worker
+//! panics through it.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -21,67 +25,55 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// Run `body(worker)` on `workers` workers for a queue of `n` jobs,
+/// returning each worker's output in worker order.
+///
+/// - `workers` is clamped to `1..=n`; excess workers are never spawned.
+/// - One worker runs `body(0)` strictly serially on the calling thread,
+///   no thread spawned — the serial fallback the sweep determinism
+///   properties test against.
+/// - Otherwise the workers are scoped threads, all joined before this
+///   returns; a worker's panic is re-raised on the caller with its
+///   original payload (no result is silently dropped).
+pub(crate) fn pool<T, F>(workers: usize, n: usize, body: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = workers.clamp(1, n.max(1));
+    if workers == 1 {
+        return vec![body(0)];
+    }
+    let body = &body;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || body(w))).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 /// Run `jobs` under at most `workers` threads, returning results in job
 /// order (index `i` of the output is job `i`'s result, always).
 ///
 /// - `workers <= 1` or a single job: strictly serial on the calling
-///   thread, no threads spawned — the serial fallback the sweep
-///   determinism property tests against.
+///   thread, no threads spawned.
 /// - `workers` is clamped to the job count; excess workers are never
 ///   spawned.
-/// - A panicking job propagates its panic to the caller after the scope
-///   joins (no result is silently dropped).
+/// - A panicking job's panic is re-raised on the caller, payload
+///   intact, after every worker has joined.
 pub fn run_jobs<J, R, F>(jobs: Vec<J>, workers: usize, run: F) -> Vec<R>
 where
     J: Send,
     R: Send,
     F: Fn(usize, J) -> R + Sync,
 {
-    let n = jobs.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers == 1 {
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, j)| run(i, j))
-            .collect();
-    }
-
-    let queue: Mutex<VecDeque<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().collect());
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    std::thread::scope(|s| {
-        let queue = &queue;
-        let run = &run;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        // Pop under the lock, run outside it.
-                        let job = queue.lock().expect("sweep queue lock").pop_front();
-                        let Some((idx, j)) = job else { break };
-                        done.push((idx, run(idx, j)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => {
-                    for (idx, r) in chunk {
-                        results[idx] = Some(r);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
+    let Ok(results) = try_run_jobs(jobs, workers, |i, j| Ok::<R, Infallible>(run(i, j)));
     results
-        .into_iter()
-        .map(|r| r.expect("scheduler ran every job"))
-        .collect()
 }
 
 /// [`run_jobs`] over fallible jobs: returns all results, or the error of
@@ -104,58 +96,28 @@ where
     F: Fn(usize, J) -> Result<R, E> + Sync,
 {
     let n = jobs.len();
-    let workers = workers.max(1).min(n.max(1));
-    if workers == 1 {
-        let mut ok = Vec::with_capacity(n);
-        for (i, j) in jobs.into_iter().enumerate() {
-            ok.push(run(i, j)?);
-        }
-        return Ok(ok);
-    }
-
     let queue: Mutex<VecDeque<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().collect());
     let failed = AtomicBool::new(false);
-    let mut results: Vec<Option<Result<R, E>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    std::thread::scope(|s| {
-        let queue = &queue;
-        let failed = &failed;
-        let run = &run;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    while !failed.load(Ordering::Acquire) {
-                        let job = queue.lock().expect("sweep queue lock").pop_front();
-                        let Some((idx, j)) = job else { break };
-                        let r = run(idx, j);
-                        if r.is_err() {
-                            failed.store(true, Ordering::Release);
-                        }
-                        done.push((idx, r));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => {
-                    for (idx, r) in chunk {
-                        results[idx] = Some(r);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
+    let chunks = pool(workers, n, |_| {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Acquire) {
+            // Pop under the lock, run outside it.
+            let Some((idx, j)) = queue.lock().expect("sweep queue lock").pop_front() else {
+                break;
+            };
+            let r = run(idx, j);
+            if r.is_err() {
+                failed.store(true, Ordering::Release);
             }
+            done.push((idx, r));
         }
+        done
     });
+    let mut done: Vec<(usize, Result<R, E>)> = chunks.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(idx, _)| idx);
     // Earliest failure by job index wins; absent that, every job ran
     // (the queue only stops draining after a failure).
-    let mut ok = Vec::with_capacity(n);
-    for r in results.into_iter().flatten() {
-        ok.push(r?);
-    }
-    Ok(ok)
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -266,6 +228,28 @@ mod tests {
         assert_eq!(r.unwrap_err(), "boom");
         let ran = executed.load(Ordering::Relaxed);
         assert!(ran <= workers, "queue kept draining: {ran} of {n} jobs ran");
+    }
+
+    #[test]
+    fn a_job_panic_is_re_raised_on_the_caller_with_its_payload() {
+        #[derive(Debug, PartialEq)]
+        struct Boom(u32);
+        let job = |_: usize, j: u32| {
+            if j == 5 {
+                std::panic::panic_any(Boom(j));
+            }
+            j
+        };
+        for workers in [1, 4] {
+            let ran = std::panic::catch_unwind(|| run_jobs((0..8).collect(), workers, job));
+            let payload = ran.expect_err("run_jobs re-raises");
+            assert_eq!(payload.downcast_ref(), Some(&Boom(5)), "workers={workers}");
+            let ran = std::panic::catch_unwind(|| {
+                try_run_jobs((0..8).collect(), workers, |i, j| Ok::<_, ()>(job(i, j)))
+            });
+            let payload = ran.expect_err("try_run_jobs re-raises");
+            assert_eq!(payload.downcast_ref(), Some(&Boom(5)), "workers={workers}");
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! - **Crash** (nonzero exit, signal, unexpected EOF mid-protocol):
 //!   the worker is killed/reaped and respawned, and its in-flight cell
-//!   is requeued through the existing [`RetryPolicy`] attempt
-//!   accounting.
+//!   is requeued under the [`RetryPolicy`] attempt budget.
 //! - **Stall**: each in-flight cell has a deadline counted in
 //!   *heartbeat ticks* — supervisor poll intervals in which no frame
 //!   arrived — never wall-clock, so tests are deterministic. A cell
@@ -26,6 +25,11 @@
 //!   protocol version skew, or a spawn crash-loop) cancel still-queued
 //!   cells across all shards.
 //!
+//! Retry, quarantine, cancellation and skips are decided by the retry
+//! queue the thread supervisor ([`crate::run_jobs_supervised`]) runs
+//! on too, so one failure script reports alike under both; this module
+//! adds only process isolation.
+//!
 //! ## Determinism contract
 //!
 //! Results are collected **by cell index**: a completed slot in
@@ -36,8 +40,7 @@
 //! *schedule*, never the results.
 
 use crate::proto::{self, Msg, ProtoError};
-use crate::supervise::{FailureClass, RetryPolicy};
-use std::collections::VecDeque;
+use crate::supervise::{CellFailure, Entry, FailureClass, RetryPolicy, RetryQueue};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -139,29 +142,23 @@ impl fmt::Display for ShardCellError {
 
 impl std::error::Error for ShardCellError {}
 
-/// One failed cell, with the same attempt accounting as the in-process
-/// supervisor's `CellFailure` (no `Panicked` arm: a worker panic
-/// surfaces as a crash or a remote failure, never an unwind).
-#[derive(Debug)]
-pub struct ShardFailure {
-    pub index: usize,
-    /// Attempts consumed (1 = failed on first run, no retry granted).
-    pub attempts: u32,
-    /// True when the cell exhausted its retry budget.
-    pub quarantined: bool,
-    pub error: ShardCellError,
-}
-
 /// Outcome of a sharded run. Completed slots are bit-identical to a
-/// serial run of the same cells at any shard count.
-#[derive(Debug, Default)]
+/// serial run of the same cells at any shard count. The first four
+/// fields are the shared [`crate::SweepReport`] accounting, flattened;
+/// the rest are process-specific.
+#[derive(Debug)]
 pub struct ShardReport {
     /// Per-cell result payloads, indexed by cell.
     pub results: Vec<Option<Vec<u8>>>,
-    pub failed: Vec<ShardFailure>,
-    /// `(cell index, attempt number granted)` per retry, in grant order.
+    /// Cells that ultimately failed, sorted by index. A worker panic
+    /// surfaces as a crash or a remote failure, never an unwind.
+    pub failed: Vec<CellFailure<ShardCellError>>,
+    /// Every granted retry as `(cell index, attempt granted)`: the
+    /// 0-based attempt the retry runs as (its `Msg::Cell` attempt),
+    /// sorted.
     pub retried: Vec<(usize, u32)>,
-    /// Cells cancelled by a fatal error before they could run (sorted).
+    /// Cells a fatal error cancelled before they could finish: still
+    /// queued, or in flight on a worker that was shut down (sorted).
     pub skipped: Vec<usize>,
     /// Worker kills due to crash/stall/corruption (each implies a
     /// respawn attempt while work remained).
@@ -257,14 +254,6 @@ where
     S: FnMut(usize) -> io::Result<WorkerLink>,
     K: FnMut(usize, &[u8]) -> Result<(), ShardCellError>,
 {
-    let report = ShardReport {
-        results: vec![None; cells.len()],
-        ..ShardReport::default()
-    };
-    if cells.is_empty() {
-        return report;
-    }
-
     // Cost-ordered dispatch: longest-known-first so one slow cell
     // doesn't dominate the tail; index-stable among equal costs so the
     // schedule (like everything else here) is deterministic.
@@ -272,36 +261,21 @@ where
     order.sort_by_key(|&i| (std::cmp::Reverse(cells[i].cost), i));
 
     let (tx, rx) = mpsc::channel();
-    let shards = opts.shards.clamp(1, cells.len());
+    let shards = opts.shards.clamp(1, cells.len().max(1));
     let mut sup = Supervisor {
         cells,
         opts,
         spawn,
         sink,
-        queue: order
-            .into_iter()
-            .map(|idx| Entry {
-                idx,
-                attempt: 0,
-                delay: 0,
-            })
-            .collect(),
+        queue: RetryQueue::new(order, &opts.policy),
         slots: (0..shards).map(|_| Slot::dead()).collect(),
         tx,
-        report,
-        cancel: None,
+        respawns: 0,
+        poisoned: Vec::new(),
+        fatal: None,
     };
     sup.run(&rx);
     sup.finish()
-}
-
-/// One queued (or in-flight) attempt of a cell; `delay` is the
-/// deterministic backoff counted in queue pops (mirrors `supervise`).
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    idx: usize,
-    attempt: u32,
-    delay: u32,
 }
 
 enum SlotState {
@@ -345,11 +319,13 @@ struct Supervisor<'a, S, K> {
     opts: &'a ShardOptions,
     spawn: S,
     sink: K,
-    queue: VecDeque<Entry>,
+    queue: RetryQueue<Vec<u8>, ShardCellError>,
     slots: Vec<Slot>,
     tx: mpsc::Sender<(usize, u64, Event)>,
-    report: ShardReport,
-    cancel: Option<String>,
+    respawns: u32,
+    poisoned: Vec<usize>,
+    /// Why the queue was cancelled, if it was.
+    fatal: Option<String>,
 }
 
 impl<S, K> Supervisor<'_, S, K>
@@ -359,7 +335,7 @@ where
 {
     fn run(&mut self, rx: &mpsc::Receiver<(usize, u64, Event)>) {
         loop {
-            if self.cancel.is_some() {
+            if self.queue.is_cancelled() {
                 return;
             }
             let live = self.slots.iter().any(|s| {
@@ -368,11 +344,11 @@ where
                     SlotState::Busy { .. } | SlotState::Handshaking { .. }
                 )
             });
-            if self.queue.is_empty() && !live {
+            if !self.queue.has_pending() && !live {
                 return;
             }
             self.dispatch();
-            if self.cancel.is_some() {
+            if self.queue.is_cancelled() {
                 return;
             }
             match rx.recv_timeout(self.opts.tick) {
@@ -380,7 +356,7 @@ where
                 Err(mpsc::RecvTimeoutError::Timeout) => self.tick(),
                 // Unreachable (we hold a sender), but never wedge.
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    self.cancel = Some("event channel disconnected".into());
+                    self.cancel("event channel disconnected".into());
                 }
             }
         }
@@ -390,16 +366,16 @@ where
     /// worker its next ready cell.
     fn dispatch(&mut self) {
         for s in 0..self.slots.len() {
-            if self.cancel.is_some() {
+            if self.queue.is_cancelled() {
                 return;
             }
-            if matches!(self.slots[s].state, SlotState::Dead) && !self.queue.is_empty() {
+            if matches!(self.slots[s].state, SlotState::Dead) && self.queue.has_pending() {
                 self.spawn_slot(s);
             }
             if !matches!(self.slots[s].state, SlotState::Idle) {
                 continue;
             }
-            let Some(entry) = self.pop_ready() else {
+            let Some(entry) = self.queue.pop_ready() else {
                 continue;
             };
             let msg = Msg::Cell {
@@ -425,17 +401,10 @@ where
         }
     }
 
-    /// Pop the next zero-delay entry, burning one delay unit per pop —
-    /// the same pop-counted (never wall-clock) backoff as `supervise`.
-    fn pop_ready(&mut self) -> Option<Entry> {
-        loop {
-            let mut e = self.queue.pop_front()?;
-            if e.delay == 0 {
-                return Some(e);
-            }
-            e.delay -= 1;
-            self.queue.push_back(e);
-        }
+    /// Cancel the sweep for a condition no cell caused.
+    fn cancel(&mut self, reason: String) {
+        self.fatal = Some(reason);
+        self.queue.cancel();
     }
 
     fn spawn_slot(&mut self, s: usize) {
@@ -473,7 +442,7 @@ where
             Err(e) => {
                 self.slots[s].handshake_fails += 1;
                 if self.slots[s].handshake_fails >= self.opts.policy.max_attempts.max(1) {
-                    self.cancel = Some(format!("shard {s}: cannot spawn worker: {e}"));
+                    self.cancel(format!("shard {s}: cannot spawn worker: {e}"));
                 }
             }
         }
@@ -491,7 +460,9 @@ where
     }
 
     /// The slot's worker died/stalled/corrupted while (possibly) busy:
-    /// kill + reap, count the respawn, requeue the in-flight cell.
+    /// kill + reap, count the respawn, and fail the in-flight cell. A
+    /// transient death the retry budget no longer covers makes it a
+    /// poison cell (it repeatedly killed its worker).
     fn worker_death(&mut self, s: usize, mk: impl FnOnce(String) -> ShardCellError) {
         let entry = match self.slots[s].state {
             SlotState::Busy { entry, .. } => entry,
@@ -501,34 +472,11 @@ where
             }
         };
         let exit = self.kill_slot(s);
-        self.report.respawns += 1;
-        self.retry_or_quarantine(entry, mk(exit), true);
-    }
-
-    /// `RetryPolicy` attempt accounting, shared with the in-process
-    /// supervisor: transient failures retry with pop-counted backoff
-    /// until the budget is spent, then quarantine. `poison` marks
-    /// exhaustion as a poison cell (it repeatedly killed its worker).
-    fn retry_or_quarantine(&mut self, entry: Entry, error: ShardCellError, poison: bool) {
-        let attempts = entry.attempt + 1;
-        let transient = error.class() == FailureClass::Transient;
-        if transient && attempts < self.opts.policy.max_attempts.max(1) {
-            self.report.retried.push((entry.idx, attempts));
-            self.queue.push_back(Entry {
-                idx: entry.idx,
-                attempt: attempts,
-                delay: self.opts.policy.backoff_pops(attempts),
-            });
-        } else {
-            self.report.failed.push(ShardFailure {
-                index: entry.idx,
-                attempts,
-                quarantined: transient,
-                error,
-            });
-            if poison && transient {
-                self.report.poisoned.push(entry.idx);
-            }
+        self.respawns += 1;
+        let error = mk(exit);
+        let class = error.class();
+        if !self.queue.fail(entry, error, class) && class == FailureClass::Transient {
+            self.poisoned.push(entry.idx);
         }
     }
 
@@ -556,7 +504,7 @@ where
         self.kill_slot(s);
         self.slots[s].handshake_fails += 1;
         if self.slots[s].handshake_fails >= self.opts.policy.max_attempts.max(1) {
-            self.cancel = Some(format!(
+            self.cancel(format!(
                 "shard {s}: worker crash-looped during handshake: {detail}"
             ));
         }
@@ -572,7 +520,7 @@ where
                     self.stream_failure(s, "hello out of order".into());
                 } else if &magic != proto::MAGIC || schema != proto::SCHEMA {
                     self.kill_slot(s);
-                    self.cancel = Some(format!(
+                    self.cancel(format!(
                         "shard {s}: protocol version mismatch: worker speaks \
                          {:?}/schema {schema}, supervisor {:?}/schema {}",
                         String::from_utf8_lossy(&magic),
@@ -588,20 +536,16 @@ where
                 Some(entry) => match (self.sink)(entry.idx, &payload) {
                     Ok(()) => {
                         self.slots[s].state = SlotState::Idle;
-                        self.report.results[entry.idx] = Some(payload);
+                        self.queue.succeed(entry, payload);
                     }
                     Err(ShardCellError::Fatal { detail }) => {
                         self.slots[s].state = SlotState::Idle;
-                        self.cancel = Some(format!(
+                        self.fatal = Some(format!(
                             "result sink failed for cell {}: {detail}",
                             entry.idx
                         ));
-                        self.report.failed.push(ShardFailure {
-                            index: entry.idx,
-                            attempts: entry.attempt + 1,
-                            quarantined: false,
-                            error: ShardCellError::Fatal { detail },
-                        });
+                        let error = ShardCellError::Fatal { detail };
+                        self.queue.fail(entry, error, FailureClass::Fatal);
                     }
                     // A rejected result means the stream produced bytes
                     // the supervisor cannot use: treat it like a
@@ -624,17 +568,9 @@ where
                         trap,
                     };
                     if class == FailureClass::Fatal {
-                        let detail = error.to_string();
-                        self.report.failed.push(ShardFailure {
-                            index: entry.idx,
-                            attempts: entry.attempt + 1,
-                            quarantined: false,
-                            error,
-                        });
-                        self.cancel = Some(format!("cell {} failed fatally: {detail}", entry.idx));
-                    } else {
-                        self.retry_or_quarantine(entry, error, false);
+                        self.fatal = Some(format!("cell {} failed fatally: {error}", entry.idx));
                     }
+                    self.queue.fail(entry, error, class);
                 }
                 None => self.stream_failure(s, format!("fail for unexpected cell {index}")),
             },
@@ -706,29 +642,31 @@ where
         }
     }
 
-    /// Record skipped cells on cancellation, shut every worker down
-    /// (graceful Shutdown frame, then kill + reap), produce the report.
+    /// Shut every worker down (graceful Shutdown frame, then kill +
+    /// reap) and produce the report; a cell still in flight on a
+    /// cancelled sweep is skipped.
     fn finish(mut self) -> ShardReport {
-        if self.cancel.is_some() {
-            let mut skipped: Vec<usize> = self.queue.iter().map(|e| e.idx).collect();
-            for slot in &self.slots {
-                if let SlotState::Busy { entry, .. } = slot.state {
-                    skipped.push(entry.idx);
-                }
-            }
-            skipped.sort_unstable();
-            skipped.dedup();
-            self.report.skipped = skipped;
-        }
+        let mut in_flight = Vec::new();
         for s in 0..self.slots.len() {
+            if let SlotState::Busy { entry, .. } = self.slots[s].state {
+                in_flight.push(entry.idx);
+            }
             if let Some(stdin) = self.slots[s].stdin.as_mut() {
                 let _ = proto::write_msg(stdin, &Msg::Shutdown);
             }
             self.kill_slot(s);
         }
-        self.report.poisoned.sort_unstable();
-        self.report.fatal = self.cancel.take();
-        self.report
+        let report = self.queue.finish(in_flight);
+        self.poisoned.sort_unstable();
+        ShardReport {
+            results: report.results,
+            failed: report.failed,
+            retried: report.retried,
+            skipped: report.skipped,
+            respawns: self.respawns,
+            poisoned: self.poisoned,
+            fatal: self.fatal,
+        }
     }
 }
 

@@ -1,25 +1,25 @@
 //! Supervised job execution: panic isolation, retry with quarantine,
 //! and cooperative cancellation on fatal errors.
 //!
-//! [`run_jobs_supervised`] is the fault-tolerant sibling of
-//! [`crate::try_run_jobs`]: instead of surfacing the earliest error and
-//! discarding everything else, it isolates each job behind
-//! `catch_unwind`, classifies failures ([`FailureClass`]), retries
-//! transient ones with a deterministic backoff, quarantines jobs that
-//! keep failing, and returns a [`SweepReport`] carrying every surviving
-//! result plus a structured account of what went wrong.
+//! The rules both sweep supervisors share live in one crate-private
+//! retry queue: pending attempts with pop-counted backoff, the
+//! retry-or-quarantine decision, fatal cancellation, and the
+//! [`SweepReport`] accounting. [`run_jobs_supervised`] drives it from
+//! threads, isolating each job behind `catch_unwind`;
+//! [`crate::run_sharded`] drives it from worker processes.
 //!
 //! Determinism contract: a job's result lands at its job index, so the
 //! `results` vector of a supervised run is bit-identical to a serial
 //! run of the same jobs at any worker count — faults in one cell never
 //! perturb the values computed by healthy cells. Retry backoff is
 //! counted in queue pops, not wall-clock time, so scheduling stays
-//! reproducible under test.
+//! reproducible under test, and the same failure script yields the
+//! same accounting under either supervisor.
 
+use crate::queue::pool;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// How a job failure should be treated by the supervisor.
@@ -37,7 +37,8 @@ pub enum FailureClass {
     Fatal,
 }
 
-/// Retry budget and backoff for [`run_jobs_supervised`].
+/// Retry budget and backoff, shared by [`run_jobs_supervised`] and
+/// [`crate::run_sharded`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts per job (first run included). `1` disables
@@ -45,7 +46,8 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Whether a panicking job is retried like a transient failure
     /// before being quarantined. Panics never cancel other jobs either
-    /// way.
+    /// way. Only the thread supervisor reads this: a worker process
+    /// that panics surfaces as a crash, which is always transient.
     pub retry_panics: bool,
 }
 
@@ -68,7 +70,7 @@ impl RetryPolicy {
     }
 }
 
-/// Why a job ultimately failed.
+/// Why a job ultimately failed under [`run_jobs_supervised`].
 #[derive(Debug)]
 pub enum CellError<E> {
     /// The job panicked; the payload is the panic message.
@@ -86,7 +88,9 @@ impl<E: fmt::Display> fmt::Display for CellError<E> {
     }
 }
 
-/// A job the supervisor gave up on.
+/// A job the supervisor gave up on — the one failure record of both
+/// supervisors ([`CellError`] under threads,
+/// [`crate::ShardCellError`] under worker processes).
 #[derive(Debug)]
 pub struct CellFailure<E> {
     /// Job index (slot in [`SweepReport::results`]).
@@ -96,7 +100,7 @@ pub struct CellFailure<E> {
     /// True when the job exhausted its retry budget (it failed
     /// repeatedly); false when its failure class never allowed a retry.
     pub quarantined: bool,
-    pub error: CellError<E>,
+    pub error: E,
 }
 
 /// Outcome of a supervised run. `results[i]` is job `i`'s value —
@@ -107,11 +111,12 @@ pub struct SweepReport<R, E> {
     pub results: Vec<Option<R>>,
     /// Jobs that ultimately failed, sorted by index.
     pub failed: Vec<CellFailure<E>>,
-    /// Every granted retry as `(index, attempt_that_failed)` (0-based
-    /// attempt), in index order.
+    /// Every granted retry as `(index, attempt granted)`: the 0-based
+    /// attempt the retry runs as (its [`JobCtx::attempt`]), sorted.
     pub retried: Vec<(usize, u32)>,
-    /// Jobs cancelled before they ever ran (a fatal failure aborted the
-    /// sweep), sorted by index.
+    /// Jobs a fatal failure cancelled before they could finish: still
+    /// queued, or in flight in a worker process that was shut down.
+    /// Sorted by index.
     pub skipped: Vec<usize>,
 }
 
@@ -131,7 +136,7 @@ impl<R, E> SweepReport<R, E> {
 pub struct JobCtx<'a> {
     /// 0-based attempt number (0 = first run).
     pub attempt: u32,
-    cancel: &'a AtomicBool,
+    cancelled: &'a (dyn Fn() -> bool + Sync),
 }
 
 impl JobCtx<'_> {
@@ -139,28 +144,148 @@ impl JobCtx<'_> {
     /// jobs may poll this and bail early (their result is discarded
     /// only if they return an error).
     pub fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Acquire)
+        (self.cancelled)()
     }
 }
 
-/// Queue entry: job index, attempt number, and remaining backoff pops.
+/// One queued (or in-flight) attempt: the job index, the 0-based
+/// attempt it runs as, and the backoff pops left before it may run.
 #[derive(Clone, Copy)]
-struct Entry {
-    idx: usize,
-    attempt: u32,
+pub(crate) struct Entry {
+    pub(crate) idx: usize,
+    pub(crate) attempt: u32,
     delay: u32,
+}
+
+/// The retry bookkeeping both supervisors drive: pending attempts,
+/// pop-counted backoff, the retry-or-quarantine decision, fatal
+/// cancellation, and the report. Not synchronized — the thread
+/// supervisor wraps it in a `Mutex`, the process supervisor owns it on
+/// its one event-loop thread.
+pub(crate) struct RetryQueue<R, E> {
+    pending: VecDeque<Entry>,
+    policy: RetryPolicy,
+    cancelled: bool,
+    results: Vec<Option<R>>,
+    failed: Vec<CellFailure<E>>,
+    retried: Vec<(usize, u32)>,
+}
+
+impl<R, E> RetryQueue<R, E> {
+    /// First attempts of jobs `0..n`, dispatched in `order` (a
+    /// permutation of `0..n`).
+    pub(crate) fn new(order: impl IntoIterator<Item = usize>, policy: &RetryPolicy) -> Self {
+        let pending: VecDeque<Entry> = order
+            .into_iter()
+            .map(|idx| Entry {
+                idx,
+                attempt: 0,
+                delay: 0,
+            })
+            .collect();
+        let results = pending.iter().map(|_| None).collect();
+        RetryQueue {
+            pending,
+            policy: policy.clone(),
+            cancelled: false,
+            results,
+            failed: Vec::new(),
+            retried: Vec::new(),
+        }
+    }
+
+    /// The next attempt allowed to run, or `None` once nothing is
+    /// pending or the queue is cancelled. A delayed entry burns one
+    /// backoff pop and goes to the back.
+    pub(crate) fn pop_ready(&mut self) -> Option<Entry> {
+        while !self.cancelled {
+            let mut e = self.pending.pop_front()?;
+            if e.delay == 0 {
+                return Some(e);
+            }
+            e.delay -= 1;
+            self.pending.push_back(e);
+        }
+        None
+    }
+
+    /// True while attempts are queued (ready or backing off).
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.cancelled
+    }
+
+    pub(crate) fn succeed(&mut self, entry: Entry, result: R) {
+        self.results[entry.idx] = Some(result);
+    }
+
+    /// Record a failed attempt; returns whether a retry was granted. A
+    /// transient failure within the attempt budget is requeued behind
+    /// its backoff. Anything else is recorded as the job's failure —
+    /// quarantined iff it was transient — and a fatal one cancels the
+    /// queue.
+    pub(crate) fn fail(&mut self, entry: Entry, error: E, class: FailureClass) -> bool {
+        let attempt = entry.attempt + 1;
+        let transient = class == FailureClass::Transient;
+        if transient && attempt < self.policy.max_attempts {
+            self.retried.push((entry.idx, attempt));
+            self.pending.push_back(Entry {
+                idx: entry.idx,
+                attempt,
+                delay: self.policy.backoff_pops(attempt),
+            });
+            return true;
+        }
+        self.failed.push(CellFailure {
+            index: entry.idx,
+            attempts: attempt,
+            quarantined: transient,
+            error,
+        });
+        self.cancelled |= class == FailureClass::Fatal;
+        false
+    }
+
+    /// Cancel for a condition no job caused (a worker that cannot be
+    /// spawned, protocol version skew).
+    pub(crate) fn cancel(&mut self) {
+        self.cancelled = true;
+    }
+
+    /// The report: `skipped` is every still-queued job plus `in_flight`
+    /// (jobs whose attempt was abandoned mid-run); `failed`, `retried`
+    /// and `skipped` come back sorted.
+    pub(crate) fn finish(self, in_flight: impl IntoIterator<Item = usize>) -> SweepReport<R, E> {
+        let mut failed = self.failed;
+        failed.sort_by_key(|f| f.index);
+        let mut retried = self.retried;
+        retried.sort_unstable();
+        let queued = self.pending.iter().map(|e| e.idx);
+        let mut skipped: Vec<usize> = queued.chain(in_flight).collect();
+        skipped.sort_unstable();
+        SweepReport {
+            results: self.results,
+            failed,
+            retried,
+            skipped,
+        }
+    }
 }
 
 /// Run `jobs` under at most `workers` threads with panic isolation,
 /// retry, quarantine, and fatal-error cancellation. Jobs are borrowed
 /// (`&J`) so a retried job re-runs against identical input.
 ///
-/// - A panic in a job is caught and recorded; it never unwinds the
-///   caller and never disturbs other jobs.
+/// - A panic in a job is caught and recorded as
+///   [`CellError::Panicked`]; it never unwinds the caller and never
+///   disturbs other jobs. [`RetryPolicy::retry_panics`] makes it
+///   transient, otherwise it is permanent.
 /// - `classify` maps a job error onto its [`FailureClass`];
-///   [`FailureClass::Fatal`] flips a shared cancellation flag that
-///   stops still-queued jobs from starting (they are reported in
-///   [`SweepReport::skipped`]).
+///   [`FailureClass::Fatal`] cancels the sweep, so still-queued jobs
+///   never start (they are reported in [`SweepReport::skipped`]).
 /// - `workers <= 1` runs strictly serially on the calling thread (the
 ///   reference order the determinism tests compare against).
 pub fn run_jobs_supervised<J, R, E, F, C>(
@@ -169,7 +294,7 @@ pub fn run_jobs_supervised<J, R, E, F, C>(
     policy: &RetryPolicy,
     run: F,
     classify: C,
-) -> SweepReport<R, E>
+) -> SweepReport<R, CellError<E>>
 where
     J: Sync,
     R: Send,
@@ -177,153 +302,54 @@ where
     F: Fn(usize, &J, &JobCtx) -> Result<R, E> + Sync,
     C: Fn(&E) -> FailureClass + Sync,
 {
-    let n = jobs.len();
-    let workers = workers.max(1).min(n.max(1));
-    let max_attempts = policy.max_attempts.max(1);
-
-    let queue: Mutex<VecDeque<Entry>> = Mutex::new(
-        (0..n)
-            .map(|idx| Entry {
-                idx,
-                attempt: 0,
-                delay: 0,
-            })
-            .collect(),
-    );
-    let cancel = AtomicBool::new(false);
-    struct State<R, E> {
-        results: Vec<Option<R>>,
-        failed: Vec<CellFailure<E>>,
-        retried: Vec<(usize, u32)>,
-    }
-    let state: Mutex<State<R, E>> = Mutex::new(State {
-        results: {
-            let mut v = Vec::with_capacity(n);
-            v.resize_with(n, || None);
-            v
-        },
-        failed: Vec::new(),
-        retried: Vec::new(),
-    });
-
-    let worker_loop = |_worker: usize| {
-        loop {
-            if cancel.load(Ordering::Acquire) {
-                break;
-            }
-            let entry = {
-                let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                match q.pop_front() {
-                    None => break,
-                    Some(mut e) if e.delay > 0 => {
-                        // Backoff: burn one pop, requeue at the back.
-                        e.delay -= 1;
-                        q.push_back(e);
-                        continue;
-                    }
-                    Some(e) => e,
-                }
-            };
-            let ctx = JobCtx {
-                attempt: entry.attempt,
-                cancel: &cancel,
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| run(entry.idx, &jobs[entry.idx], &ctx)));
-            let attempts = entry.attempt + 1;
-            // Decide: record a result, grant a retry, or give up.
-            let (error, quarantine_on_exhaust) = match outcome {
+    let queue = Mutex::new(RetryQueue::new(0..jobs.len(), policy));
+    // Jobs run (and panic) outside the lock, so the queue is never left
+    // half-updated.
+    let lock = || queue.lock().unwrap_or_else(|e| e.into_inner());
+    let cancelled = || lock().is_cancelled();
+    let panic_class = if policy.retry_panics {
+        FailureClass::Transient
+    } else {
+        FailureClass::Permanent
+    };
+    pool(workers, jobs.len(), |_| loop {
+        // `let … else` drops the guard before the job runs.
+        let Some(entry) = lock().pop_ready() else {
+            break;
+        };
+        let ctx = JobCtx {
+            attempt: entry.attempt,
+            cancelled: &cancelled,
+        };
+        let (error, class) =
+            match catch_unwind(AssertUnwindSafe(|| run(entry.idx, &jobs[entry.idx], &ctx))) {
                 Ok(Ok(r)) => {
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.results[entry.idx] = Some(r);
+                    lock().succeed(entry, r);
                     continue;
                 }
-                Ok(Err(e)) => match classify(&e) {
-                    FailureClass::Fatal => {
-                        cancel.store(true, Ordering::Release);
-                        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                        st.failed.push(CellFailure {
-                            index: entry.idx,
-                            attempts,
-                            quarantined: false,
-                            error: CellError::Failed(e),
-                        });
-                        continue;
-                    }
-                    FailureClass::Permanent => (CellError::Failed(e), false),
-                    FailureClass::Transient => (CellError::Failed(e), true),
-                },
+                Ok(Err(e)) => {
+                    let class = classify(&e);
+                    (CellError::Failed(e), class)
+                }
+                // `&*`: downcast the payload, not the box.
                 Err(panic) => (
                     CellError::Panicked {
-                        // `&*`: downcast the payload, not the box.
                         payload: panic_payload(&*panic),
                     },
-                    policy.retry_panics,
+                    panic_class,
                 ),
             };
-            if quarantine_on_exhaust && attempts < max_attempts {
-                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                st.retried.push((entry.idx, entry.attempt));
-                drop(st);
-                queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back(Entry {
-                        idx: entry.idx,
-                        attempt: entry.attempt + 1,
-                        delay: policy.backoff_pops(entry.attempt + 1),
-                    });
-            } else {
-                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                st.failed.push(CellFailure {
-                    index: entry.idx,
-                    attempts,
-                    quarantined: quarantine_on_exhaust,
-                    error,
-                });
-            }
-        }
-    };
-
-    if workers == 1 {
-        worker_loop(0);
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| s.spawn(move || worker_loop(w)))
-                .collect();
-            for h in handles {
-                // Worker closures catch job panics; a join error would
-                // mean the supervisor itself is broken.
-                h.join().expect("supervisor worker");
-            }
-        });
-    }
-
-    let State {
-        results,
-        mut failed,
-        mut retried,
-    } = state.into_inner().unwrap_or_else(|e| e.into_inner());
-    failed.sort_by_key(|f| f.index);
-    retried.sort_unstable();
-    let mut skipped: Vec<usize> = queue
+        lock().fail(entry, error, class);
+    });
+    queue
         .into_inner()
         .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|e| e.idx)
-        .collect();
-    skipped.sort_unstable();
-    SweepReport {
-        results,
-        failed,
-        retried,
-        skipped,
-    }
+        .finish([])
 }
 
 /// Best-effort render of a panic payload (the `&str`/`String` payloads
 /// `panic!` produces; anything else gets a placeholder).
-fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -336,7 +362,7 @@ fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn no_retry() -> RetryPolicy {
         RetryPolicy {
@@ -421,7 +447,7 @@ mod tests {
         );
         assert_eq!(report.results, vec![Some(7)]);
         assert_eq!(attempts_seen.load(Ordering::Relaxed), 3);
-        assert_eq!(report.retried, vec![(0, 0), (0, 1)]);
+        assert_eq!(report.retried, vec![(0, 1), (0, 2)]);
         assert!(report.failed.is_empty());
     }
 
@@ -543,6 +569,6 @@ mod tests {
             report.results,
             (0..6).map(|j| Some(j * 2)).collect::<Vec<_>>()
         );
-        assert_eq!(report.retried, vec![(0, 0)]);
+        assert_eq!(report.retried, vec![(0, 1)]);
     }
 }

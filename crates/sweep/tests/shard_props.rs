@@ -1,7 +1,8 @@
 //! Property tests over the shard supervisor: for *arbitrary* subsets of
 //! worker kills, stalls, and corrupt frames, the surviving sweep is
 //! bit-identical to a fault-free serial run, with exact retry, respawn,
-//! and quarantine accounting.
+//! and quarantine accounting; and for arbitrary scripts of structured
+//! cell outcomes, worker processes report exactly what threads report.
 //!
 //! Workers are in-process mocks over [`std::io::pipe`] — the supervisor
 //! cannot tell a dropped pipe from a SIGKILLed child, a sleeping thread
@@ -9,9 +10,9 @@
 //! recovery machinery under test is exactly what real `sweep-worker`
 //! children exercise.
 
-use mperf_sweep::proto::{encode_frame, read_msg, write_msg, Msg};
+use mperf_sweep::proto::{encode_frame, read_msg, serve_worker, write_msg, Msg, WorkerFailure};
 use mperf_sweep::shard::{run_sharded, ShardCell, ShardOptions, WorkerLink};
-use mperf_sweep::RetryPolicy;
+use mperf_sweep::{run_jobs_supervised, CellFailure, FailureClass, RetryPolicy};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::io::{self, PipeReader, PipeWriter, Write};
@@ -181,4 +182,97 @@ proptest! {
         prop_assert_eq!(retried, expect);
         prop_assert_eq!(report.respawns as usize, faults.len());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same seeded failure script — one outcome per `(cell,
+    /// attempt)`: ok, transient, permanent or fatal — run through the
+    /// thread supervisor at 1 worker and the process supervisor at 1
+    /// shard (equal costs, so both dispatch in index order) yields the
+    /// same results, failures, retries and skips: both drive one retry
+    /// queue.
+    #[test]
+    fn threads_and_processes_report_alike_for_one_failure_script(
+        ncells in 1usize..9,
+        max_attempts in 1usize..4,
+        codes in collection::vec(0u8..12, 24..25),
+        seed in 0u64..1_000_000,
+    ) {
+        let script = Arc::new(codes);
+        let cells: Vec<ShardCell> = (0..ncells)
+            .map(|i| ShardCell {
+                payload: seed.wrapping_mul(i as u64 + 7).to_le_bytes().to_vec(),
+                cost: 0,
+            })
+            .collect();
+        let policy = RetryPolicy {
+            max_attempts: max_attempts as u32,
+            ..RetryPolicy::default()
+        };
+
+        let indexes: Vec<usize> = (0..ncells).collect();
+        let threads = run_jobs_supervised(
+            &indexes,
+            1,
+            &policy,
+            |_, &i, ctx| {
+                scripted(&script, i, ctx.attempt).map(|()| transform(&cells[i].payload))
+            },
+            |&class| class,
+        );
+        let opts = ShardOptions {
+            shards: 1,
+            policy: policy.clone(),
+            deadline_ticks: 600,
+            tick: Duration::from_millis(5),
+        };
+        let shards = run_sharded(&cells, &opts, |_slot| spawn_scripted(&script), |_, _| Ok(()));
+
+        prop_assert_eq!(&threads.results, &shards.results);
+        let thread_failed: Vec<_> = threads.failed.iter().map(failure_key).collect();
+        let shard_failed: Vec<_> = shards.failed.iter().map(failure_key).collect();
+        prop_assert_eq!(thread_failed, shard_failed);
+        prop_assert_eq!(&threads.retried, &shards.retried);
+        prop_assert_eq!(&threads.skipped, &shards.skipped);
+    }
+}
+
+/// One attempt's scripted outcome (`script` holds 3 attempts per cell).
+fn scripted(script: &[u8], cell: usize, attempt: u32) -> Result<(), FailureClass> {
+    match script[cell * 3 + attempt as usize] {
+        0 => Err(FailureClass::Transient),
+        1 => Err(FailureClass::Permanent),
+        2 => Err(FailureClass::Fatal),
+        _ => Ok(()),
+    }
+}
+
+/// A worker that plays the script, reporting each failure with its
+/// class across the wire.
+fn spawn_scripted(script: &Arc<Vec<u8>>) -> io::Result<WorkerLink> {
+    let (req_r, req_w) = io::pipe()?;
+    let (resp_r, resp_w) = io::pipe()?;
+    let script = Arc::clone(script);
+    thread::spawn(move || {
+        let _ = serve_worker(req_r, resp_w, |index, attempt, payload| {
+            scripted(&script, index as usize, attempt)
+                .map(|()| transform(payload))
+                .map_err(|class| WorkerFailure {
+                    class,
+                    message: format!("scripted {class:?}"),
+                    trap: None,
+                })
+        });
+    });
+    Ok(WorkerLink {
+        stdin: Box::new(req_w),
+        stdout: Box::new(resp_r),
+        kill: Box::new(|| "mock worker".into()),
+    })
+}
+
+fn failure_key<E>(f: &CellFailure<E>) -> (usize, u32, bool) {
+    (f.index, f.attempts, f.quarantined)
 }

@@ -35,11 +35,11 @@
 //!    pc, so observables are untouched). [`RegallocStats`] records the
 //!    static coalescing rate; `DecodeConfig { regalloc }` /
 //!    `--no-regalloc` is the escape hatch;
-//! 3. **validate** — [`validate_func`] checks every index the template
+//! 3. **validate** — `validate_func` checks every index the template
 //!    thunks use without bounds checks (jump targets, register numbers,
 //!    callee ids, host ids, and the terminator-last invariant), so the
 //!    hot loop's unchecked fetches are sound;
-//! 4. **template compile** — [`crate::threaded::compile_func`] lowers
+//! 4. **template compile** — `threaded::compile_func` lowers
 //!    the validated stream into pre-bound templates and superblocks.
 //!
 //! `DecodedOp` is the IR the templates are compiled from: a new op needs

@@ -1,7 +1,7 @@
 //! Threaded template compilation: the execution layer over the
 //! regalloc'd decoded stream.
 //!
-//! [`compile_func`] lowers each function's validated `DecodedOp` stream
+//! `compile_func` lowers each function's validated `DecodedOp` stream
 //! into a flat array of pre-bound [`Template`]s — a `fn` pointer paired
 //! with a packed operand struct ([`TArgs`]) — so the threaded engine's
 //! hot loop in `crate::interp` is `loop { (templates[ip].fn)(...) }`
@@ -31,7 +31,7 @@
 //!
 //! ## Superblock formation
 //!
-//! On top of the template stream, [`form_blocks`] forms straight-line
+//! On top of the template stream, `form_blocks` forms straight-line
 //! superblocks at compile time: maximal runs of block-eligible ops
 //! (everything except calls, returns, and vector memory ops) that no
 //! jump target lands inside, optionally ending in a branch. Each block
@@ -55,7 +55,7 @@
 //! (generic over `const DEFER: bool` — `false` retires per op, `true`
 //! defers the PMU tick into the open block accumulator — dispatched via
 //! the `single`/`block` entries of its [`Template`]), bind it in
-//! [`bind`], and classify it in [`unit_cost`] (blockable? how many
+//! `bind`, and classify it in `unit_cost` (blockable? how many
 //! machine ops / memory refs / branches / FLOPs?). The cross-engine
 //! equivalence properties in `tests/properties.rs` then gate the
 //! observables.
