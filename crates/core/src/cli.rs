@@ -743,15 +743,18 @@ pub fn roofline_warning(run: &RooflineRun) -> Option<String> {
 }
 
 /// Everything `roofline` prints after the `config:` line: the triad
-/// summary plus the roofline plot. The machine characterization is
-/// recomputed here (deterministic at any `jobs`), so a submit client
-/// renders the identical plot without the daemon shipping it.
-pub fn roofline_body(run: &RooflineRun, platform: Platform, jobs: usize) -> String {
+/// summary plus the roofline plot. The roofs come from the platform's
+/// stored characterization ([`mperf_roofline::stored`]), so a submit
+/// client renders the identical plot without the daemon shipping it.
+///
+/// # Panics
+/// Panics if `run` has no region; `submit` rejects such a payload
+/// before it gets here.
+pub fn roofline_body(run: &RooflineRun, platform: Platform) -> String {
     use std::fmt::Write;
     let spec = platform.spec();
     let r = &run.regions[0];
-    let ch = mperf_roofline::characterize_with_jobs(platform, 8 << 20, jobs);
-    let mut model = ch.to_model();
+    let mut model = mperf_roofline::stored(platform).to_model();
     model.add_point(mperf_roofline::Point {
         name: "triad".into(),
         ai: r.ai(),
@@ -1123,9 +1126,7 @@ fn cmd_roofline(opts: &CommonOpts) -> i32 {
     println!("{}", opts.config_line());
     let module = triad_module(opts.platform);
     let setup = cli_triad_setup(CLI_TRIAD_N);
-    // Baseline + instrumented phases run as independent sweep jobs; the
-    // machine characterization fans its memset/triad kernels out the
-    // same way.
+    // Baseline + instrumented phases run as independent sweep jobs.
     let request = RooflineRequest::new().jobs(opts.jobs).config(opts.exec);
     let run = match request.run(&module, &opts.platform.spec(), "triad", &setup) {
         Ok(run) => run,
@@ -1138,7 +1139,7 @@ fn cmd_roofline(opts: &CommonOpts) -> i32 {
     if let Some(w) = roofline_warning(&run) {
         eprintln!("{w}");
     }
-    print!("{}", roofline_body(&run, opts.platform, opts.jobs));
+    print!("{}", roofline_body(&run, opts.platform));
     0
 }
 

@@ -1005,6 +1005,32 @@ fn reclaim_stale_socket(socket: &Path) -> io::Result<()> {
     }
 }
 
+/// Bind and listen under a short sibling temp name, then hard-link it
+/// to `socket`: the path appears only once it accepts connections, so
+/// neither a client nor a racing daemon's [`reclaim_stale_socket`]
+/// ever meets a bound socket that refuses. Unlike `rename`,
+/// `hard_link` never replaces a racing winner's socket; its
+/// `AlreadyExists` maps to `AddrInUse`. The temp name is removed
+/// whatever happens.
+fn bind_listening(socket: &Path) -> io::Result<UnixListener> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    // Clients connect by the final path, so it must fit `sun_path` too.
+    std::os::unix::net::SocketAddr::from_pathname(socket)?;
+    let seq = SEQ.fetch_add(1, Ordering::SeqCst);
+    let tmp = socket.with_file_name(format!(".mp{}.{seq}", std::process::id()));
+    let listener = UnixListener::bind(&tmp)?;
+    let linked = std::fs::hard_link(&tmp, socket);
+    let _ = std::fs::remove_file(&tmp);
+    match linked {
+        Ok(()) => Ok(listener),
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Err(io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!("another daemon is already serving on {}", socket.display()),
+        )),
+        Err(e) => Err(e),
+    }
+}
+
 /// Bind `socket` and start accepting clients in a background thread.
 /// A stale socket file from a dead daemon is reclaimed; a live
 /// daemon's socket (or a non-socket file) refuses the start with
@@ -1021,7 +1047,8 @@ pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Resu
     if let Some(dir) = &sopts.cache_dir {
         std::fs::create_dir_all(dir)?;
     }
-    let listener = UnixListener::bind(socket)?;
+    let listener = bind_listening(socket)?;
+    let guard = SocketGuard(socket.to_path_buf());
     listener.set_nonblocking(true)?;
     let cache = DecodeCache::new(sopts.cache_dir.as_deref());
     cache.preload();
@@ -1041,7 +1068,6 @@ pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Resu
         shed_conns: AtomicU64::new(0),
     });
     let stop = Arc::new(AtomicBool::new(false));
-    let guard = SocketGuard(socket.to_path_buf());
     let accept = thread::Builder::new()
         .name("miniperf-serve-accept".into())
         .spawn({
@@ -1441,10 +1467,16 @@ unsafe extern "C" {
     /// libc `signal(2)`; no `libc` crate in this workspace, and the
     /// async-signal-safety story is trivial (one atomic add).
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    /// glibc `mallopt(3)`.
+    #[cfg(target_env = "gnu")]
+    fn mallopt(param: i32, value: i32) -> i32;
 }
 
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
+/// glibc's `M_MMAP_THRESHOLD` parameter.
+#[cfg(target_env = "gnu")]
+const M_MMAP_THRESHOLD: i32 = -3;
 
 /// Run the daemon until SIGTERM/SIGINT, then drain: stop accepting,
 /// give in-flight jobs the drain deadline (a second signal cuts it
@@ -1456,6 +1488,16 @@ pub fn run_daemon(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> i32
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
+    }
+    // Pin glibc's mmap threshold at 128 KiB. Left dynamic, the first
+    // free of a simulator cache-tag array raises it, and every later
+    // array of concurrent jobs lands in a per-thread arena that keeps
+    // its pages — peak RSS then grows with daemon load.
+    // SAFETY: glibc documents `mallopt` as MT-Unsafe; this runs on the
+    // `serve` command's one thread, before `start` spawns any other.
+    #[cfg(target_env = "gnu")]
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
     }
     let mut handle = match start(socket, opts, sopts) {
         Ok(h) => h,
@@ -1597,7 +1639,7 @@ fn drain_roofline(session: &mut Session, job: u64, spec: &JobSpec) -> Result<i32
     let res = session
         .drain_job(job, |m| {
             if let Msg::CellDone { payload, .. } = m {
-                match decode_run(payload, &spec.platform.spec()) {
+                match decode_cell(payload, spec.platform) {
                     Ok(r) => run = Some(r),
                     Err(e) => bad = Some(e),
                 }
@@ -1617,8 +1659,18 @@ fn drain_roofline(session: &mut Session, job: u64, spec: &JobSpec) -> Result<i32
     if let Some(w) = cli::roofline_warning(&run) {
         eprintln!("{w}");
     }
-    print!("{}", cli::roofline_body(&run, spec.platform, spec.jobs));
+    print!("{}", cli::roofline_body(&run, spec.platform));
     Ok(0)
+}
+
+/// Decode one streamed `CellDone` run. Both renderers summarise the
+/// run's first region, so a run without one is a bad payload.
+fn decode_cell(payload: &[u8], platform: Platform) -> Result<RooflineRun, String> {
+    let run = decode_run(payload, &platform.spec())?;
+    if run.regions.is_empty() {
+        return Err(format!("{} result has no region", run.platform_name));
+    }
+    Ok(run)
 }
 
 fn drain_sweep(
@@ -1637,7 +1689,7 @@ fn drain_sweep(
                     bad = Some(format!("cell index {i} out of range"));
                     return;
                 }
-                match decode_run(payload, &Platform::ALL[i].spec()) {
+                match decode_cell(payload, Platform::ALL[i]) {
                     Ok(r) => results[i] = Some(r),
                     Err(e) => bad = Some(e),
                 }

@@ -6,13 +6,14 @@
 use miniperf::cli::{self, JobKind, JobSpec};
 use miniperf::serve::{self, decode_profile_meta, decode_sample, encode_sample};
 use miniperf::sweep_supervisor::encode_run;
-use miniperf::{record, CommonOpts, RecordConfig, RooflineRequest, ServeOptions};
+use miniperf::{cli_triad_setup, record, CommonOpts, RecordConfig, RooflineRequest, ServeOptions};
 use mperf_sim::Platform;
-use mperf_sweep::proto::{Msg, CODE_CANCELLED};
-use mperf_sweep::serve::ClientSession;
+use mperf_sweep::proto::{read_msg, write_msg, Msg, CODE_CANCELLED};
+use mperf_sweep::serve::{handshake_accept, ClientSession};
 use std::io::BufReader;
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 use std::time::Duration;
 
 /// A short, per-test socket path (bind fails past ~100 bytes).
@@ -346,6 +347,113 @@ fn a_stale_socket_from_a_dead_daemon_is_reclaimed() {
     assert_eq!(session.drain_job(job, |_| {}).unwrap().code, 2);
     drop(session);
     handle.stop();
+}
+
+/// Racing daemons on one fresh path: the socket file appears only once
+/// it listens, so no racer's stale-socket probe is refused and deletes
+/// it. Exactly one start wins, every other one sees `AddrInUse`, and
+/// no temp name is left behind.
+#[test]
+fn racing_starts_on_one_path_have_exactly_one_winner() {
+    const RACERS: usize = 8;
+    let dir = std::env::temp_dir().join(format!("mperf-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("s.sock");
+    let barrier = Barrier::new(RACERS);
+    let started: Vec<_> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..RACERS)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    serve::start(&socket, &CommonOpts::default(), &ServeOptions::default())
+                })
+            })
+            .collect();
+        racers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut winners = Vec::new();
+    for res in started {
+        match res {
+            Ok(handle) => winners.push(handle),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::AddrInUse, "{e}"),
+        }
+    }
+    assert_eq!(winners.len(), 1, "exactly one daemon owns the path");
+    let mut session = connect(&socket);
+    let job = session.submit(vec![1]).unwrap();
+    assert_eq!(session.drain_job(job, |_| {}).unwrap().code, 2);
+    drop(session);
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["s.sock"], "only the published socket remains");
+    winners.pop().unwrap().stop();
+    assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+    std::fs::remove_dir(&dir).unwrap();
+}
+
+/// A fake daemon on `socket` that answers one submit with a single
+/// `CellDone` for cell 0 carrying `run`, then a success status with
+/// `summary`, and holds the connection until the client hangs up.
+fn fake_daemon(socket: &Path, run: Vec<u8>, summary: Vec<u8>) -> std::thread::JoinHandle<()> {
+    let listener = UnixListener::bind(socket).unwrap();
+    std::thread::spawn(move || {
+        let (mut w, _) = listener.accept().unwrap();
+        let mut r = BufReader::new(w.try_clone().unwrap());
+        handshake_accept(&mut r, &mut w).unwrap();
+        let Msg::Submit { job, .. } = read_msg(&mut r).unwrap() else {
+            panic!("expected a submit")
+        };
+        let done = Msg::CellDone {
+            job,
+            index: 0,
+            payload: run,
+        };
+        write_msg(&mut w, &done).unwrap();
+        let status = Msg::JobStatus {
+            job,
+            code: 0,
+            message: String::new(),
+            payload: summary,
+        };
+        write_msg(&mut w, &status).unwrap();
+        while read_msg(&mut r).is_ok() {}
+    })
+}
+
+/// A run that decodes but has no region cannot be rendered: `submit`
+/// reports a bad payload (exit 1) instead of indexing past the end.
+#[test]
+fn a_regionless_result_fails_submit_instead_of_aborting_it() {
+    let opts = CommonOpts::default();
+    for (kind, platform) in [
+        (JobKind::Roofline, opts.platform),
+        (JobKind::Sweep, Platform::ALL[0]),
+    ] {
+        let socket = socket_path(&format!("regionless-{kind:?}"));
+        let mut run = RooflineRequest::new()
+            .run(
+                &cli::triad_module(platform),
+                &platform.spec(),
+                "triad",
+                &cli_triad_setup(8),
+            )
+            .unwrap();
+        run.regions.clear();
+        // An empty sweep summary (four zero list counts), so a sweep
+        // client goes on to render its cells.
+        let daemon = fake_daemon(&socket, encode_run(&run), vec![0; 16]);
+        let spec = JobSpec::from_opts(kind, &opts);
+        assert_eq!(
+            serve::run_submit(&socket, &spec, &opts, false),
+            1,
+            "{kind:?}"
+        );
+        daemon.join().unwrap();
+        std::fs::remove_file(&socket).unwrap();
+    }
 }
 
 #[test]

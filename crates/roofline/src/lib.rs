@@ -17,6 +17,6 @@ pub mod model;
 pub mod plot;
 
 pub use microbench::{
-    characterize, characterize_many, characterize_with_jobs, MachineCharacterization,
+    characterize, characterize_many, characterize_with_jobs, stored, MachineCharacterization,
 };
 pub use model::{Bound, Point, Roof, RoofKind, RooflineModel};

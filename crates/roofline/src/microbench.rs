@@ -8,6 +8,18 @@
 //! for the X60 (vector width × FMA throughput × frequency), since neither
 //! the paper nor this reproduction trusts un-tuned loop kernels to reach
 //! machine peak.
+//!
+//! A characterization is a pure function of the platform model, the two
+//! fixed kernels and the working set, so — like the paper's one memset
+//! run per machine — each platform is measured once: [`stored`] derives
+//! the roofs from a checked-in table of the 8 MiB measurement, and the
+//! `miniperf roofline` renderer reads that instead of re-streaming.
+//! [`characterize_with_jobs`] and friends still measure. The test
+//! `stored_table_matches_measurement` re-measures every platform and
+//! fails on any drift, printing the replacement table; after a change to
+//! the simulator or the kernels, regenerate it with
+//! `cargo test -p mperf-roofline stored_table` and paste the printed
+//! `const` over the old one.
 
 use crate::model::{Roof, RooflineModel};
 use mperf_ir::transform::vectorize::{TargetVecCaps, VectorizePass};
@@ -198,15 +210,18 @@ pub fn characterize_with(platform: Platform, working_set: u64) -> MachineCharact
     characterize_with_jobs(platform, working_set, 1)
 }
 
-/// Characterize several platforms at once: every `platform × kernel`
-/// combination is one job in a single worker pool, and results come
-/// back in `platforms` order, bit-identical to calling
-/// [`characterize_with`] in a loop.
-pub fn characterize_many(
+/// One platform's measured `(bytes streamed, cycles)` pairs: memset,
+/// then triad.
+type StreamCounts = [(u64, u64); 2];
+
+/// Run the streaming kernels for several platforms: every
+/// `platform × kernel` combination is one job in a single worker pool,
+/// and counts come back in `platforms` order, identical at any `jobs`.
+pub(crate) fn measure_counts(
     platforms: &[Platform],
     working_set: u64,
     jobs: usize,
-) -> Vec<MachineCharacterization> {
+) -> Vec<StreamCounts> {
     // Compile + decode once per platform, up front.
     let shared: Vec<SharedModule> = platforms.iter().map(|&p| stream_module(p)).collect();
     let matrix: Vec<(usize, StreamKernel)> = (0..platforms.len())
@@ -215,29 +230,63 @@ pub fn characterize_many(
     let measured = queue::run_jobs(matrix, jobs, |_, (pi, kernel)| {
         stream_bandwidth(&shared[pi], &platforms[pi].spec(), working_set, kernel)
     });
-    platforms
-        .iter()
-        .enumerate()
-        .map(|(i, &platform)| {
-            let spec = platform.spec();
-            let (memset_bytes, memset_cycles) = measured[2 * i];
-            let (triad_bytes, triad_cycles) = measured[2 * i + 1];
-            let memset_bpc = memset_bytes as f64 / memset_cycles as f64;
-            MachineCharacterization {
-                platform,
-                peak_vector_gflops: theoretical_vector_peak_gflops(&spec),
-                peak_scalar_gflops: theoretical_scalar_peak_gflops(&spec),
-                memset_gbps: memset_bpc * spec.freq_hz as f64 / 1e9,
-                triad_gbps: triad_bytes as f64 / triad_cycles as f64 * spec.freq_hz as f64 / 1e9,
-                memset_bytes_per_cycle: memset_bpc,
-            }
-        })
+    measured.chunks(2).map(|c| [c[0], c[1]]).collect()
+}
+
+/// The one derivation of a characterization from its measured counts:
+/// the measuring and the stored paths run the same f64 arithmetic on
+/// the same integers, so their roofs are bit-identical.
+fn from_counts(platform: Platform, counts: StreamCounts) -> MachineCharacterization {
+    let [(memset_bytes, memset_cycles), (triad_bytes, triad_cycles)] = counts;
+    let spec = platform.spec();
+    let memset_bpc = memset_bytes as f64 / memset_cycles as f64;
+    MachineCharacterization {
+        platform,
+        peak_vector_gflops: theoretical_vector_peak_gflops(&spec),
+        peak_scalar_gflops: theoretical_scalar_peak_gflops(&spec),
+        memset_gbps: memset_bpc * spec.freq_hz as f64 / 1e9,
+        triad_gbps: triad_bytes as f64 / triad_cycles as f64 * spec.freq_hz as f64 / 1e9,
+        memset_bytes_per_cycle: memset_bpc,
+    }
+}
+
+/// Characterize several platforms at once, in `platforms` order,
+/// bit-identical to calling [`characterize_with`] in a loop.
+pub fn characterize_many(
+    platforms: &[Platform],
+    working_set: u64,
+    jobs: usize,
+) -> Vec<MachineCharacterization> {
+    measure_counts(platforms, working_set, jobs)
+        .into_iter()
+        .zip(platforms)
+        .map(|(counts, &platform)| from_counts(platform, counts))
         .collect()
 }
 
 /// Characterize with the default 8 MiB working set.
 pub fn characterize(platform: Platform) -> MachineCharacterization {
     characterize_with(platform, 8 << 20)
+}
+
+/// [`measure_counts`] over [`Platform::ALL`] (in that order) at the
+/// 8 MiB working set of [`characterize`]. The X60 row is 3.16 B/cycle,
+/// the paper's rvv-bench memset figure.
+const STORED_8MIB: [StreamCounts; 4] = [
+    [(8388608, 6815814), (8388600, 15117108)],
+    [(8388608, 1397352), (8388600, 3436904)],
+    [(8388608, 2654312), (8388600, 9350033)],
+    [(8388608, 852186), (8388600, 1765368)],
+];
+
+/// The 8 MiB characterization of `platform` from the checked-in
+/// measurement: equal to [`characterize`] without streaming a byte.
+pub fn stored(platform: Platform) -> MachineCharacterization {
+    let i = Platform::ALL
+        .iter()
+        .position(|&p| p == platform)
+        .expect("Platform::ALL lists every platform");
+    from_counts(platform, STORED_8MIB[i])
 }
 
 #[cfg(test)]
@@ -296,6 +345,30 @@ mod tests {
         for (p, got) in platforms.iter().zip(&many) {
             let lone = characterize_with(*p, 1 << 20);
             assert_eq!(got, &lone, "{p:?}");
+        }
+    }
+
+    /// The stored table is the measurement, not a copy of it: re-measure
+    /// every platform at 8 MiB and demand equality, printing the literal
+    /// to paste on any drift.
+    #[test]
+    fn stored_table_matches_measurement() {
+        let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let measured = measure_counts(&Platform::ALL, 8 << 20, jobs);
+        let mut literal = String::from("const STORED_8MIB: [StreamCounts; 4] = [\n");
+        for [(mb, mc), (tb, tc)] in &measured {
+            literal += &format!("    [({mb}, {mc}), ({tb}, {tc})],\n");
+        }
+        literal += "];";
+        assert!(
+            measured == STORED_8MIB,
+            "the stored characterization drifted from the measurement; \
+             replace it with:\n{literal}"
+        );
+        // `stored` picks each platform's own row (`Platform::ALL` order
+        // is not declaration order).
+        for (&p, counts) in Platform::ALL.iter().zip(measured) {
+            assert_eq!(stored(p), from_counts(p, counts), "{p:?}");
         }
     }
 
