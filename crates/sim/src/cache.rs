@@ -5,6 +5,23 @@
 //! memory roof of the roofline model: the X60 configuration is calibrated
 //! to ~3.16 bytes/cycle, matching the memset benchmark the paper cites
 //! (§5.2: 3.16 B/cyc × 1.6 GHz ≈ 4.7 GB/s).
+//!
+//! Every memory reference the core retires passes through
+//! [`MemorySystem::access`], so the lookup is built to finish in one
+//! pass:
+//!
+//! - **Valid-prefix sets.** A miss fills the first empty way of its set,
+//!   and lines are never invalidated one at a time ([`MemorySystem::flush`]
+//!   clears whole levels). So each set's valid ways always form a prefix
+//!   of the set.
+//! - **One walk per set.** A lookup walks the set once, finding the tag
+//!   and the LRU victim together: the victim is the first empty way, or
+//!   else the first way with the oldest timestamp. The walk stops at the
+//!   first empty way, since no valid line can follow it.
+//! - **Contiguous line ranges.** Scalar and unit-stride references cover
+//!   one byte range, so their lines are walked as `first..=last`; only
+//!   strided references go through the per-lane dedup of
+//!   [`MemRef::for_each_line`].
 
 use crate::machine_op::MemRef;
 
@@ -56,11 +73,12 @@ struct Level {
     /// Flat `(tag, last_use)` array, `ways` entries per set (one cache
     /// block, no per-set pointer chase on the retire path); tag 0 means
     /// empty (tags are stored +1 so tag 0 never collides with a real
-    /// line).
+    /// line). The valid ways of every set form a prefix of it (see the
+    /// module docs).
     sets: Vec<(u64, u64)>,
     /// Per-set index of the most-recently-hit (or most-recently-filled)
-    /// way: the MRU fast-hit probe checks this way before the full set
-    /// scan. Pure memoization — hit/miss decisions, LRU timestamps, and
+    /// way: the MRU fast-hit probe checks this way before the set walk.
+    /// Pure memoization — hit/miss decisions, LRU timestamps, and
     /// victim selection are bit-identical with or without it.
     mru: Vec<u32>,
     num_sets: u64,
@@ -68,7 +86,7 @@ struct Level {
     latency: u32,
     accesses: u64,
     misses: u64,
-    /// Hits satisfied by the MRU probe alone (no set scan).
+    /// Hits satisfied by the MRU probe alone (no set walk).
     mru_hits: u64,
 }
 
@@ -88,40 +106,55 @@ impl Level {
     }
 
     /// Access `line` (line address, i.e. byte address / 64). Returns
-    /// `(hit, hit_via_mru_probe)`.
+    /// whether it hit.
     #[inline]
-    fn access(&mut self, line: u64, now: u64) -> (bool, bool) {
+    fn access(&mut self, line: u64, now: u64) -> bool {
         self.accesses += 1;
         let set = (line % self.num_sets) as usize;
         let tag = line + 1;
         let base = set * self.ways;
-        // MRU fast hit: streaming kernels touch the same line many times
-        // in a row, so probe the most-recently-hit way before paying the
-        // full scan. The accounting (timestamp update, hit count) is
-        // exactly what the scan would have done for the same way.
-        let m = self.mru[set] as usize;
-        if self.sets[base + m].0 == tag {
-            self.sets[base + m].1 = now;
-            self.mru_hits += 1;
-            return (true, true);
-        }
         let ways = &mut self.sets[base..base + self.ways];
-        if let Some((w, slot)) = ways.iter_mut().enumerate().find(|(_, (t, _))| *t == tag) {
-            slot.1 = now;
-            self.mru[set] = w as u32;
-            return (true, false);
+        // MRU fast hit: streaming kernels touch the same line many times
+        // in a row, so probe the most-recently-hit way before walking
+        // the set. The accounting (timestamp update, hit count) is
+        // exactly what the walk would have done for the same way.
+        let m = self.mru[set] as usize;
+        if ways[m].0 == tag {
+            ways[m].1 = now;
+            self.mru_hits += 1;
+            return true;
         }
+        // One walk finds the tag and the LRU victim together. The victim
+        // is the first empty way, else the first way with the minimum
+        // timestamp. Valid ways form a prefix of the set, so the walk
+        // stops at the first empty way: no tag can follow it.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (w, slot) in ways.iter_mut().enumerate() {
+            if slot.0 == tag {
+                slot.1 = now;
+                self.mru[set] = w as u32;
+                return true;
+            }
+            if slot.0 == 0 {
+                victim = w;
+                break;
+            }
+            if slot.1 < oldest {
+                oldest = slot.1;
+                victim = w;
+            }
+        }
+        debug_assert!(
+            ways.iter()
+                .skip_while(|(t, _)| *t != 0)
+                .all(|(t, _)| *t == 0),
+            "valid ways form a prefix of the set"
+        );
         self.misses += 1;
-        // Evict LRU (first minimum in way order, as before the MRU
-        // probe existed — ties must resolve identically).
-        let (victim_way, victim) = ways
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, (t, lu))| if *t == 0 { (0, 0) } else { (1, *lu) })
-            .expect("cache has at least one way");
-        *victim = (tag, now);
-        self.mru[set] = victim_way as u32;
-        (false, false)
+        ways[victim] = (tag, now);
+        self.mru[set] = victim as u32;
+        false
     }
 
     fn invalidate_all(&mut self) {
@@ -146,12 +179,6 @@ pub struct MemEvents {
     /// L1-hit latency cycles. In-order cores expose these (load-use);
     /// out-of-order schedulers hide them completely.
     pub hit_cycles: u64,
-    /// L1 hits satisfied by the MRU fast probe (simulator-internal
-    /// telemetry, not a PMU event; cumulative rates feed the `mru`
-    /// section of `BENCH_interp.json`).
-    pub l1_mru_hits: u64,
-    /// L2 hits satisfied by the MRU fast probe.
-    pub l2_mru_hits: u64,
 }
 
 /// The memory hierarchy attached to one core.
@@ -163,6 +190,9 @@ pub struct MemorySystem {
     /// Cycle at which DRAM can accept the next line transfer
     /// (bandwidth-limiter state), in centi-cycles.
     dram_free_at_centi: u64,
+    /// Centi-cycles one line occupies the DRAM channel
+    /// (`LINE_BYTES / dram_bytes_per_cycle`), fixed per configuration.
+    occupancy_centi: u64,
     total_dram_bytes: u64,
 }
 
@@ -174,6 +204,7 @@ impl MemorySystem {
             l2: Level::new(cfg.l2),
             cfg,
             dram_free_at_centi: 0,
+            occupancy_centi: (LINE_BYTES as f64 / cfg.dram_bytes_per_cycle * 100.0) as u64,
             total_dram_bytes: 0,
         }
     }
@@ -185,21 +216,24 @@ impl MemorySystem {
     /// buffer and pay only bandwidth occupancy (queue delay), the way
     /// streaming stores behave on real cores — without this, a memset
     /// benchmark would measure DRAM *latency* instead of bandwidth.
+    #[inline]
     pub fn access(&mut self, mem: &MemRef, now_centi: u64) -> MemEvents {
         let mut ev = MemEvents::default();
-        // Single-line fast path: the common case for scalar accesses in
-        // triad/memset-style kernels is a reference that fits entirely in
-        // one cache line. Skip the `for_each_line` walk (closure setup,
-        // lane dedup machinery) and touch that one line directly — the
-        // arithmetic is identical to the general path below.
-        if mem.lanes <= 1 && mem.addr / LINE_BYTES == (mem.addr + mem.bytes as u64 - 1) / LINE_BYTES
-        {
-            self.access_line(mem.addr / LINE_BYTES, mem.is_store, now_centi, &mut ev);
-            return ev;
+        if mem.lanes <= 1 || mem.is_unit_stride() {
+            // Scalar and unit-stride references cover one contiguous
+            // byte range; its lines in ascending order are exactly the
+            // first-touch order `for_each_line` would produce.
+            let span = mem.bytes as u64 * mem.lanes.max(1) as u64;
+            let first = mem.addr / LINE_BYTES;
+            let last = (mem.addr + span - 1) / LINE_BYTES;
+            for line in first..=last {
+                self.access_line(line, mem.is_store, now_centi, &mut ev);
+            }
+        } else {
+            mem.for_each_line(|line| {
+                self.access_line(line, mem.is_store, now_centi, &mut ev);
+            });
         }
-        mem.for_each_line(|line| {
-            self.access_line(line, mem.is_store, now_centi, &mut ev);
-        });
         ev
     }
 
@@ -208,18 +242,14 @@ impl MemorySystem {
     fn access_line(&mut self, line: u64, is_store: bool, now_centi: u64, ev: &mut MemEvents) {
         let now = now_centi / 100;
         ev.l1_accesses += 1;
-        let (l1_hit, l1_mru) = self.l1d.access(line, now);
-        if l1_hit {
-            ev.l1_mru_hits += l1_mru as u64;
+        if self.l1d.access(line, now) {
             if !is_store {
                 ev.hit_cycles += self.l1d.latency.saturating_sub(1) as u64;
             }
             return;
         }
         ev.l1_misses += 1;
-        let (l2_hit, l2_mru) = self.l2.access(line, now);
-        if l2_hit {
-            ev.l2_mru_hits += l2_mru as u64;
+        if self.l2.access(line, now) {
             if !is_store {
                 ev.stall_cycles += self.l2.latency as u64;
             }
@@ -229,12 +259,11 @@ impl MemorySystem {
         ev.dram_bytes += LINE_BYTES;
         self.total_dram_bytes += LINE_BYTES;
         // Bandwidth limiter: each line occupies the DRAM channel for
-        // LINE_BYTES / bytes_per_cycle cycles. The core stalls only on
-        // queue backpressure (and, for loads, the access latency);
-        // channel occupancy itself is pipelined.
-        let occupancy_centi = (LINE_BYTES as f64 / self.cfg.dram_bytes_per_cycle * 100.0) as u64;
+        // `occupancy_centi`. The core stalls only on queue backpressure
+        // (and, for loads, the access latency); channel occupancy itself
+        // is pipelined.
         let start = self.dram_free_at_centi.max(now_centi);
-        self.dram_free_at_centi = start + occupancy_centi;
+        self.dram_free_at_centi = start + self.occupancy_centi;
         let queue_delay = (start - now_centi) / 100;
         ev.stall_cycles += queue_delay;
         if !is_store {
@@ -364,11 +393,11 @@ mod tests {
         assert_eq!(ev.l1_accesses, 1);
     }
 
-    /// The single-line fast path must agree with the general walk at the
-    /// line-crossing boundary: an 8-byte scalar at offset 56 fits line 0
-    /// (fast path), the same scalar at offset 60 straddles lines 0 and 1
-    /// (general path) — and a fresh hierarchy driven through either
-    /// sequence reports identical events to one driven line by line.
+    /// A reference's contiguous line range must match the line-by-line
+    /// walk at the line-crossing boundary: an 8-byte scalar at offset 56
+    /// fits line 0, the same scalar at offset 60 straddles lines 0 and 1
+    /// — and a fresh hierarchy driven through either sequence reports
+    /// identical events to one driven line by line.
     #[test]
     fn single_line_fast_path_boundary() {
         let mut m = MemorySystem::new(CacheConfig::test_tiny());
@@ -415,9 +444,14 @@ mod tests {
         let mut m = MemorySystem::new(CacheConfig::test_tiny());
         // Same line 3 times: 1 miss (fill sets MRU), then 2 MRU hits.
         for t in 0..3u64 {
-            let ev = m.access(&mem(0x100), t * 100);
+            let before = m.l1d_mru_hits();
+            m.access(&mem(0x100), t * 100);
             if t > 0 {
-                assert_eq!(ev.l1_mru_hits, 1, "repeat hit rides the MRU probe");
+                assert_eq!(
+                    m.l1d_mru_hits() - before,
+                    1,
+                    "repeat hit rides the MRU probe"
+                );
             }
         }
         assert_eq!(m.l1d_mru_hits(), 2);
@@ -425,16 +459,17 @@ mod tests {
         assert_eq!((acc, miss), (3, 1));
 
         // A conflicting line in the same set (8 sets in the tiny L1)
-        // lands in the other way: hitting it is a scan hit first, an MRU
+        // lands in the other way: hitting it is a walk hit first, an MRU
         // hit after, and flipping between the two lines never produces a
         // false MRU hit.
         let conflict = 0x100 + 8 * 64;
         m.access(&mem(conflict), 400); // miss, fills way 1, MRU -> way 1
-        let back = m.access(&mem(0x100), 500); // hit via scan (MRU points at way 1)
-        assert_eq!(back.l1_mru_hits, 0);
+        let before = m.l1d_mru_hits();
+        let back = m.access(&mem(0x100), 500); // hit via the walk (MRU points at way 1)
+        assert_eq!(m.l1d_mru_hits(), before);
         assert_eq!(back.l1_misses, 0);
-        let again = m.access(&mem(0x100), 600); // now the MRU probe hits
-        assert_eq!(again.l1_mru_hits, 1);
+        m.access(&mem(0x100), 600); // now the MRU probe hits
+        assert_eq!(m.l1d_mru_hits(), before + 1);
 
         // Eviction order is unchanged: the LRU victim is still chosen by
         // timestamp, so after touching two fresh conflicting lines the
@@ -458,5 +493,199 @@ mod tests {
         assert_eq!(acc, 2);
         assert_eq!(miss, 1);
         assert!(m.dram_bytes_total() >= 64);
+    }
+
+    /// The two-scan lookup the one-walk [`Level::access`] replaced, kept
+    /// as the oracle: an MRU probe, a tag scan, then a second scan that
+    /// picks the victim with `min_by_key` (the first empty way, else the
+    /// first oldest). Returns `(hit, hit_via_mru_probe)`.
+    fn two_scan_access(l: &mut Level, line: u64, now: u64) -> (bool, bool) {
+        l.accesses += 1;
+        let set = (line % l.num_sets) as usize;
+        let tag = line + 1;
+        let base = set * l.ways;
+        let m = l.mru[set] as usize;
+        if l.sets[base + m].0 == tag {
+            l.sets[base + m].1 = now;
+            l.mru_hits += 1;
+            return (true, true);
+        }
+        let ways = &mut l.sets[base..base + l.ways];
+        if let Some((w, slot)) = ways.iter_mut().enumerate().find(|(_, (t, _))| *t == tag) {
+            slot.1 = now;
+            l.mru[set] = w as u32;
+            return (true, false);
+        }
+        l.misses += 1;
+        let (victim_way, victim) = ways
+            .iter_mut()
+            .enumerate()
+            .min_by_key(|(_, (t, lu))| if *t == 0 { (0, 0) } else { (1, *lu) })
+            .expect("cache has at least one way");
+        *victim = (tag, now);
+        l.mru[set] = victim_way as u32;
+        (false, false)
+    }
+
+    /// The oracle hierarchy access: every reference walked through
+    /// [`MemRef::for_each_line`], the DRAM occupancy recomputed per line,
+    /// and the per-access MRU hit counts returned beside the events.
+    fn oracle_access(m: &mut MemorySystem, mem: &MemRef, now_centi: u64) -> (MemEvents, u64, u64) {
+        let mut ev = MemEvents::default();
+        let (mut l1_mru, mut l2_mru) = (0, 0);
+        mem.for_each_line(|line| {
+            let now = now_centi / 100;
+            ev.l1_accesses += 1;
+            let (hit, mru) = two_scan_access(&mut m.l1d, line, now);
+            if hit {
+                l1_mru += mru as u64;
+                if !mem.is_store {
+                    ev.hit_cycles += m.l1d.latency.saturating_sub(1) as u64;
+                }
+                return;
+            }
+            ev.l1_misses += 1;
+            let (hit, mru) = two_scan_access(&mut m.l2, line, now);
+            if hit {
+                l2_mru += mru as u64;
+                if !mem.is_store {
+                    ev.stall_cycles += m.l2.latency as u64;
+                }
+                return;
+            }
+            ev.l2_misses += 1;
+            ev.dram_bytes += LINE_BYTES;
+            m.total_dram_bytes += LINE_BYTES;
+            let occupancy_centi = (LINE_BYTES as f64 / m.cfg.dram_bytes_per_cycle * 100.0) as u64;
+            let start = m.dram_free_at_centi.max(now_centi);
+            m.dram_free_at_centi = start + occupancy_centi;
+            ev.stall_cycles += (start - now_centi) / 100;
+            if !mem.is_store {
+                ev.stall_cycles += m.cfg.dram_latency as u64;
+            }
+        });
+        (ev, l1_mru, l2_mru)
+    }
+
+    /// Every observable of the two hierarchies: tag/timestamp arrays
+    /// (so any victim choice that differs shows), MRU ways, counters,
+    /// and the DRAM channel state.
+    fn assert_same_state(a: &MemorySystem, b: &MemorySystem, what: &str) {
+        for (x, y, level) in [(&a.l1d, &b.l1d, "L1"), (&a.l2, &b.l2, "L2")] {
+            assert!(x.sets == y.sets, "{what}: {level} tags/victims diverged");
+            assert!(x.mru == y.mru, "{what}: {level} MRU ways diverged");
+            assert_eq!(
+                (x.accesses, x.misses, x.mru_hits),
+                (y.accesses, y.misses, y.mru_hits),
+                "{what}: {level} counters"
+            );
+        }
+        assert_eq!(a.dram_free_at_centi, b.dram_free_at_centi, "{what}");
+        assert_eq!(a.total_dram_bytes, b.total_dram_bytes, "{what}");
+    }
+
+    /// One walk per set and contiguous line ranges are bit-identical to
+    /// the two-scan lookup over `for_each_line`: seeded random streams
+    /// of scalar, unit-stride vector (16, 32 and 64 bytes, aligned and
+    /// line-straddling) and strided vector references, on every
+    /// platform's L1/L2 geometry and on `test_tiny`, with flushes in
+    /// between, produce identical events, hits, misses, victims and MRU
+    /// counts.
+    #[test]
+    fn one_walk_matches_two_scan_oracle() {
+        use crate::platform::PlatformSpec;
+        let configs = [
+            CacheConfig::test_tiny(),
+            PlatformSpec::x60().caches,
+            PlatformSpec::c910().caches,
+            PlatformSpec::u74().caches,
+            PlatformSpec::i5_1135g7().caches,
+        ];
+        // (bytes per lane, lanes): unit-stride shapes of 16, 32, 64 bytes.
+        const VECTORS: [(u32, u32); 5] = [(4, 4), (8, 2), (4, 8), (8, 4), (8, 8)];
+        for (ci, cfg) in configs.into_iter().enumerate() {
+            let mut fast = MemorySystem::new(cfg);
+            let mut oracle = MemorySystem::new(cfg);
+            let l2_sets = fast.l2.num_sets;
+            let l2_ways = fast.l2.ways as u64;
+            let mut x: u64 = 0x9e37_79b9_7f4a_7c15 ^ ci as u64;
+            let mut rng = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let (mut now, mut prev_line, mut seq_line) = (0u64, 0u64, 1u64 << 20);
+            for phase in 0..3 {
+                for step in 0..3_000u64 {
+                    let r = rng();
+                    // Line choice: conflict pools that overflow L1 and L2
+                    // sets (evictions), a wide random window (cold
+                    // misses), the previous line (MRU hits), or a
+                    // sequential stream.
+                    let line = match r % 8 {
+                        0..=2 => (rng() % 4) + (rng() % (2 * l2_ways + 4)) * l2_sets,
+                        3 => rng() % (1 << 18),
+                        4 | 5 => prev_line,
+                        _ => {
+                            seq_line += 1;
+                            seq_line
+                        }
+                    };
+                    prev_line = line;
+                    let is_store = rng() % 3 == 0;
+                    let mref = match rng() % 4 {
+                        0 => {
+                            let bytes = [1u32, 2, 4, 8][(rng() % 4) as usize];
+                            MemRef::scalar(line * 64 + rng() % 64, bytes, is_store)
+                        }
+                        1 | 2 => {
+                            let (bytes, lanes) = VECTORS[(rng() % 5) as usize];
+                            // Half line-aligned, half at any lane-aligned
+                            // offset (straddling when it crosses 64).
+                            let offset = if rng() % 2 == 0 {
+                                0
+                            } else {
+                                (rng() % 64) / bytes as u64 * bytes as u64
+                            };
+                            MemRef {
+                                addr: line * 64 + offset,
+                                bytes,
+                                lanes,
+                                stride: bytes as i64,
+                                is_store,
+                            }
+                        }
+                        _ => MemRef {
+                            addr: line * 64 + rng() % 64,
+                            bytes: 8,
+                            lanes: 2 + (rng() % 7) as u32,
+                            stride: [16i64, 24, 64, 200][(rng() % 4) as usize],
+                            is_store,
+                        },
+                    };
+                    now += rng() % 400;
+                    let mru_before = (fast.l1d_mru_hits(), fast.l2_mru_hits());
+                    let got = fast.access(&mref, now);
+                    let (want, want_l1_mru, want_l2_mru) = oracle_access(&mut oracle, &mref, now);
+                    let what = format!("config {ci} phase {phase} step {step} {mref:?}");
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(
+                        (
+                            fast.l1d_mru_hits() - mru_before.0,
+                            fast.l2_mru_hits() - mru_before.1
+                        ),
+                        (want_l1_mru, want_l2_mru),
+                        "{what}: MRU hits of this access"
+                    );
+                    if step % 64 == 0 {
+                        assert_same_state(&fast, &oracle, &what);
+                    }
+                }
+                assert_same_state(&fast, &oracle, &format!("config {ci} end of phase {phase}"));
+                fast.flush();
+                oracle.flush();
+            }
+        }
     }
 }
