@@ -75,8 +75,8 @@ pub struct Core {
     /// Per-unit conservative event bounds for superblock retire
     /// ([`Core::block_ready`]): events+cycles per machine op, …
     block_op_ub: u64,
-    /// … extra per scalar (≤ 2-line) memory reference (static part; the
-    /// DRAM queue backlog is added dynamically), …
+    /// … extra per ≤ 2-line memory reference (static part; the DRAM
+    /// queue backlog is added dynamically), …
     block_mem_ub: u64,
     /// … extra per branch, …
     block_branch_ub: u64,
@@ -214,28 +214,14 @@ impl Core {
     /// Fast path for non-memory, non-branch, non-FP ops.
     fn retire_simple(&mut self, op: &MachineOp) -> RetireInfo {
         let before = self.current_centi();
-        let expansion = self.isa.expand(op.class);
-        let inv_tp = self.spec.timing.inv_tp(op.class);
-        let slot_cost = self.slot_unit * expansion.max(1) as u64;
-
-        if self.spec.out_of_order {
-            let unit = Unit::of(op.class);
-            self.unit_busy[unit.index()] += inv_tp;
-            self.slots += slot_cost;
-        } else {
-            self.centi += inv_tp.max(slot_cost);
-        }
-
-        let after = self.current_centi();
-        let cycles = after / 100 - before / 100;
-        self.retired += expansion as u64;
-
+        let instructions = self.charge(op.class, 0, false);
+        let cycles = self.current_centi() / 100 - before / 100;
         let overflow = self
             .pmu
-            .tick_batched_simple(cycles, expansion as u64, self.mode);
+            .tick_batched_simple(cycles, instructions, self.mode);
         RetireInfo {
             cycles,
-            instructions: expansion as u64,
+            instructions,
             overflow,
         }
     }
@@ -253,6 +239,60 @@ impl Core {
         }
     }
 
+    /// Charge one op of `class` to the clock model and return its
+    /// retired instruction count: the ISA expansion, the class's inverse
+    /// throughput and its issue slots, plus `stall_centi` of extra
+    /// occupancy. A mispredict serializes the whole pipeline: on the
+    /// out-of-order model it becomes a floor on commit time rather than
+    /// occupancy on one unit (the in-order stall is already in
+    /// `stall_centi`). The one copy of the retire timing rule — every
+    /// retire lane (per op, slim, block class and block branch) calls it.
+    #[inline(always)]
+    fn charge(&mut self, class: OpClass, stall_centi: u64, mispredicted: bool) -> u64 {
+        let expansion = self.isa.expand(class) as u64;
+        let inv_tp = self.spec.timing.inv_tp(class);
+        let slot_cost = self.slot_unit * expansion.max(1);
+        if self.spec.out_of_order {
+            self.unit_busy[Unit::of(class).index()] += inv_tp + stall_centi;
+            self.slots += slot_cost;
+            if mispredicted {
+                // Pipeline restart: every accumulator jumps to the
+                // mispredict resolution point.
+                let floor = self.current_centi() + self.spec.branch_mispredict_penalty as u64 * 100;
+                self.centi = self.centi.max(floor);
+                for u in &mut self.unit_busy {
+                    *u = (*u).max(floor);
+                }
+                self.slots = self.slots.max(floor);
+            }
+        } else {
+            self.centi += inv_tp.max(slot_cost) + stall_centi;
+        }
+        self.retired += expansion;
+        expansion
+    }
+
+    /// Resolve one branch at `pc`: update the predictor and count the
+    /// branch (and any miss) into `deltas`. Returns the stall to charge
+    /// (the taken-fetch bubble, plus the mispredict penalty on in-order
+    /// cores) and whether it mispredicted, for [`Core::charge`].
+    #[inline(always)]
+    fn resolve_branch(&mut self, pc: u64, taken: bool, deltas: &mut EventDeltas) -> (u64, bool) {
+        deltas.branches += 1;
+        let mut stall_centi = 0u64;
+        if taken {
+            stall_centi += self.spec.taken_branch_bubble as u64 * 100;
+        }
+        let mispredicted = !self.bp.predict_and_update(pc, taken);
+        if mispredicted {
+            deltas.branch_misses += 1;
+            if !self.spec.out_of_order {
+                stall_centi += self.spec.branch_mispredict_penalty as u64 * 100;
+            }
+        }
+        (stall_centi, mispredicted)
+    }
+
     /// The tick-free, cycle-free body of one retire: advance the timing
     /// model, drive caches and branch prediction, and *accumulate* this
     /// op's non-cycle event deltas into `deltas` — without touching the
@@ -264,26 +304,14 @@ impl Core {
     /// cycles/instructions).
     #[inline]
     fn apply_op(&mut self, op: &MachineOp, deltas: &mut EventDeltas) -> bool {
-        let expansion = self.isa.expand(op.class);
-        let inv_tp = self.spec.timing.inv_tp(op.class);
-        let slot_cost = self.slot_unit * expansion.max(1) as u64;
-        deltas.instructions += expansion as u64;
-        self.retired += expansion as u64;
-
         // The dominant shape (no memory, no branch, no FLOPs, no vector
-        // event) skips the full event bundle; identical arithmetic to
-        // the slow path below with every extra term zero.
+        // event) skips the full event bundle.
         if op.mem.is_none()
             && op.flops == 0
             && !matches!(op.class, OpClass::Branch)
             && !op.is_vector()
         {
-            if self.spec.out_of_order {
-                self.unit_busy[Unit::of(op.class).index()] += inv_tp;
-                self.slots += slot_cost;
-            } else {
-                self.centi += inv_tp.max(slot_cost);
-            }
+            deltas.instructions += self.charge(op.class, 0, false);
             return true;
         }
 
@@ -293,28 +321,12 @@ impl Core {
             // (speculation, masked lanes); see `fp_event_percent`.
             deltas.fp_ops += op.flops as u64 * self.spec.fp_event_percent as u64 / 100;
         }
-        if op.is_vector() && expansion > 0 {
-            deltas.vec_instructions += expansion as u64;
-        }
 
-        // Branch handling. A mispredict serializes the whole pipeline:
-        // on the out-of-order model it becomes a floor on commit time
-        // rather than occupancy on one unit.
-        let mut stall_centi = 0u64;
-        let mut mispredicted = false;
-        if matches!(op.class, OpClass::Branch) {
-            deltas.branches += 1;
-            if op.taken {
-                stall_centi += self.spec.taken_branch_bubble as u64 * 100;
-            }
-            if !self.bp.predict_and_update(op.pc, op.taken) {
-                deltas.branch_misses += 1;
-                mispredicted = true;
-                if !self.spec.out_of_order {
-                    stall_centi += self.spec.branch_mispredict_penalty as u64 * 100;
-                }
-            }
-        }
+        let (mut stall_centi, mispredicted) = if matches!(op.class, OpClass::Branch) {
+            self.resolve_branch(op.pc, op.taken, deltas)
+        } else {
+            (0, false)
+        };
 
         // Memory handling.
         if let Some(mem) = &op.mem {
@@ -337,34 +349,21 @@ impl Core {
             }
         }
 
-        // Advance the clock model.
-        if self.spec.out_of_order {
-            let unit = Unit::of(op.class);
-            self.unit_busy[unit.index()] += inv_tp + stall_centi;
-            self.slots += slot_cost;
-            if mispredicted {
-                // Pipeline restart: every accumulator jumps to the
-                // mispredict resolution point.
-                let floor = self.current_centi() + self.spec.branch_mispredict_penalty as u64 * 100;
-                self.centi = self.centi.max(floor);
-                for u in &mut self.unit_busy {
-                    *u = (*u).max(floor);
-                }
-                self.slots = self.slots.max(floor);
-            }
-        } else {
-            self.centi += inv_tp.max(slot_cost) + stall_centi;
+        let expansion = self.charge(op.class, stall_centi, mispredicted);
+        deltas.instructions += expansion;
+        if op.is_vector() {
+            deltas.vec_instructions += expansion;
         }
-
         false
     }
 
     /// Whether a straight-line superblock with the given shape —
-    /// `machine_ops` total machine ops, `mem_refs` scalar (≤ 2-line)
-    /// memory references, `branches` branch ops, `flops` architectural
-    /// FLOPs, no vector memory ops — is guaranteed not to wrap any PMU
-    /// counter, so the whole block may retire as one batched tick via
-    /// [`Core::retire_block`].
+    /// `machine_ops` total machine ops, `mem_refs` ≤ 2-line references
+    /// (scalar, or unit-stride vector of at most 64 bytes: no
+    /// strided-lane penalty, and the vector-instruction event is inside
+    /// the per-op bound), `branches` branch ops, `flops` architectural
+    /// FLOPs — is guaranteed not to wrap any PMU counter, so the whole
+    /// block may retire as one batched tick via [`Core::retire_block`].
     ///
     /// The probe compares a conservative event-total upper bound (three
     /// multiplies over per-unit bounds precomputed from the platform
@@ -388,7 +387,7 @@ impl Core {
             + flops as u64 * self.block_fp_ub
             + 16;
         if mem_refs > 0 {
-            // Each scalar reference touches ≤ 2 lines; queue delay is
+            // Each reference touches ≤ 2 lines; queue delay is
             // bounded by the current backlog plus the block's own lines
             // stacking up behind each other.
             let lines = 2 * mem_refs as u64;
@@ -438,28 +437,11 @@ impl Core {
     }
 
     /// [`Core::block_apply`] for one memory-free, branch-free,
-    /// FLOP-free, scalar class, skipping `MachineOp` construction.
-    ///
-    /// This and [`Core::block_apply_branch`] intentionally duplicate
-    /// `Core::apply_op`'s timing arithmetic (its slim path and its
-    /// branch handling): skipping `MachineOp` construction and the full
-    /// `EventDeltas` bundle is what makes the in-block lanes cheap. A
-    /// timing change in `apply_op` must be mirrored here — the
-    /// `block_retire_matches_per_op_retire` test pins all three sites to
-    /// per-op behaviour on every platform model.
+    /// FLOP-free, scalar class, skipping `MachineOp` construction and
+    /// the full `EventDeltas` bundle.
     #[inline]
     pub fn block_apply_class(&mut self, class: OpClass, acc: &mut BlockAcc) {
-        let expansion = self.isa.expand(class);
-        let inv_tp = self.spec.timing.inv_tp(class);
-        let slot_cost = self.slot_unit * expansion.max(1) as u64;
-        if self.spec.out_of_order {
-            self.unit_busy[Unit::of(class).index()] += inv_tp;
-            self.slots += slot_cost;
-        } else {
-            self.centi += inv_tp.max(slot_cost);
-        }
-        self.retired += expansion as u64;
-        acc.instructions += expansion as u64;
+        acc.instructions += self.charge(class, 0, false);
     }
 
     /// [`Core::block_apply_class`] over a class slice.
@@ -471,43 +453,12 @@ impl Core {
     }
 
     /// [`Core::block_apply`] for one branch at `pc` with outcome
-    /// `taken` (mirrors `apply_op`'s branch handling; see
-    /// [`Core::block_apply_class`] for the duplication contract).
+    /// `taken`, skipping `MachineOp` construction.
     #[inline]
     pub fn block_apply_branch(&mut self, pc: u64, taken: bool, acc: &mut BlockAcc) {
-        let expansion = self.isa.expand(OpClass::Branch);
-        let inv_tp = self.spec.timing.inv_tp(OpClass::Branch);
-        let slot_cost = self.slot_unit * expansion.max(1) as u64;
-        let mut stall_centi = 0u64;
-        let mut mispredicted = false;
-        acc.deltas.branches += 1;
+        let (stall_centi, mispredicted) = self.resolve_branch(pc, taken, &mut acc.deltas);
         acc.complex = true;
-        if taken {
-            stall_centi += self.spec.taken_branch_bubble as u64 * 100;
-        }
-        if !self.bp.predict_and_update(pc, taken) {
-            acc.deltas.branch_misses += 1;
-            mispredicted = true;
-            if !self.spec.out_of_order {
-                stall_centi += self.spec.branch_mispredict_penalty as u64 * 100;
-            }
-        }
-        if self.spec.out_of_order {
-            self.unit_busy[Unit::of(OpClass::Branch).index()] += inv_tp + stall_centi;
-            self.slots += slot_cost;
-            if mispredicted {
-                let floor = self.current_centi() + self.spec.branch_mispredict_penalty as u64 * 100;
-                self.centi = self.centi.max(floor);
-                for u in &mut self.unit_busy {
-                    *u = (*u).max(floor);
-                }
-                self.slots = self.slots.max(floor);
-            }
-        } else {
-            self.centi += inv_tp.max(slot_cost) + stall_centi;
-        }
-        self.retired += expansion as u64;
-        acc.deltas.instructions += expansion as u64;
+        acc.deltas.instructions += self.charge(OpClass::Branch, stall_centi, mispredicted);
     }
 
     /// Commit one superblock: tick the PMU once with the accumulated
@@ -573,7 +524,7 @@ fn block_op_ub(spec: &PlatformSpec, isa: &IsaModel, slot_unit: u64) -> u64 {
     per_op_cycles + 2 * max_exp
 }
 
-/// Conservative extra events per scalar (≤ 2-line) memory reference in a
+/// Conservative extra events per ≤ 2-line memory reference in a
 /// superblock, excluding the dynamic DRAM queue backlog: per line the
 /// full hit/miss latency chain plus an access/miss/L2-miss event and
 /// `LINE_BYTES` of DRAM traffic.
@@ -756,8 +707,9 @@ mod tests {
     /// Superblock retire (`block_begin`/`block_apply*`/`retire_block`)
     /// must be arithmetic-identical to per-op retire: cycles,
     /// instructions, PMU counters, cache stats, and predictor state all
-    /// agree on every platform model, for blocks mixing ALU, memory,
-    /// FLOP, and branch ops applied through every lane of the API.
+    /// agree on every platform model, for blocks mixing ALU, scalar and
+    /// unit-stride vector memory, FLOP, and branch ops applied through
+    /// every lane of the API.
     #[test]
     fn block_retire_matches_per_op_retire() {
         for spec in [
@@ -771,13 +723,15 @@ mod tests {
             for c in [&mut blocked, &mut serial] {
                 c.pmu_mut()
                     .set_event(3, Some(crate::events::HwEvent::L1dMiss));
+                c.pmu_mut()
+                    .set_event(4, Some(crate::events::HwEvent::VecInstructions));
             }
             let mut x: u64 = 0xdead_beef;
             let mut acc = BlockAcc::default();
             for i in 0..3_000u64 {
                 x ^= x << 13;
                 x ^= x >> 7;
-                let ops: Vec<MachineOp> = match x % 3 {
+                let ops: Vec<MachineOp> = match x % 4 {
                     0 => vec![
                         MachineOp::simple(OpClass::IntAlu, i % 64),
                         MachineOp::simple(OpClass::AddrCalc, i % 64 + 1),
@@ -792,6 +746,25 @@ mod tests {
                         MachineOp::simple(OpClass::FpFma, i % 64).with_flops(2),
                         MachineOp::simple(OpClass::IntMul, i % 64 + 1),
                         MachineOp::simple(OpClass::Branch, i % 64 + 2).with_taken(x & 2 == 0),
+                    ],
+                    // Unit-stride vector refs of 32 and 64 bytes at
+                    // 16-byte offsets: some line-aligned, some straddling.
+                    2 => vec![
+                        MachineOp::simple(OpClass::VecLoad, i % 64).with_mem(MemRef {
+                            addr: 0x8000 + (x % 1024) * 16,
+                            bytes: 8,
+                            lanes: 4,
+                            stride: 8,
+                            is_store: false,
+                        }),
+                        MachineOp::simple(OpClass::VecFma, i % 64 + 1).with_flops(8),
+                        MachineOp::simple(OpClass::VecStore, i % 64 + 2).with_mem(MemRef {
+                            addr: 0x4000 + (x % 512) * 16,
+                            bytes: 4,
+                            lanes: 16,
+                            stride: 4,
+                            is_store: true,
+                        }),
                     ],
                     _ => vec![
                         MachineOp::simple(OpClass::IntAlu, i % 64),
@@ -827,7 +800,7 @@ mod tests {
                 // an instruction-event leak between the simple and
                 // complex tick lanes once cancelled out across blocks
                 // and survived the end-of-run comparison below.
-                for idx in [0usize, 2, 3] {
+                for idx in [0usize, 2, 3, 4] {
                     assert_eq!(
                         blocked.pmu().read(idx),
                         serial.pmu().read(idx),

@@ -108,9 +108,10 @@
 //!
 //! **Superblock formation.** The compile pass partitions each function
 //! into straight-line superblocks: maximal runs of block-eligible
-//! templates (no calls/returns/vector memory, no interior jump
-//! targets), each with a precomputed shape (machine ops, scalar memory
-//! references, branches, FLOPs). At run time a block whose fuel and
+//! templates (no calls/returns, no interior jump targets, and no vector
+//! memory refs except unit-stride ones of at most 64 bytes), each with
+//! a precomputed shape (machine ops, memory references of ≤ 2 lines
+//! each, branches, FLOPs). At run time a block whose fuel and
 //! [`mperf_sim::Core::block_ready`] guards hold executes with eager
 //! timing but a *deferred* PMU tick: every template applies its
 //! cycle/cache/branch effects immediately (so `Core::cycles` stays

@@ -33,10 +33,12 @@
 //!
 //! On top of the template stream, `form_blocks` forms straight-line
 //! superblocks at compile time: maximal runs of block-eligible ops
-//! (everything except calls, returns, and vector memory ops) that no
-//! jump target lands inside, optionally ending in a branch. Each block
-//! precomputes its machine-op total, scalar-memory-reference count,
-//! branch count, and FLOP total — the shape
+//! (everything except calls, returns, and vector memory refs that are
+//! strided, register-strided or wider than 64 bytes) that no jump
+//! target lands inside, optionally ending in a branch. Each block
+//! precomputes its machine-op total, memory-reference count (each
+//! reference scalar or unit-stride vector, so ≤ 2 lines), branch count,
+//! and FLOP total — the shape
 //! [`mperf_sim::Core::block_ready`] turns into a conservative PMU event
 //! bound checked **once** against the watermark headroom, so a block of
 //! 6–20 ops ticks the PMU a single time via
@@ -65,6 +67,7 @@ use crate::error::VmError;
 use crate::interp::{eval_bin, eval_cast, eval_cmp, eval_fma, DFrame, Step, TCtx, Vm};
 use crate::value::{LanesF32, LanesF64, LanesI64, Value};
 use mperf_ir::{BinOp, CmpOp, MemTy, Operand, ReduceOp, Ty, UnOp};
+use mperf_sim::cache::LINE_BYTES;
 use mperf_sim::machine_op::{MachineOp, MemRef, OpClass};
 use std::fmt;
 
@@ -126,7 +129,8 @@ pub struct BlockInfo {
     pub last: u32,
     /// Total machine ops the block retires.
     pub machine_ops: u32,
-    /// Scalar (≤ 2-line) memory references inside the block.
+    /// Memory references inside the block, each touching ≤ 2 lines
+    /// (scalar, or unit-stride vector of at most 64 bytes).
     pub mem_refs: u32,
     /// Branch ops inside the block (0 or 1, always last).
     pub branches: u32,
@@ -482,8 +486,8 @@ struct Unit {
 }
 
 /// Classify one op slot as a block unit, or `None` when it cannot sit
-/// inside a superblock (frame transfers, vector memory — their event
-/// footprint is unbounded by the block shape).
+/// inside a superblock (frame transfers, and vector memory refs whose
+/// event footprint the block shape does not bound).
 fn unit_cost(op: &DecodedOp) -> Option<Unit> {
     use DecodedOp as D;
     let unit = |machine_ops, mem_refs, branches, flops, term| Unit {
@@ -495,7 +499,23 @@ fn unit_cost(op: &DecodedOp) -> Option<Unit> {
     };
     Some(match op {
         D::CallFunc { .. } | D::Ret { .. } => return None,
-        D::Load { lanes, .. } | D::Store { lanes, .. } if *lanes > 1 => return None,
+        // A vector ref joins only when its stride is the constant lane
+        // width and it spans at most one line's bytes: it then touches
+        // ≤ 2 lines, the scalar-ref shape `block_ready` bounds, with no
+        // strided-lane penalty. Strided, register-stride and wider refs
+        // keep per-op retire.
+        D::Load {
+            lanes, mem, stride, ..
+        }
+        | D::Store {
+            lanes, mem, stride, ..
+        } if *lanes > 1 => {
+            let unit_stride = matches!(stride, Operand::I64(s) if *s == mem.bytes() as i64);
+            if !unit_stride || *lanes as u64 * mem.bytes() as u64 > LINE_BYTES {
+                return None;
+            }
+            unit(1, 1, 0, 0, false)
+        }
         D::Br { .. } => unit(1, 0, 0, 0, true),
         D::CondBr { .. } => unit(1, 0, 1, 0, true),
         D::CallHost { .. } => unit(4, 0, 0, 0, false),
@@ -1371,6 +1391,110 @@ mod tests {
             "a branch-terminated multi-op block exists: {:?}",
             tf.blocks
         );
+    }
+
+    /// The X60 roofline kernel: `miniperf`'s triad source through the
+    /// same pipeline `mperf_workloads::compile_for` runs for the X60
+    /// (standard passes, RVV-256 unit-stride vectorization, roofline
+    /// instrumentation).
+    fn x60_triad() -> crate::decode::DecodedModule {
+        use mperf_ir::transform::instrument::{InstrumentOptions, InstrumentPass};
+        use mperf_ir::transform::vectorize::{TargetVecCaps, VectorizePass};
+        let src = r#"
+            fn triad(a: *f64, b: *f64, c: *f64, n: i64, k: f64) {
+                for (var i: i64 = 0; i < n; i = i + 1) {
+                    a[i] = b[i] + k * c[i];
+                }
+            }
+        "#;
+        let mut module = compile("cli", src).unwrap();
+        mperf_ir::transform::PassManager::standard().run(&mut module);
+        VectorizePass::new(TargetVecCaps::rvv_256_unit_stride()).run_with_report(&mut module);
+        InstrumentPass::new(InstrumentOptions::default()).run(&mut module);
+        DecodedModule::decode(&module)
+    }
+
+    /// Slot indices of the vector loads and stores of one function.
+    fn vector_refs(df: &crate::decode::DecodedFunc) -> (Vec<usize>, Vec<usize>) {
+        use crate::decode::DecodedOp as D;
+        let (mut loads, mut stores) = (Vec::new(), Vec::new());
+        for (i, op) in df.ops.iter().enumerate() {
+            match op {
+                D::Load { lanes, .. } if *lanes > 1 => loads.push(i),
+                D::Store { lanes, .. } if *lanes > 1 => stores.push(i),
+                _ => {}
+            }
+        }
+        (loads, stores)
+    }
+
+    /// Whether some superblock of `tf` covers slot `ip`.
+    fn covered(tf: &super::ThreadedFunc, ip: usize) -> bool {
+        tf.blocks
+            .iter()
+            .any(|b| (b.start as usize..=b.last as usize).contains(&ip))
+    }
+
+    /// Unit-stride vector refs of at most 64 bytes join superblocks: the
+    /// X60 triad's vector loop body (in both the baseline and the
+    /// instrumented outlined copy) is one block covering both `vload`s
+    /// and the `vstore`. A register stride, a non-unit constant stride,
+    /// and a 128-byte ref each keep per-op retire.
+    #[test]
+    fn unit_stride_vector_refs_join_superblocks() {
+        use crate::decode::DecodedOp as D;
+        use mperf_ir::{Operand, Reg};
+        let dec = x60_triad();
+        let vector_loops: Vec<usize> = (0..dec.funcs.len())
+            .filter(|&f| !vector_refs(&dec.funcs[f]).0.is_empty())
+            .collect();
+        assert_eq!(vector_loops.len(), 2, "baseline + instrumented vector loop");
+        for &f in &vector_loops {
+            let (df, tf) = (&dec.funcs[f], &dec.threaded[f]);
+            let (loads, stores) = vector_refs(df);
+            assert_eq!(
+                (loads.len(), stores.len()),
+                (2, 1),
+                "triad vectorized on X60"
+            );
+            let body = tf
+                .blocks
+                .iter()
+                .find(|b| (b.start as usize..=b.last as usize).contains(&loads[0]))
+                .expect("the vector loop body forms a block");
+            for ip in loads.iter().chain(&stores) {
+                assert!(
+                    (body.start as usize..=body.last as usize).contains(ip),
+                    "slot {ip} in the body block {body:?}"
+                );
+            }
+        }
+
+        // Each disqualifying shape, patched into the first vload, keeps
+        // that slot out of every block.
+        let df = &dec.funcs[vector_loops[0]];
+        let (loads, stores) = vector_refs(df);
+        type Patch = fn(&mut u8, &mut Operand);
+        let patches: [(&str, Patch); 3] = [
+            ("register stride", |_, stride| {
+                *stride = Operand::Reg(Reg(0))
+            }),
+            ("non-unit stride", |_, stride| *stride = Operand::I64(16)),
+            ("128-byte ref", |lanes, _| *lanes = 16),
+        ];
+        for (what, patch) in patches {
+            let mut patched = df.clone();
+            let D::Load { lanes, stride, .. } = &mut patched.ops[loads[0]] else {
+                unreachable!("a vector load")
+            };
+            patch(lanes, stride);
+            let tf = super::compile_func(&patched);
+            assert!(!covered(&tf, loads[0]), "{what} stays out of blocks");
+            assert!(
+                covered(&tf, stores[0]),
+                "{what}: the vstore still joins a block"
+            );
+        }
     }
 
     #[test]

@@ -455,6 +455,47 @@ proptest! {
             }
         }
     }
+
+    /// Out-of-bounds traps land identically inside the vectorized
+    /// triad's superblock, whose unit-stride vector loads and store
+    /// retire in the block: on every vectorizing model (X60, C910, i5)
+    /// one of the three arrays runs past the end of guest memory after
+    /// `valid` elements, so a vector load or store faults mid-block with
+    /// the same error, `ExecStats`, cycles and PMU counters as the
+    /// reference engine.
+    #[test]
+    fn vector_triad_oob_traps_mid_superblock_match_reference(
+        valid in 0u64..96,
+        which in 0usize..3,
+    ) {
+        use mperf_sim::Platform;
+        const MEM: u64 = 1 << 20;
+        let n = 128i64;
+        for platform in [Platform::SpacemitX60, Platform::TheadC910, Platform::IntelI5_1135G7] {
+            let module = miniperf::cli::triad_module(platform);
+            let run = |cfg: ExecConfig| {
+                let mut vm = Vm::with_memory(&module, Core::new(platform.spec()), MEM as usize);
+                vm.configure(cfg);
+                let mut arrays = [0u64; 3];
+                for p in &mut arrays {
+                    *p = vm.mem.alloc(8 * n as u64, 64).unwrap();
+                }
+                arrays[which] = MEM - 8 * valid; // runs off the end of memory
+                let mut args: Vec<Value> = arrays.iter().map(|p| Value::I64(*p as i64)).collect();
+                args.extend([Value::I64(n), Value::F64(3.0)]);
+                let r = vm.call("triad", &args);
+                let pmu: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
+                    .map(|i| vm.core.pmu().read(i))
+                    .collect();
+                (format!("{r:?}"), vm.stats(), vm.core.cycles(), pmu)
+            };
+            let reference = run(REFERENCE);
+            prop_assert!(reference.0.contains("OutOfBounds"), "{}", reference.0);
+            for (label, cfg) in engine_matrix() {
+                prop_assert_eq!(&reference, &run(cfg), "{} ({:?})", label, platform);
+            }
+        }
+    }
 }
 
 /// Overflow sampling is engine-exact: driving identical sampling setups
