@@ -110,6 +110,7 @@ use mperf_sweep::{Journal, RetryPolicy};
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Vm};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -1005,6 +1006,31 @@ fn reclaim_stale_socket(socket: &Path) -> io::Result<()> {
     }
 }
 
+/// Take an advisory exclusive `flock` on the directory holding
+/// `socket`, released when the returned handle drops. Starting daemons
+/// hold it across the stale-socket probe, the remove and the link:
+/// otherwise two racers could both see a dead daemon's socket refuse,
+/// and the slower one's `remove_file` would delete the socket the
+/// faster one had just published, orphaning that daemon. Locking the
+/// directory itself creates no file next to the socket.
+fn lock_socket_dir(socket: &Path) -> io::Result<std::fs::File> {
+    let dir = match socket.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    let file = std::fs::File::open(dir)?;
+    loop {
+        // SAFETY: `flock(2)` on a descriptor this function owns.
+        if unsafe { flock(file.as_raw_fd(), LOCK_EX) } == 0 {
+            return Ok(file);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
 /// Bind and listen under a short sibling temp name, then hard-link it
 /// to `socket`: the path appears only once it accepts connections, so
 /// neither a client nor a racing daemon's [`reclaim_stale_socket`]
@@ -1032,14 +1058,16 @@ fn bind_listening(socket: &Path) -> io::Result<UnixListener> {
 }
 
 /// Bind `socket` and start accepting clients in a background thread.
-/// A stale socket file from a dead daemon is reclaimed; a live
-/// daemon's socket (or a non-socket file) refuses the start with
-/// `AddrInUse`. With a cache directory, an existing decode-cache
+/// A stale socket file from a dead daemon is reclaimed (under a lock on
+/// the socket's directory, so racing starts never delete each other's
+/// socket); a live daemon's socket (or a non-socket file) refuses the
+/// start with `AddrInUse`. With a cache directory, an existing decode-cache
 /// journal is preloaded synchronously before the first accept.
 ///
 /// # Errors
 /// Bind/listen failures (bad path, permissions, a live listener).
 pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Result<ServeHandle> {
+    let publish = lock_socket_dir(socket)?;
     reclaim_stale_socket(socket)?;
     if let Some(dir) = &sopts.state_dir {
         std::fs::create_dir_all(dir)?;
@@ -1048,6 +1076,7 @@ pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Resu
         std::fs::create_dir_all(dir)?;
     }
     let listener = bind_listening(socket)?;
+    drop(publish);
     let guard = SocketGuard(socket.to_path_buf());
     listener.set_nonblocking(true)?;
     let cache = DecodeCache::new(sopts.cache_dir.as_deref());
@@ -1470,8 +1499,12 @@ unsafe extern "C" {
     /// glibc `mallopt(3)`.
     #[cfg(target_env = "gnu")]
     fn mallopt(param: i32, value: i32) -> i32;
+    /// libc `flock(2)`: advisory whole-file locks.
+    fn flock(fd: i32, operation: i32) -> i32;
 }
 
+/// `flock(2)`'s exclusive-lock operation.
+const LOCK_EX: i32 = 2;
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 /// glibc's `M_MMAP_THRESHOLD` parameter.

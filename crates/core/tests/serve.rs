@@ -349,17 +349,21 @@ fn a_stale_socket_from_a_dead_daemon_is_reclaimed() {
     handle.stop();
 }
 
-/// Racing daemons on one fresh path: the socket file appears only once
-/// it listens, so no racer's stale-socket probe is refused and deletes
-/// it. Exactly one start wins, every other one sees `AddrInUse`, and
-/// no temp name is left behind.
-#[test]
-fn racing_starts_on_one_path_have_exactly_one_winner() {
+/// Start eight daemons at once on `dir/s.sock`, after planting a stale
+/// socket there (a bound listener, dropped) when `stale` is set.
+/// Exactly one start must win, every other one must see `AddrInUse`,
+/// the winner must answer a handshake, and no temp name may be left
+/// behind.
+fn race_starts(tag: &str, stale: bool) {
     const RACERS: usize = 8;
-    let dir = std::env::temp_dir().join(format!("mperf-race-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("mperf-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let socket = dir.join("s.sock");
+    if stale {
+        drop(UnixListener::bind(&socket).unwrap());
+        assert!(socket.exists(), "the stale socket file stays behind");
+    }
     let barrier = Barrier::new(RACERS);
     let started: Vec<_> = std::thread::scope(|s| {
         let racers: Vec<_> = (0..RACERS)
@@ -392,6 +396,24 @@ fn racing_starts_on_one_path_have_exactly_one_winner() {
     winners.pop().unwrap().stop();
     assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
     std::fs::remove_dir(&dir).unwrap();
+}
+
+/// Racing daemons on one fresh path: the socket file appears only once
+/// it listens, so no racer's stale-socket probe is refused and deletes
+/// it. Exactly one start wins, every other one sees `AddrInUse`, and
+/// no temp name is left behind.
+#[test]
+fn racing_starts_on_one_path_have_exactly_one_winner() {
+    race_starts("race", false);
+}
+
+/// Racing daemons over a dead daemon's socket: every racer's probe is
+/// refused, so without the directory lock one racer could remove the
+/// socket another had just published, orphaning that daemon. Exactly
+/// one start wins and it is the one reachable at the path.
+#[test]
+fn racing_starts_over_a_stale_socket_have_exactly_one_winner() {
+    race_starts("stale-race", true);
 }
 
 /// A fake daemon on `socket` that answers one submit with a single
