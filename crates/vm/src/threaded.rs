@@ -511,7 +511,7 @@ fn unit_cost(op: &DecodedOp) -> Option<Unit> {
             lanes, mem, stride, ..
         } if *lanes > 1 => {
             let unit_stride = matches!(stride, Operand::I64(s) if *s == mem.bytes() as i64);
-            if !unit_stride || *lanes as u64 * mem.bytes() as u64 > LINE_BYTES {
+            if !unit_stride || *lanes as u64 * mem.bytes() > LINE_BYTES {
                 return None;
             }
             unit(1, 1, 0, 0, false)
