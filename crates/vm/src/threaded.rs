@@ -509,12 +509,11 @@ fn unit_cost(op: &DecodedOp) -> Option<Unit> {
         }
         | D::Store {
             lanes, mem, stride, ..
-        } if *lanes > 1 => {
-            let unit_stride = matches!(stride, Operand::I64(s) if *s == mem.bytes() as i64);
-            if !unit_stride || *lanes as u64 * mem.bytes() > LINE_BYTES {
-                return None;
-            }
-            unit(1, 1, 0, 0, false)
+        } if *lanes > 1
+            && (*stride != Operand::I64(mem.bytes() as i64)
+                || *lanes as u64 * mem.bytes() > LINE_BYTES) =>
+        {
+            return None
         }
         D::Br { .. } => unit(1, 0, 0, 0, true),
         D::CondBr { .. } => unit(1, 0, 1, 0, true),

@@ -508,7 +508,9 @@ proptest! {
 /// (`block_ready`) degrades to per-op retire, which is what keeps the
 /// overflow attribution exact. Runs on every model that can sample:
 /// the X60 through its `u_mode_cycle` raw event (§3.3), the C910 and
-/// i5 on cycles; the U74 raises no overflow interrupts.
+/// i5 on cycles; the U74 raises no overflow interrupts. Two programs:
+/// a scalar call tree, and the vectorized triad, whose unit-stride
+/// vector loads and store retire inside superblocks.
 #[test]
 fn decoded_engine_sampling_matches_reference() {
     use mperf_event::{EventKind, PerfEventAttr, PerfKernel, ReadFormat};
@@ -531,7 +533,7 @@ fn decoded_engine_sampling_matches_reference() {
     "#;
     let module = mperf_ir::compile("sampling", src).unwrap();
 
-    let run = |spec: &PlatformSpec, cfg: ExecConfig| {
+    let run = |module: &mperf_ir::Module, spec: &PlatformSpec, cfg: ExecConfig| {
         let mut core = Core::new(spec.clone());
         let mut kernel = PerfKernel::new(&mut core);
         let kind = if spec.name == PlatformSpec::x60().name {
@@ -551,18 +553,28 @@ fn decoded_engine_sampling_matches_reference() {
         };
         let fd = kernel.open(&mut core, attr, None).unwrap();
         kernel.enable(&mut core, fd).unwrap();
-        let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), 1 << 20);
+        let mut vm = Vm::with_memory(module, Core::new(spec.clone()), 1 << 20);
         vm.core = core;
         vm.configure(cfg);
         vm.attach_kernel(kernel);
-        let base = vm.mem.alloc(8 * 32, 8).unwrap();
-        for i in 0..32u64 {
-            vm.mem
-                .write_u64(base + i * 8, i.wrapping_mul(2_654_435_761))
+        if module.func_by_name("triad").is_some() {
+            let n = 4096u64;
+            let arrays: Vec<Value> = (0..3)
+                .map(|_| Value::I64(vm.mem.alloc(8 * n, 64).unwrap() as i64))
+                .collect();
+            let mut args = arrays;
+            args.extend([Value::I64(n as i64), Value::F64(3.0)]);
+            vm.call("triad", &args).unwrap();
+        } else {
+            let base = vm.mem.alloc(8 * 32, 8).unwrap();
+            for i in 0..32u64 {
+                vm.mem
+                    .write_u64(base + i * 8, i.wrapping_mul(2_654_435_761))
+                    .unwrap();
+            }
+            vm.call("main", &[Value::I64(base as i64), Value::I64(150)])
                 .unwrap();
         }
-        vm.call("main", &[Value::I64(base as i64), Value::I64(150)])
-            .unwrap();
         let mut kernel = vm.kernel.take().unwrap();
         let records = kernel.drain_records(fd).unwrap();
         let samples: Vec<(u64, Vec<u64>)> = records
@@ -575,24 +587,27 @@ fn decoded_engine_sampling_matches_reference() {
         (samples, kernel.samples_taken())
     };
 
-    for spec in [
-        PlatformSpec::x60(),
-        PlatformSpec::c910(),
-        PlatformSpec::i5_1135g7(),
+    for platform in [
+        mperf_sim::Platform::SpacemitX60,
+        mperf_sim::Platform::TheadC910,
+        mperf_sim::Platform::IntelI5_1135G7,
     ] {
+        let spec = platform.spec();
         let name = spec.name;
-        let (ref_samples, ref_taken) = run(&spec, REFERENCE);
-        assert!(
-            ref_taken > 5,
-            "expected a healthy sample stream on {name}: {ref_taken}"
-        );
-        for (label, cfg) in engine_matrix() {
-            let (samples, taken) = run(&spec, cfg);
-            assert_eq!(ref_taken, taken, "sample counts diverge ({label}, {name})");
-            assert_eq!(
-                ref_samples, samples,
-                "sample IPs/callchains diverge ({label}, {name})"
+        for module in [&module, &miniperf::cli::triad_module(platform)] {
+            let (ref_samples, ref_taken) = run(module, &spec, REFERENCE);
+            assert!(
+                ref_taken > 5,
+                "expected a healthy sample stream on {name}: {ref_taken}"
             );
+            for (label, cfg) in engine_matrix() {
+                let (samples, taken) = run(module, &spec, cfg);
+                assert_eq!(ref_taken, taken, "sample counts diverge ({label}, {name})");
+                assert_eq!(
+                    ref_samples, samples,
+                    "sample IPs/callchains diverge ({label}, {name})"
+                );
+            }
         }
     }
 }
