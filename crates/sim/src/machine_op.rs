@@ -47,7 +47,8 @@ impl MemRef {
 
     /// Visit each distinct cache-line address touched (line size 64), in
     /// first-touch order, without allocating — this sits on the per-op
-    /// retire path for every memory access.
+    /// retire path for every strided memory access (scalar and
+    /// unit-stride ones walk their contiguous line range directly).
     #[inline]
     pub fn for_each_line(&self, mut f: impl FnMut(u64)) {
         let first = self.addr / 64;
