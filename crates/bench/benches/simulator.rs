@@ -1,17 +1,20 @@
 //! Criterion benches over the execution substrate: interpreter
 //! throughput per platform model (threaded vs reference engine, across
-//! ALU-, memory-, and call-heavy workloads), the core retire path, and
-//! the branch predictor.
+//! ALU-, memory-, and call-heavy workloads, and ALU-heavy under a
+//! period-1000 sampler), the core retire path, and the branch predictor.
 //!
 //! The bench bodies live in `mperf_bench::interp_bench` so the
 //! `bench_trajectory` runner measures exactly the same code.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mperf_bench::interp_bench::{register_interp_benches, register_retire_benches};
+use mperf_bench::interp_bench::{
+    register_interp_benches, register_retire_benches, register_sampled_benches,
+};
 use std::hint::black_box;
 
 fn bench_interp_throughput(c: &mut Criterion) {
     let _ = register_interp_benches(c);
+    let _ = register_sampled_benches(c);
 }
 
 fn bench_core_retire(c: &mut Criterion) {

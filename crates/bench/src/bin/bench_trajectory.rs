@@ -1,5 +1,6 @@
-//! Perf-trajectory runner: executes the `vm/interp-throughput` and
-//! `sim/retire-*` benches in quick mode and emits `BENCH_interp.json`,
+//! Perf-trajectory runner: executes the `vm/interp-throughput`,
+//! `vm/interp-sampled` and `sim/retire-*` benches in quick mode and
+//! emits `BENCH_interp.json`,
 //! then times the full `platform × workload` roofline sweep at 1/2/4
 //! worker threads and emits `BENCH_sweep.json` — so future PRs have
 //! checked-in baselines to compare against.
@@ -31,11 +32,13 @@
 //! `speedup_vs_noregalloc` ratio (rows where register allocation *slows
 //! down* the engine get `"regression": true` and a stderr warning
 //! instead of being checked in silently), the `regalloc` copy-traffic
-//! section, the cache `mru` fast-probe hit rates, and ns/op for the
-//! retire microbenches; the sweep JSON reports wall-clock and speedup
-//! per worker count — for both the in-process thread pool and the
-//! multi-process sharded supervisor (this binary re-entered as a sweep
-//! worker via `MPERF_SWEEP_WORKER`) — after asserting every
+//! section, the cache `mru` fast-probe hit rates, the `sampled` rows
+//! (`spin` under `record`'s period-1000 sampler, threaded vs reference:
+//! the near-wrap retire path), and ns/op for the retire microbenches;
+//! the sweep JSON reports wall-clock and speedup per worker count — for
+//! both the in-process thread pool and the multi-process sharded
+//! supervisor (this binary re-entered as a sweep worker via
+//! `MPERF_SWEEP_WORKER`) — after asserting every
 //! configuration is bit-identical to the serial sweep. Both reports
 //! embed (and the runner prints) the engine configuration they actually
 //! ran, so checked-in baselines are self-describing.
@@ -45,7 +48,8 @@ use miniperf::cli::{self, JobKind, JobSpec};
 use miniperf::sweep_supervisor::encode_run;
 use miniperf::{CommonOpts, RooflineRequest};
 use mperf_bench::interp_bench::{
-    register_interp_benches_filter, register_retire_benches, EngineConfig, InterpBenchInfo,
+    register_interp_benches_filter, register_retire_benches, register_sampled_benches,
+    EngineConfig, InterpBenchInfo, SAMPLED_PERIOD,
 };
 use mperf_bench::sweep_bench::SweepMatrix;
 use mperf_sim::Platform;
@@ -370,6 +374,7 @@ fn main() {
     let infos = register_interp_benches_filter(&mut c, |cfg: &EngineConfig| {
         cfg.engine == Engine::Reference || regalloc || !cfg.regalloc
     });
+    let sampled = register_sampled_benches(&mut c);
     register_retire_benches(&mut c);
     let ns_of = ns_lookup(&c);
 
@@ -498,6 +503,32 @@ fn main() {
             rate(m.l2_mru_hits, m.l2_accesses),
         );
         json.push_str(if i + 1 < mru_rows.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    // `spin` under `record`'s period-1000 sampler: the near-wrap retire
+    // path, threaded vs reference.
+    json.push_str("  \"sampled\": [\n");
+    for (i, info) in sampled.iter().enumerate() {
+        let ns = ns_of(&info.id);
+        let _ = write!(
+            json,
+            "    {{\"workload\": \"{}\", \"platform\": \"{}\", \"engine\": \"{}\", \
+             \"period\": {SAMPLED_PERIOD}, \"samples\": {}, \"mir_ops_per_call\": {}, \
+             \"ns_per_call\": {:.1}, \"mir_ops_per_sec\": {:.0}",
+            info.workload,
+            info.platform,
+            info.engine,
+            info.samples,
+            info.mir_ops_per_call,
+            ns,
+            info.mir_ops_per_call as f64 * 1e9 / ns
+        );
+        if info.engine == "threaded" {
+            let vs_ref = ns_of(&info.id.replace("-threaded", "-reference")) / ns;
+            let _ = write!(json, ", \"speedup_vs_reference\": {vs_ref:.2}");
+        }
+        json.push('}');
+        json.push_str(if i + 1 < sampled.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     json.push_str("  \"retire\": [\n");

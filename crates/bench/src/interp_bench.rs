@@ -9,7 +9,9 @@
 //! threaded engine optimizes: a pure int-ALU `spin` loop, a
 //! memory-heavy streaming kernel (exercises the batched-retire path on
 //! cache-missing loads/stores), and a call-heavy tree (exercises the
-//! call/return templates and the contiguous register stack).
+//! call/return templates and the contiguous register stack). The
+//! sampled rows run `spin` under `miniperf record`'s sampler at a low
+//! period, so most superblocks start near a counter wrap.
 
 use criterion::Criterion;
 use mperf_sim::machine_op::{MachineOp, MemRef, OpClass};
@@ -299,6 +301,78 @@ pub fn register_interp_benches_filter(
                     mem: run.mem,
                 });
             }
+        }
+    }
+    g.finish();
+    infos
+}
+
+/// Sampling period of the `vm/interp-sampled` rows: the low-period
+/// regime `record --period 1000` runs in, where some counter is near a
+/// wrap most of the time.
+pub const SAMPLED_PERIOD: u64 = 1_000;
+
+/// Metadata for one registered sampled-interpreter bench.
+pub struct SampledBenchInfo {
+    /// Criterion bench id (`vm/interp-sampled/<workload>-<platform>-<engine>`).
+    pub id: String,
+    pub workload: &'static str,
+    pub platform: &'static str,
+    pub engine: &'static str,
+    /// MIR ops executed by a single benched call.
+    pub mir_ops_per_call: u64,
+    /// Samples one call records.
+    pub samples: u64,
+}
+
+/// Register the `vm/interp-sampled` group: `spin` recorded the way
+/// `miniperf record` samples at [`SAMPLED_PERIOD`] — the X60 through its
+/// `u_mode_cycle` leader group, the i5 directly on cycles — on the
+/// threaded and reference engines. Returns per-bench metadata aligned
+/// with the criterion ids.
+pub fn register_sampled_benches(c: &mut Criterion) -> Vec<SampledBenchInfo> {
+    let w = interp_workloads()
+        .into_iter()
+        .find(|w| w.name == "spin")
+        .expect("spin workload");
+    let mut infos = Vec::new();
+    let mut g = c.benchmark_group("vm/interp-sampled");
+    for platform in interp_platforms() {
+        let spec = platform.spec();
+        let module =
+            mperf_workloads::compile_for("b", w.src, platform, false).expect("bench compiles");
+        let decoded =
+            mperf_vm::decode_module_cfg(&module, mperf_vm::DecodeConfig { regalloc: true });
+        let run = |engine: Engine| {
+            let mut vm = Vm::with_memory(&module, Core::new(spec.clone()), 1 << 20);
+            vm.set_engine(engine);
+            vm.set_decoded(Arc::clone(&decoded));
+            let cfg = miniperf::RecordConfig {
+                period: SAMPLED_PERIOD,
+            };
+            let profile = miniperf::record(&mut vm, w.entry, &[Value::I64(black_box(w.n))], cfg)
+                .expect("spin records");
+            (profile, vm.stats().mir_ops)
+        };
+        // Sanity-run once, outside timing: the engines record the same
+        // profile.
+        let (reference, mir_ops) = run(Engine::Reference);
+        for (name, engine) in [
+            ("threaded", Engine::Threaded),
+            ("reference", Engine::Reference),
+        ] {
+            let (profile, _) = run(engine);
+            assert_eq!(profile, reference, "sampled spin diverges on {}", spec.name);
+            let id = format!("{}-{}-{}", w.name, spec.name, name);
+            g.bench_function(&id, |b| b.iter(|| run(engine).1));
+            infos.push(SampledBenchInfo {
+                id: format!("vm/interp-sampled/{id}"),
+                workload: w.name,
+                platform: spec.name,
+                engine: name,
+                mir_ops_per_call: mir_ops,
+                samples: profile.samples.len() as u64,
+            });
         }
     }
     g.finish();

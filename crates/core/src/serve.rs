@@ -111,6 +111,7 @@ use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Vm};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::os::fd::AsRawFd;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -853,12 +854,36 @@ impl DaemonCtx {
 
 /// Removes the socket file when the accept loop exits, however it
 /// exits — the single cleanup path `run_daemon`'s signal-driven
-/// shutdown relies on.
-struct SocketGuard(PathBuf);
+/// shutdown relies on. It remembers the device and inode of the socket
+/// this daemon published, and removes the path, under the socket
+/// directory's lock, only while the path still names that socket. If
+/// the path was replaced while the daemon ran (an `rm`, then a new
+/// daemon on the same path), stopping this daemon leaves the new
+/// daemon's socket in place.
+struct SocketGuard {
+    path: PathBuf,
+    id: (u64, u64),
+}
+
+impl SocketGuard {
+    /// Guard the socket just published at `path`.
+    fn published(path: &Path) -> io::Result<SocketGuard> {
+        let md = std::fs::symlink_metadata(path)?;
+        Ok(SocketGuard {
+            path: path.to_path_buf(),
+            id: (md.dev(), md.ino()),
+        })
+    }
+}
 
 impl Drop for SocketGuard {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
+        let _lock = lock_socket_dir(&self.path);
+        let ours =
+            std::fs::symlink_metadata(&self.path).is_ok_and(|md| (md.dev(), md.ino()) == self.id);
+        if ours {
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 }
 
@@ -1037,18 +1062,20 @@ fn lock_socket_dir(socket: &Path) -> io::Result<std::fs::File> {
 /// ever meets a bound socket that refuses. Unlike `rename`,
 /// `hard_link` never replaces a racing winner's socket; its
 /// `AlreadyExists` maps to `AddrInUse`. The temp name is removed
-/// whatever happens.
-fn bind_listening(socket: &Path) -> io::Result<UnixListener> {
+/// whatever happens. Returns the listener and the guard that owns the
+/// published path from then on; call it under [`lock_socket_dir`], and
+/// release that lock before the guard can drop.
+fn bind_listening(socket: &Path) -> io::Result<(UnixListener, SocketGuard)> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     // Clients connect by the final path, so it must fit `sun_path` too.
     std::os::unix::net::SocketAddr::from_pathname(socket)?;
     let seq = SEQ.fetch_add(1, Ordering::SeqCst);
     let tmp = socket.with_file_name(format!(".mp{}.{seq}", std::process::id()));
     let listener = UnixListener::bind(&tmp)?;
-    let linked = std::fs::hard_link(&tmp, socket);
+    let linked = std::fs::hard_link(&tmp, socket).and_then(|()| SocketGuard::published(socket));
     let _ = std::fs::remove_file(&tmp);
     match linked {
-        Ok(()) => Ok(listener),
+        Ok(guard) => Ok((listener, guard)),
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Err(io::Error::new(
             io::ErrorKind::AddrInUse,
             format!("another daemon is already serving on {}", socket.display()),
@@ -1075,9 +1102,8 @@ pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Resu
     if let Some(dir) = &sopts.cache_dir {
         std::fs::create_dir_all(dir)?;
     }
-    let listener = bind_listening(socket)?;
+    let (listener, guard) = bind_listening(socket)?;
     drop(publish);
-    let guard = SocketGuard(socket.to_path_buf());
     listener.set_nonblocking(true)?;
     let cache = DecodeCache::new(sopts.cache_dir.as_deref());
     cache.preload();

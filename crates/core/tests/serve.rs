@@ -349,6 +349,27 @@ fn a_stale_socket_from_a_dead_daemon_is_reclaimed() {
     handle.stop();
 }
 
+/// Stopping a daemon removes its socket path only while the path still
+/// names the socket it published: after an `rm` and a second daemon on
+/// the same path, stopping the first leaves the second reachable, and
+/// stopping the second removes the path.
+#[test]
+fn stopping_a_replaced_daemon_keeps_the_new_daemons_socket() {
+    let socket = socket_path("replaced-socket");
+    let first = serve::start(&socket, &CommonOpts::default(), &ServeOptions::default()).unwrap();
+    std::fs::remove_file(&socket).unwrap();
+    let second = serve::start(&socket, &CommonOpts::default(), &ServeOptions::default())
+        .expect("the path is free again");
+    first.stop();
+    assert!(socket.exists(), "the replacement daemon's socket survives");
+    let mut session = connect(&socket);
+    let job = session.submit(vec![1]).unwrap();
+    assert_eq!(session.drain_job(job, |_| {}).unwrap().code, 2);
+    drop(session);
+    second.stop();
+    assert!(!socket.exists(), "the last daemon removes its own socket");
+}
+
 /// Start eight daemons at once on `dir/s.sock`, after planting a stale
 /// socket there (a bound listener, dropped) when `stale` is set.
 /// Exactly one start must win, every other one must see `AddrInUse`,

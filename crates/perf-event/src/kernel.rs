@@ -6,7 +6,7 @@ use crate::errno::Errno;
 use crate::ring::RingBuffer;
 use crate::sample::{Record, SampleRecord};
 use mperf_sbi::{ConfigFlags, SbiError, SbiPmu, StopFlags};
-use mperf_sim::{Core, PrivMode};
+use mperf_sim::{Core, HwEvent, PrivMode};
 
 /// A perf event file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +84,12 @@ impl PerfKernel {
     /// - `EOPNOTSUPP` — sampling requested but the hardware cannot raise
     ///   overflow interrupts for this event (the stock-perf X60 failure);
     /// - `ENOSPC` — no free counter;
-    /// - `EINVAL` — bad group fd (nonexistent or itself a member).
+    /// - `EINVAL` — bad group fd (nonexistent or itself a member), or a
+    ///   sampling period of at most [`PerfKernel::sample_overhead_cycles`]
+    ///   on an event that counts supervisor-mode cycles (`cycles`,
+    ///   `s_mode_cycle`): the overflow handler's own cycles would wrap
+    ///   such a counter again inside the handler, where the wrap is
+    ///   lost, and sampling would stop after one sample.
     pub fn open(
         &mut self,
         core: &mut Core,
@@ -95,8 +100,14 @@ impl PerfKernel {
             EventKind::Hardware(h) => core.spec.event_code(h.to_hw_event()),
             EventKind::Raw(c) => c,
         };
-        if core.spec.decode_event(code).is_none() {
+        let Some(event) = core.spec.decode_event(code) else {
             return Err(Errno::ENOENT);
+        };
+        if attr.is_sampling()
+            && attr.sample_period <= self.sample_overhead_cycles
+            && matches!(event, HwEvent::CpuCycles | HwEvent::SModeCycles)
+        {
+            return Err(Errno::EINVAL);
         }
         let leader_idx = match group {
             None => None,
@@ -685,6 +696,47 @@ mod tests {
                 None,
             )
             .unwrap();
+    }
+
+    /// A period the overflow handler's supervisor-mode cycles would use
+    /// up is refused on events that count those cycles; the X60's
+    /// `u_mode_cycle` leader does not count them and keeps any period.
+    #[test]
+    fn period_within_handler_overhead_is_einval_on_supervisor_cycles() {
+        let (mut core, mut kernel) = boot(PlatformSpec::c910());
+        assert!(200 <= kernel.sample_overhead_cycles);
+        let cycles =
+            |period| PerfEventAttr::sampling(EventKind::Hardware(HwCounter::Cycles), period);
+        let err = kernel.open(&mut core, cycles(200), None).unwrap_err();
+        assert_eq!(err, Errno::EINVAL);
+        let over = kernel.sample_overhead_cycles + 1;
+        kernel.open(&mut core, cycles(over), None).unwrap();
+
+        let (mut core, mut kernel) = boot(PlatformSpec::x60());
+        let smc = core.spec.event_code(mperf_sim::HwEvent::SModeCycles);
+        let err = kernel
+            .open(
+                &mut core,
+                PerfEventAttr::sampling(EventKind::Raw(smc), 200),
+                None,
+            )
+            .unwrap_err();
+        assert_eq!(err, Errno::EINVAL);
+        let umc = core.spec.event_code(mperf_sim::HwEvent::UModeCycles);
+        let leader = kernel
+            .open(
+                &mut core,
+                PerfEventAttr::sampling(EventKind::Raw(umc), 200),
+                None,
+            )
+            .unwrap();
+        kernel.enable(&mut core, leader).unwrap();
+        run_ops(&mut core, &mut kernel, 5_000);
+        assert!(
+            kernel.samples_taken() > 5,
+            "u_mode_cycle keeps sampling at period 200: {}",
+            kernel.samples_taken()
+        );
     }
 
     #[test]

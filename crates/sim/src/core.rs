@@ -35,11 +35,13 @@ pub struct RetireInfo {
 /// ticked once by [`Core::retire_block`]. Armed in place by
 /// [`Core::block_begin_in`]; guard the whole block with
 /// [`Core::block_ready`] first so the single combined tick cannot wrap
-/// a counter.
+/// a counter, or arm it with [`Core::block_begin_exact_in`] and check
+/// [`Core::block_crossed`] after every op (exact near-wrap mode).
 #[derive(Debug, Clone, Default)]
 pub struct BlockAcc {
-    /// Commit time at block entry (centi-cycles).
-    start_centi: u64,
+    /// Whole committed cycles at block entry (or at the last exact-mode
+    /// commit).
+    start_cycles: u64,
     /// Instruction events from the scalar class lanes
     /// ([`Core::block_apply_class`]/[`Core::block_apply_classes`]) — the
     /// dominant case, kept out of the full [`EventDeltas`] bundle so an
@@ -47,9 +49,18 @@ pub struct BlockAcc {
     instructions: u64,
     /// Whether any applied op carried events beyond cycles/instructions
     /// (memory, branch, FP, vector) — selects the PMU tick lane, and
-    /// marks `deltas` dirty (reset lazily by [`Core::block_begin_in`]).
+    /// marks `deltas` and `events` dirty (reset lazily by
+    /// [`Core::block_begin_in`]).
     complex: bool,
     deltas: EventDeltas,
+    /// Running sum of every event in `deltas` (cycles are added at
+    /// commit), so the exact-mode crossing check never re-sums the
+    /// bundle.
+    events: u64,
+    /// Exact near-wrap mode: the events the PMU batch could still
+    /// absorb when the accumulator was armed (see
+    /// [`Core::block_begin_exact_in`]).
+    budget: u64,
 }
 
 /// One simulated hart.
@@ -62,11 +73,13 @@ pub struct Core {
     bp: BranchPredictor,
     isa: IsaModel,
     mode: PrivMode,
-    /// Committed time in centi-cycles (in-order accumulator).
+    /// Commit time in centi-cycles, on both models: the in-order
+    /// accumulator, and on the out-of-order model the maximum of
+    /// `unit_busy` and `slots`, raised by [`Core::charge`] as they grow.
     centi: u64,
     /// Out-of-order per-unit occupancy accumulators (centi-cycles).
     unit_busy: [u64; Unit::COUNT],
-    /// Issue-slot accumulator (centi-cycles).
+    /// Out-of-order issue-slot accumulator (centi-cycles).
     slots: u64,
     retired: u64,
     /// Centi-cycles one issue slot costs (`100 / issue_width`, floored at
@@ -124,7 +137,7 @@ impl Core {
 
     /// Committed whole cycles since power-on.
     pub fn cycles(&self) -> u64 {
-        self.current_centi() / 100
+        self.centi / 100
     }
 
     /// Instructions retired since power-on.
@@ -185,27 +198,12 @@ impl Core {
         self.csr.write(addr, value, mode, &mut self.pmu)
     }
 
-    fn current_centi(&self) -> u64 {
-        if self.spec.out_of_order {
-            let unit_max = self.unit_busy.iter().copied().max().unwrap_or(0);
-            self.centi.max(unit_max).max(self.slots)
-        } else {
-            self.centi
-        }
-    }
-
     /// Retire one machine op: advance time, count events, tick the PMU.
     #[inline]
     pub fn retire(&mut self, op: &MachineOp) -> RetireInfo {
-        // The dominant op shape (scalar ALU/move/addr/call classes: no
-        // memory reference, no branch bookkeeping, no FLOPs, no
-        // vec-instruction event) takes a slimmer path that skips the
-        // full event bundle; identical arithmetic.
-        if op.mem.is_none()
-            && op.flops == 0
-            && !matches!(op.class, OpClass::Branch)
-            && !op.is_vector()
-        {
+        // The dominant op shape takes a slimmer path that skips the full
+        // event bundle; identical arithmetic.
+        if is_slim(op) {
             return self.retire_simple(op);
         }
         self.retire_full(op)
@@ -213,9 +211,9 @@ impl Core {
 
     /// Fast path for non-memory, non-branch, non-FP ops.
     fn retire_simple(&mut self, op: &MachineOp) -> RetireInfo {
-        let before = self.current_centi();
+        let before = self.centi;
         let instructions = self.charge(op.class, 0, false);
-        let cycles = self.current_centi() / 100 - before / 100;
+        let cycles = self.centi / 100 - before / 100;
         let overflow = self
             .pmu
             .tick_batched_simple(cycles, instructions, self.mode);
@@ -227,10 +225,10 @@ impl Core {
     }
 
     fn retire_full(&mut self, op: &MachineOp) -> RetireInfo {
-        let before = self.current_centi();
+        let before = self.centi;
         let mut deltas = EventDeltas::default();
-        self.apply_op(op, &mut deltas);
-        deltas.cycles = self.current_centi() / 100 - before / 100;
+        self.apply_full(op, &mut deltas);
+        deltas.cycles = self.centi / 100 - before / 100;
         let overflow = self.pmu.tick_batched(&deltas, self.mode);
         RetireInfo {
             cycles: deltas.cycles,
@@ -242,28 +240,32 @@ impl Core {
     /// Charge one op of `class` to the clock model and return its
     /// retired instruction count: the ISA expansion, the class's inverse
     /// throughput and its issue slots, plus `stall_centi` of extra
-    /// occupancy. A mispredict serializes the whole pipeline: on the
-    /// out-of-order model it becomes a floor on commit time rather than
-    /// occupancy on one unit (the in-order stall is already in
-    /// `stall_centi`). The one copy of the retire timing rule — every
-    /// retire lane (per op, slim, block class and block branch) calls it.
+    /// occupancy. On the out-of-order model the commit time `centi` is
+    /// raised to the grown unit and slot accumulators, so it stays their
+    /// maximum and reading it costs nothing. A mispredict serializes the
+    /// whole pipeline: on the out-of-order model it becomes a floor on
+    /// commit time rather than occupancy on one unit (the in-order stall
+    /// is already in `stall_centi`). The one copy of the retire timing
+    /// rule — every retire lane (per op, slim, block class and block
+    /// branch) calls it.
     #[inline(always)]
     fn charge(&mut self, class: OpClass, stall_centi: u64, mispredicted: bool) -> u64 {
         let expansion = self.isa.expand(class) as u64;
         let inv_tp = self.spec.timing.inv_tp(class);
         let slot_cost = self.slot_unit * expansion.max(1);
         if self.spec.out_of_order {
-            self.unit_busy[Unit::of(class).index()] += inv_tp + stall_centi;
+            let unit = &mut self.unit_busy[Unit::of(class).index()];
+            *unit += inv_tp + stall_centi;
             self.slots += slot_cost;
+            self.centi = self.centi.max(*unit).max(self.slots);
             if mispredicted {
                 // Pipeline restart: every accumulator jumps to the
-                // mispredict resolution point.
-                let floor = self.current_centi() + self.spec.branch_mispredict_penalty as u64 * 100;
-                self.centi = self.centi.max(floor);
-                for u in &mut self.unit_busy {
-                    *u = (*u).max(floor);
-                }
-                self.slots = self.slots.max(floor);
+                // mispredict resolution point, which lies past the
+                // commit time and so past all of them.
+                let floor = self.centi + self.spec.branch_mispredict_penalty as u64 * 100;
+                self.centi = floor;
+                self.unit_busy = [floor; Unit::COUNT];
+                self.slots = floor;
             }
         } else {
             self.centi += inv_tp.max(slot_cost) + stall_centi;
@@ -293,37 +295,31 @@ impl Core {
         (stall_centi, mispredicted)
     }
 
-    /// The tick-free, cycle-free body of one retire: advance the timing
-    /// model, drive caches and branch prediction, and *accumulate* this
-    /// op's non-cycle event deltas into `deltas` — without touching the
-    /// PMU. Applying N ops in order and computing the cycle delta once is
+    /// The tick-free, cycle-free body of one retire of a non-slim op
+    /// (see [`is_slim`]; a slim op's body is one [`Core::charge`]):
+    /// advance the timing model, drive caches and branch prediction, and
+    /// *accumulate* this op's non-cycle event deltas into `deltas` —
+    /// without touching the PMU. Returns the sum of the events it added.
+    /// Applying N ops in order and computing the cycle delta once is
     /// exactly N per-op retires: per-op cycle deltas telescope
     /// (`Σ (afterᵢ − beforeᵢ) = after_N − before_0`) and event counts are
-    /// additive — the foundation of [`Core::retire_block`]. Returns
-    /// `true` when the op took the slim path (no events beyond
-    /// cycles/instructions).
+    /// additive — the foundation of [`Core::retire_block`].
     #[inline]
-    fn apply_op(&mut self, op: &MachineOp, deltas: &mut EventDeltas) -> bool {
-        // The dominant shape (no memory, no branch, no FLOPs, no vector
-        // event) skips the full event bundle.
-        if op.mem.is_none()
-            && op.flops == 0
-            && !matches!(op.class, OpClass::Branch)
-            && !op.is_vector()
-        {
-            deltas.instructions += self.charge(op.class, 0, false);
-            return true;
-        }
-
-        let before = self.current_centi();
+    fn apply_full(&mut self, op: &MachineOp, deltas: &mut EventDeltas) -> u64 {
+        let before = self.centi;
+        let mut events = 0;
         if op.flops != 0 {
             // The PMU event applies the platform's overcount model
             // (speculation, masked lanes); see `fp_event_percent`.
-            deltas.fp_ops += op.flops as u64 * self.spec.fp_event_percent as u64 / 100;
+            let fp_ops = op.flops as u64 * self.spec.fp_event_percent as u64 / 100;
+            deltas.fp_ops += fp_ops;
+            events += fp_ops;
         }
 
         let (mut stall_centi, mispredicted) = if matches!(op.class, OpClass::Branch) {
-            self.resolve_branch(op.pc, op.taken, deltas)
+            let resolved = self.resolve_branch(op.pc, op.taken, deltas);
+            events += 1 + resolved.1 as u64;
+            resolved
         } else {
             (0, false)
         };
@@ -335,6 +331,7 @@ impl Core {
             deltas.l1d_miss += ev.l1_misses;
             deltas.l2_miss += ev.l2_misses;
             deltas.dram_bytes += ev.dram_bytes;
+            events += ev.l1_accesses + ev.l1_misses + ev.l2_misses + ev.dram_bytes;
             let miss_raw = ev.stall_cycles * 100;
             stall_centi += if self.spec.out_of_order {
                 // L1-hit latency is fully hidden by the scheduler; miss
@@ -351,10 +348,12 @@ impl Core {
 
         let expansion = self.charge(op.class, stall_centi, mispredicted);
         deltas.instructions += expansion;
+        events += expansion;
         if op.is_vector() {
             deltas.vec_instructions += expansion;
+            events += expansion;
         }
-        false
+        events
     }
 
     /// Whether a straight-line superblock with the given shape —
@@ -368,12 +367,15 @@ impl Core {
     /// The probe compares a conservative event-total upper bound (three
     /// multiplies over per-unit bounds precomputed from the platform
     /// spec, plus the dynamic DRAM queue backlog when the block touches
-    /// memory) against the PMU's distance-to-overflow watermark.
-    /// `false` means a counter is near wrapping (or PMU batching is
-    /// disabled): the caller must execute the block op by op through
-    /// the ordinary retire path so the overflow interrupt is attributed
-    /// to exactly the op that wraps — the same exactness rule the
-    /// watermark enforces for single-op batching.
+    /// memory) against the PMU's remaining batch budget
+    /// ([`Pmu::batch_budget`]). `false` means a counter is near wrapping
+    /// (or PMU batching is disabled, which leaves no budget): the
+    /// overflow interrupt must then be attributed to exactly the op that
+    /// wraps — the same exactness rule the watermark enforces for
+    /// single-op batching. The caller either runs the block in exact
+    /// near-wrap mode ([`Core::block_begin_exact_in`], when every slot
+    /// retires one machine op) or op by op through the ordinary retire
+    /// path.
     #[inline]
     pub fn block_ready(
         &mut self,
@@ -392,11 +394,10 @@ impl Core {
             // stacking up behind each other.
             let lines = 2 * mem_refs as u64;
             ub += mem_refs as u64 * self.block_mem_ub
-                + lines
-                    * (self.mem.backlog_cycles(self.current_centi()) + lines * self.block_occ_ub);
+                + lines * (self.mem.backlog_cycles(self.centi) + lines * self.block_occ_ub);
         }
         let mode = self.mode;
-        self.pmu.batch_headroom(ub, mode)
+        ub <= self.pmu.batch_budget(mode)
     }
 
     /// Arm the deferred-retire accumulator for one superblock (resetting
@@ -407,12 +408,44 @@ impl Core {
     /// [`Core::block_ready`] first.
     #[inline]
     pub fn block_begin_in(&self, acc: &mut BlockAcc) {
-        acc.start_centi = self.current_centi();
+        acc.start_cycles = self.centi / 100;
         acc.instructions = 0;
         if acc.complex {
             acc.deltas = EventDeltas::default();
+            acc.events = 0;
             acc.complex = false;
         }
+    }
+
+    /// [`Core::block_begin_in`] for exact near-wrap mode, which runs a
+    /// block [`Core::block_ready`] refused on the deferred-tick path
+    /// anyway: it also normalizes the PMU batch the way the next per-op
+    /// tick would (observably transparent) and stores the batch's
+    /// remaining event budget in `acc`. The caller checks
+    /// [`Core::block_crossed`] after every op, and at the first op that
+    /// crosses commits the prefix with [`Core::retire_block`], delivers
+    /// any overflow at that op, and re-arms with this call. Per-op
+    /// retire would accumulate exactly that prefix and tick the crossing
+    /// op alone; no counter can wrap before it, so the one combined tick
+    /// leaves the same counters and fires the same mask. Every op must
+    /// be a check point: a slot retiring several machine ops cannot run
+    /// in this mode.
+    #[inline]
+    pub fn block_begin_exact_in(&mut self, acc: &mut BlockAcc) {
+        self.block_begin_in(acc);
+        let mode = self.mode;
+        acc.budget = self.pmu.batch_budget(mode);
+    }
+
+    /// Whether the ops applied since `acc` was armed by
+    /// [`Core::block_begin_exact_in`] carry more events than its budget
+    /// — exactly when the per-op path would have ticked the last of them
+    /// individually. Events are the whole cycles since arming plus the
+    /// accumulated instruction and complex-event totals, the sum
+    /// [`Core::retire_block`] ticks.
+    #[inline]
+    pub fn block_crossed(&self, acc: &BlockAcc) -> bool {
+        self.centi / 100 - acc.start_cycles + acc.instructions + acc.events > acc.budget
     }
 
     /// Apply one op's timing/cache/branch effects now, accumulating its
@@ -421,18 +454,15 @@ impl Core {
     /// [`Core::retire`] with the tick deferred.
     #[inline]
     pub fn block_apply(&mut self, op: &MachineOp, acc: &mut BlockAcc) {
-        let instr_before = acc.deltas.instructions;
-        let simple = self.apply_op(op, &mut acc.deltas);
-        if simple {
-            // A simple op's only event is its instruction count: move it
-            // to the scalar lane so the accumulator keeps the
-            // `!complex ⇒ deltas all-zero` invariant — the simple tick
-            // path in `retire_block` reads only `acc.instructions`, and
-            // the lazily-reset delta bundle must stay clean.
-            acc.instructions += acc.deltas.instructions - instr_before;
-            acc.deltas.instructions = instr_before;
+        if is_slim(op) {
+            // A slim op's only event is its instruction count, which goes
+            // to the scalar lane: the accumulator keeps the `!complex ⇒
+            // deltas all-zero` invariant the simple tick path in
+            // `retire_block` and the lazy reset rely on.
+            self.block_apply_class(op.class, acc);
         } else {
             acc.complex = true;
+            acc.events += self.apply_full(op, &mut acc.deltas);
         }
     }
 
@@ -458,19 +488,24 @@ impl Core {
     pub fn block_apply_branch(&mut self, pc: u64, taken: bool, acc: &mut BlockAcc) {
         let (stall_centi, mispredicted) = self.resolve_branch(pc, taken, &mut acc.deltas);
         acc.complex = true;
-        acc.deltas.instructions += self.charge(OpClass::Branch, stall_centi, mispredicted);
+        let expansion = self.charge(OpClass::Branch, stall_centi, mispredicted);
+        acc.deltas.instructions += expansion;
+        acc.events += 1 + mispredicted as u64 + expansion;
     }
 
     /// Commit one superblock: tick the PMU once with the accumulated
     /// event deltas (per-op cycle deltas telescope into `now − start`).
     /// Under the [`Core::block_ready`] guard the combined tick cannot
-    /// wrap a counter, so skipping the per-op ticks is observably exact;
-    /// committing a *partial* block (a trap landed mid-block, after some
-    /// ops applied) is exact for the same reason — counters are additive
-    /// and the partial bound is below the full block's. The accumulator
-    /// is left dirty; the next [`Core::block_begin_in`] resets it.
+    /// wrap a counter, unless the caller checks per op
+    /// ([`Core::block_crossed`]), and then only at the crossing op, where
+    /// the per-op tick would wrap it too. So skipping the per-op ticks
+    /// is observably exact; committing a *partial* block (a trap landed
+    /// mid-block, after some ops applied) is exact for the same reason —
+    /// counters are additive and the partial bound is below the full
+    /// block's. The accumulator is left dirty; the next
+    /// [`Core::block_begin_in`] resets it.
     pub fn retire_block(&mut self, acc: &mut BlockAcc) -> RetireInfo {
-        let cycles = self.current_centi() / 100 - acc.start_centi / 100;
+        let cycles = self.centi / 100 - acc.start_cycles;
         let instructions;
         let overflow = if acc.complex {
             acc.deltas.cycles = cycles;
@@ -482,7 +517,6 @@ impl Core {
             self.pmu
                 .tick_batched_simple(cycles, instructions, self.mode)
         };
-        debug_assert_eq!(overflow, 0, "guard retire_block with block_ready");
         RetireInfo {
             cycles,
             instructions,
@@ -498,20 +532,22 @@ impl Core {
     /// Advance the clock without retiring an instruction (idle cycles,
     /// e.g. while firmware "executes" conceptually).
     pub fn idle(&mut self, cycles: u64) -> u32 {
-        let before = self.current_centi();
-        if self.spec.out_of_order {
-            let target = before + cycles * 100;
-            self.centi = self.centi.max(target);
-        } else {
-            self.centi += cycles * 100;
-        }
-        let after = self.current_centi();
+        self.centi += cycles * 100;
         let deltas = EventDeltas {
-            cycles: after / 100 - before / 100,
+            cycles,
             ..EventDeltas::default()
         };
         self.pmu.tick_batched(&deltas, self.mode)
     }
+}
+
+/// Whether `op` retires on the slim path: a scalar ALU/move/addr/call
+/// class with no memory reference, no branch bookkeeping, no FLOPs and
+/// no vec-instruction event — the dominant shape, whose only events are
+/// its cycles and instructions.
+#[inline(always)]
+fn is_slim(op: &MachineOp) -> bool {
+    op.mem.is_none() && op.flops == 0 && !matches!(op.class, OpClass::Branch) && !op.is_vector()
 }
 
 /// Conservative per-machine-op event bound for superblock retire:
@@ -704,6 +740,74 @@ mod tests {
         assert_eq!(c.pmu().read(3), 20, "vector ops without flops must count");
     }
 
+    /// One seeded op group of single-machine-op slots: ALU, scalar and
+    /// unit-stride vector memory (32 and 64 bytes at 16-byte offsets:
+    /// some line-aligned, some straddling), FLOP and branch ops.
+    fn mixed_group(i: u64, x: u64) -> Vec<MachineOp> {
+        match x % 4 {
+            0 => vec![
+                MachineOp::simple(OpClass::IntAlu, i % 64),
+                MachineOp::simple(OpClass::AddrCalc, i % 64 + 1),
+                MachineOp::simple(OpClass::Load, i % 64 + 2).with_mem(MemRef::scalar(
+                    0x4000 + (x % 2048) * 8,
+                    8,
+                    false,
+                )),
+                MachineOp::simple(OpClass::Move, i % 64 + 3),
+            ],
+            1 => vec![
+                MachineOp::simple(OpClass::FpFma, i % 64).with_flops(2),
+                MachineOp::simple(OpClass::IntMul, i % 64 + 1),
+                MachineOp::simple(OpClass::Branch, i % 64 + 2).with_taken(x & 2 == 0),
+            ],
+            2 => vec![
+                MachineOp::simple(OpClass::VecLoad, i % 64).with_mem(MemRef {
+                    addr: 0x8000 + (x % 1024) * 16,
+                    bytes: 8,
+                    lanes: 4,
+                    stride: 8,
+                    is_store: false,
+                }),
+                MachineOp::simple(OpClass::VecFma, i % 64 + 1).with_flops(8),
+                MachineOp::simple(OpClass::VecStore, i % 64 + 2).with_mem(MemRef {
+                    addr: 0x4000 + (x % 512) * 16,
+                    bytes: 4,
+                    lanes: 16,
+                    stride: 4,
+                    is_store: true,
+                }),
+            ],
+            _ => vec![
+                MachineOp::simple(OpClass::IntAlu, i % 64),
+                MachineOp::simple(OpClass::IntAlu, i % 64 + 1),
+                MachineOp::simple(OpClass::Move, i % 64 + 2),
+            ],
+        }
+    }
+
+    /// [`Core::block_ready`] over a group's shape.
+    fn group_ready(core: &mut Core, ops: &[MachineOp]) -> bool {
+        let mem_refs = ops.iter().filter(|o| o.mem.is_some()).count() as u32;
+        let branches = ops
+            .iter()
+            .filter(|o| matches!(o.class, OpClass::Branch))
+            .count() as u32;
+        let flops: u32 = ops.iter().map(|o| o.flops).sum();
+        core.block_ready(ops.len() as u32, mem_refs, branches, flops)
+    }
+
+    /// Apply one op into `acc`, exercising all three apply lanes (the
+    /// class lane for slim ops when `x` is even).
+    fn apply_lane(core: &mut Core, op: &MachineOp, x: u64, acc: &mut BlockAcc) {
+        if matches!(op.class, OpClass::Branch) {
+            core.block_apply_branch(op.pc, op.taken, acc);
+        } else if op.mem.is_none() && op.flops == 0 && x.is_multiple_of(2) {
+            core.block_apply_class(op.class, acc);
+        } else {
+            core.block_apply(op, acc);
+        }
+    }
+
     /// Superblock retire (`block_begin`/`block_apply*`/`retire_block`)
     /// must be arithmetic-identical to per-op retire: cycles,
     /// instructions, PMU counters, cache stats, and predictor state all
@@ -731,64 +835,11 @@ mod tests {
             for i in 0..3_000u64 {
                 x ^= x << 13;
                 x ^= x >> 7;
-                let ops: Vec<MachineOp> = match x % 4 {
-                    0 => vec![
-                        MachineOp::simple(OpClass::IntAlu, i % 64),
-                        MachineOp::simple(OpClass::AddrCalc, i % 64 + 1),
-                        MachineOp::simple(OpClass::Load, i % 64 + 2).with_mem(MemRef::scalar(
-                            0x4000 + (x % 2048) * 8,
-                            8,
-                            false,
-                        )),
-                        MachineOp::simple(OpClass::Move, i % 64 + 3),
-                    ],
-                    1 => vec![
-                        MachineOp::simple(OpClass::FpFma, i % 64).with_flops(2),
-                        MachineOp::simple(OpClass::IntMul, i % 64 + 1),
-                        MachineOp::simple(OpClass::Branch, i % 64 + 2).with_taken(x & 2 == 0),
-                    ],
-                    // Unit-stride vector refs of 32 and 64 bytes at
-                    // 16-byte offsets: some line-aligned, some straddling.
-                    2 => vec![
-                        MachineOp::simple(OpClass::VecLoad, i % 64).with_mem(MemRef {
-                            addr: 0x8000 + (x % 1024) * 16,
-                            bytes: 8,
-                            lanes: 4,
-                            stride: 8,
-                            is_store: false,
-                        }),
-                        MachineOp::simple(OpClass::VecFma, i % 64 + 1).with_flops(8),
-                        MachineOp::simple(OpClass::VecStore, i % 64 + 2).with_mem(MemRef {
-                            addr: 0x4000 + (x % 512) * 16,
-                            bytes: 4,
-                            lanes: 16,
-                            stride: 4,
-                            is_store: true,
-                        }),
-                    ],
-                    _ => vec![
-                        MachineOp::simple(OpClass::IntAlu, i % 64),
-                        MachineOp::simple(OpClass::IntAlu, i % 64 + 1),
-                        MachineOp::simple(OpClass::Move, i % 64 + 2),
-                    ],
-                };
-                let mem_refs = ops.iter().filter(|o| o.mem.is_some()).count() as u32;
-                let branches = ops
-                    .iter()
-                    .filter(|o| matches!(o.class, OpClass::Branch))
-                    .count() as u32;
-                let flops: u32 = ops.iter().map(|o| o.flops).sum();
-                assert!(blocked.block_ready(ops.len() as u32, mem_refs, branches, flops));
+                let ops = mixed_group(i, x);
+                assert!(group_ready(&mut blocked, &ops));
                 blocked.block_begin_in(&mut acc);
                 for op in &ops {
-                    // Exercise all three apply lanes.
-                    if matches!(op.class, OpClass::Branch) {
-                        blocked.block_apply_branch(op.pc, op.taken, &mut acc);
-                    } else if op.mem.is_none() && op.flops == 0 && x.is_multiple_of(2) {
-                        blocked.block_apply_class(op.class, &mut acc);
-                    } else {
-                        blocked.block_apply(op, &mut acc);
-                    }
+                    apply_lane(&mut blocked, op, x, &mut acc);
                 }
                 let info = blocked.retire_block(&mut acc);
                 assert_eq!(info.overflow, 0);
@@ -828,9 +879,125 @@ mod tests {
         }
     }
 
+    /// Exact near-wrap mode fires where per-op retire fires. Cycles and
+    /// instructions counters sample with overflow interrupts at periods
+    /// of 300–2,000 events, so most groups start near a wrap. One core
+    /// drives each group the way the VM does: guarded by `block_ready`
+    /// when it holds, otherwise armed with `block_begin_exact_in`,
+    /// committed at the first op `block_crossed` flags and re-armed. The
+    /// other retires op by op. Both run the same handler on every fire:
+    /// re-arm with `pmu_mut().write`, then `idle(250)` in supervisor
+    /// mode (re-arming a counter those cycles wrap too, so both counters
+    /// keep firing). Fires must come after the same op with the same
+    /// masks, and cycles and counters must agree after every group, on
+    /// every platform model.
+    #[test]
+    fn exact_block_commits_fire_where_per_op_retire_fires() {
+        use crate::events::HwEvent;
+        let handler = |c: &mut Core, mask: u32, periods: &[(usize, u64); 2]| -> u32 {
+            c.set_mode(PrivMode::Supervisor);
+            let rearm = |c: &mut Core, mask: u32| {
+                for &(idx, period) in periods {
+                    if mask >> idx & 1 == 1 {
+                        c.pmu_mut().write(idx, period.wrapping_neg());
+                    }
+                }
+            };
+            rearm(c, mask);
+            let nested = c.idle(250);
+            rearm(c, nested);
+            c.set_mode(PrivMode::User);
+            nested
+        };
+        for (spec, periods) in [
+            (PlatformSpec::x60(), [(3, 331u64), (4, 1_009)]),
+            (PlatformSpec::c910(), [(3, 300), (4, 457)]),
+            (PlatformSpec::u74(), [(3, 1_543), (4, 300)]),
+            (PlatformSpec::i5_1135g7(), [(3, 331), (4, 613)]),
+        ] {
+            let mut blocked = Core::new(spec.clone());
+            let mut serial = Core::new(spec.clone());
+            for c in [&mut blocked, &mut serial] {
+                c.pmu_mut().set_event(3, Some(HwEvent::CpuCycles));
+                c.pmu_mut().set_event(4, Some(HwEvent::Instructions));
+                for (idx, period) in periods {
+                    c.pmu_mut().set_irq_enable(idx, true);
+                    c.pmu_mut().write(idx, period.wrapping_neg());
+                }
+            }
+            let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+            let mut acc = BlockAcc::default();
+            let (mut fires_blocked, mut fires_serial) = (Vec::new(), Vec::new());
+            let (mut exact_groups, mut mid_group_fires) = (0, 0);
+            for i in 0..6_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                let ops = mixed_group(i, x);
+                let last = ops.len() - 1;
+                let exact = !group_ready(&mut blocked, &ops);
+                if exact {
+                    exact_groups += 1;
+                    blocked.block_begin_exact_in(&mut acc);
+                } else {
+                    blocked.block_begin_in(&mut acc);
+                }
+                for (j, op) in ops.iter().enumerate() {
+                    apply_lane(&mut blocked, op, x, &mut acc);
+                    if exact && j < last && blocked.block_crossed(&acc) {
+                        let info = blocked.retire_block(&mut acc);
+                        if info.overflow != 0 {
+                            mid_group_fires += 1;
+                            let nested = handler(&mut blocked, info.overflow, &periods);
+                            fires_blocked.push((i, j, info.overflow, nested));
+                        }
+                        blocked.block_begin_exact_in(&mut acc);
+                    }
+                }
+                let info = blocked.retire_block(&mut acc);
+                assert!(exact || info.overflow == 0, "{} group {i}", spec.name);
+                if info.overflow != 0 {
+                    let nested = handler(&mut blocked, info.overflow, &periods);
+                    fires_blocked.push((i, last, info.overflow, nested));
+                }
+                for (j, op) in ops.iter().enumerate() {
+                    let info = serial.retire(op);
+                    if info.overflow != 0 {
+                        let nested = handler(&mut serial, info.overflow, &periods);
+                        fires_serial.push((i, j, info.overflow, nested));
+                    }
+                }
+                assert_eq!(fires_blocked, fires_serial, "{} group {i}", spec.name);
+                assert_eq!(blocked.cycles(), serial.cycles(), "{} group {i}", spec.name);
+                for idx in [0usize, 2, 3, 4] {
+                    assert_eq!(
+                        blocked.pmu().read(idx),
+                        serial.pmu().read(idx),
+                        "{} counter {idx} after group {i}",
+                        spec.name
+                    );
+                }
+            }
+            assert_eq!(
+                blocked.pmu().overflow_status(),
+                serial.pmu().overflow_status()
+            );
+            for idx in [3, 4] {
+                let fired = fires_serial.iter().filter(|f| f.2 >> idx & 1 == 1).count();
+                assert!(
+                    fired >= 10,
+                    "{} counter {idx} fired {fired} times",
+                    spec.name
+                );
+            }
+            assert!(exact_groups > 1_000, "{}: {exact_groups}", spec.name);
+            assert!(mid_group_fires >= 10, "{}: {mid_group_fires}", spec.name);
+        }
+    }
+
     /// Near a programmed overflow, `block_ready` must refuse the block so
-    /// the caller degrades to per-op retire (exact overflow
-    /// attribution); with PMU batching disabled it always refuses.
+    /// the caller degrades to exact near-wrap mode or per-op retire
+    /// (exact overflow attribution); with PMU batching disabled it
+    /// always refuses.
     #[test]
     fn block_ready_refuses_near_overflow() {
         let mut c = x60();
@@ -847,11 +1014,10 @@ mod tests {
 
     /// Regression test: a block containing only *simple* ops applied
     /// through the general `block_apply` lane (not the class lane) must
-    /// still tick their instruction events — `apply_op` records them in
-    /// the delta bundle, and `block_apply` has to move them to the
-    /// scalar lane the simple commit path reads, or they are silently
-    /// dropped (and the stale bundle later double-ticks in a complex
-    /// block).
+    /// still tick their instruction events — `block_apply` has to count
+    /// them in the scalar lane the simple commit path reads, or they are
+    /// silently dropped (and a stale bundle later double-ticks in a
+    /// complex block).
     #[test]
     fn block_apply_simple_ops_keep_instruction_events() {
         let mut blocked = x60();

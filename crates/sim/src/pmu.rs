@@ -239,23 +239,23 @@ impl Pmu {
         0
     }
 
-    /// Whether a batch advancing every counter by at most `ub` events can
-    /// be absorbed without any counter wrapping. This is the go/no-go
-    /// probe for the core's superblock retire
-    /// ([`crate::Core::retire_block`]): when it returns `true`, the whole
-    /// batch may be ticked as one [`Pmu::tick_batched`] call and is
-    /// guaranteed to take the accumulate path (no overflow, so no
-    /// per-op attribution is needed); when `false` — a counter is within
-    /// `ub` events of wrapping, or batching is disabled — the caller must
-    /// retire op by op so the overflow interrupt fires on exactly the op
-    /// that wraps.
+    /// How many more events the pending batch can absorb before some
+    /// counter could wrap: `watermark − pending_total`, or 0 when
+    /// batching is disabled (every op then ticks on its own). A batch
+    /// advancing every counter by at most this many events takes
+    /// [`Pmu::tick_batched`]'s accumulate path (no overflow, so no
+    /// per-op attribution is needed); the first op that would exceed it
+    /// is ticked individually. This is what the
+    /// core's superblock retire ([`crate::Core::block_ready`] and exact
+    /// near-wrap mode, [`crate::Core::block_begin_exact_in`]) checks a
+    /// block against.
     ///
     /// Performs the same batch normalization `tick_batched` would (mode
     /// flush, watermark recompute), which is observably transparent.
     #[inline]
-    pub fn batch_headroom(&mut self, ub: u64, mode: PrivMode) -> bool {
+    pub fn batch_budget(&mut self, mode: PrivMode) -> u64 {
         if !self.batched {
-            return false;
+            return 0;
         }
         if mode != self.pending_mode {
             self.flush();
@@ -265,7 +265,7 @@ impl Pmu {
             self.flush();
             self.recompute_watermark();
         }
-        self.pending_total.saturating_add(ub) <= self.watermark
+        self.watermark.saturating_sub(self.pending_total)
     }
 
     /// Scalar fast lane of [`Pmu::tick_batched`] for ops that only

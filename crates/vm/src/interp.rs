@@ -22,7 +22,7 @@ use crate::error::{TrapInfo, VmError};
 use crate::host::{HostHandler, RooflineRuntime};
 use crate::lower::{cast_class, inst_class, un_class, un_flops};
 use crate::memory::GuestMemory;
-use crate::threaded;
+use crate::threaded::{self, BlockInfo, ThreadedFunc};
 use crate::value::{LanesF32, LanesF64, LanesI64, Value};
 use mperf_event::{OverflowCtx, PerfKernel};
 use mperf_ir::{
@@ -1044,9 +1044,16 @@ impl<'m> Vm<'m> {
     /// tick into the VM's [`BlockAcc`], committed once by
     /// [`mperf_sim::Core::retire_block`]. A trap mid-block commits the
     /// partial accumulator first (counters are additive and the partial
-    /// bound is below the guarded full bound, so this stays bit-exact);
-    /// when the guard fails, the block's templates run one by one
-    /// through their tick-per-op entry points.
+    /// bound is below the guarded full bound, so this stays bit-exact).
+    /// Near a counter wrap, where `block_ready` refuses, a block whose
+    /// every slot retires one machine op still runs deferred in exact
+    /// near-wrap mode ([`mperf_sim::Core::block_begin_exact_in`]): after
+    /// each op the driver checks the accumulated events against the
+    /// PMU's remaining budget, and at the first op that crosses it
+    /// commits the prefix and delivers any overflow at that op's pc,
+    /// exactly where per-op retire would. Other refused blocks (with a
+    /// host call or profile counter, or short of fuel) run their
+    /// templates one by one through their tick-per-op entry points.
     fn run_threaded(
         &mut self,
         dec: &DecodedModule,
@@ -1078,43 +1085,20 @@ impl<'m> Vm<'m> {
             let bi = unsafe { *tf.block_at.get_unchecked(ip) };
             if bi != u32::MAX {
                 let b = *unsafe { tf.blocks.get_unchecked(bi as usize) };
-                if self.stats.machine_ops + b.machine_ops as u64 <= self.fuel
-                    && self
+                if self.stats.machine_ops + b.machine_ops as u64 <= self.fuel {
+                    if self
                         .core
                         .block_ready(b.machine_ops, b.mem_refs, b.branches, b.flops)
-                {
-                    // Superblock fast path: one PMU tick for the whole
-                    // straight-line run.
-                    self.core.block_begin_in(&mut self.block_acc);
-                    let mut err = None;
-                    let mut last_ip;
-                    loop {
-                        let ipb = ctx.cur.ip as usize;
-                        last_ip = ipb;
-                        debug_assert!(ipb < tf.templates.len());
-                        let t = unsafe { tf.templates.get_unchecked(ipb) };
-                        ctx.cur.ip += 1;
-                        if let Err(e) = (t.block)(self, dec, tf, &t.args, &mut ctx) {
-                            err = Some(e);
-                            break;
-                        }
-                        if ipb as u32 >= b.last {
-                            break;
-                        }
+                    {
+                        // Superblock fast path: one PMU tick for the whole
+                        // straight-line run.
+                        self.run_block::<false>(dec, tf, &b, &mut ctx)?;
+                        continue;
                     }
-                    let info = self.core.retire_block(&mut self.block_acc);
-                    if info.overflow != 0 {
-                        // Unreachable under `block_ready`; the release-
-                        // mode fallback delivers at the last executed pc
-                        // rather than losing the sample.
-                        let pc = dec.funcs[ctx.cur.func as usize].pcs[last_ip];
-                        self.deliver_overflow(pc, info.overflow, Engine::Threaded);
+                    if b.machine_ops == b.last - b.start + 1 {
+                        self.run_block::<true>(dec, tf, &b, &mut ctx)?;
+                        continue;
                     }
-                    if let Some(e) = err {
-                        self.note_trap(dec.funcs[ctx.cur.func as usize].pcs[last_ip]);
-                        return Err(e);
-                    }
-                    continue;
                 }
             }
             let t = unsafe { tf.templates.get_unchecked(ip) };
@@ -1128,6 +1112,68 @@ impl<'m> Vm<'m> {
                 }
             }
         }
+    }
+
+    /// Run superblock `b` through its deferred-tick template entries and
+    /// commit it. `EXACT` selects exact near-wrap mode: the accumulator
+    /// is armed with the PMU's remaining budget, and after every op but
+    /// the last a crossing of that budget commits the prefix, delivers
+    /// any overflow at the crossing op's pc and re-arms; the final
+    /// commit delivers at the last op's pc. Without `EXACT` the
+    /// `block_ready` guard already proved the one commit cannot wrap a
+    /// counter.
+    #[inline(always)]
+    fn run_block<const EXACT: bool>(
+        &mut self,
+        dec: &DecodedModule,
+        tf: &ThreadedFunc,
+        b: &BlockInfo,
+        ctx: &mut TCtx,
+    ) -> Result<(), VmError> {
+        if EXACT {
+            self.core.block_begin_exact_in(&mut self.block_acc);
+        } else {
+            self.core.block_begin_in(&mut self.block_acc);
+        }
+        let mut err = None;
+        let mut pc;
+        loop {
+            let ipb = ctx.cur.ip as usize;
+            debug_assert!(ipb < tf.templates.len());
+            // SAFETY: the block covers slots `start..=last` of this
+            // function's straight-line template stream (`form_blocks`),
+            // and the loop stops after dispatching `last`.
+            let t = unsafe { tf.templates.get_unchecked(ipb) };
+            pc = t.args.pc;
+            ctx.cur.ip += 1;
+            if let Err(e) = (t.block)(self, dec, tf, &t.args, ctx) {
+                err = Some(e);
+                break;
+            }
+            if ipb as u32 >= b.last {
+                break;
+            }
+            if EXACT && self.core.block_crossed(&self.block_acc) {
+                let info = self.core.retire_block(&mut self.block_acc);
+                if info.overflow != 0 {
+                    self.deliver_overflow(pc, info.overflow, Engine::Threaded);
+                }
+                self.core.block_begin_exact_in(&mut self.block_acc);
+            }
+        }
+        let info = self.core.retire_block(&mut self.block_acc);
+        debug_assert!(
+            EXACT || info.overflow == 0,
+            "only exact near-wrap mode may fire inside a block; guard the rest with block_ready"
+        );
+        if info.overflow != 0 {
+            self.deliver_overflow(pc, info.overflow, Engine::Threaded);
+        }
+        if let Some(e) = err {
+            self.note_trap(pc);
+            return Err(e);
+        }
+        Ok(())
     }
 
     fn call_host(&mut self, name: &str, args: &[Value], pc: u64) -> Result<Vec<Value>, VmError> {

@@ -123,11 +123,17 @@
 //! cycles, instructions, PMU counter files, and sampling IPs/callchains
 //! are bit-identical to the reference engine — property-tested across
 //! the engine × regalloc matrix on all four platform models. Near a
-//! counter wrap `block_ready` refuses the block and the templates run
-//! one by one with per-op ticks (exact overflow attribution, as
-//! everywhere else); a trap mid-block commits the partial accumulator
-//! first (counters are additive, so the split is unobservable) and
-//! propagates.
+//! counter wrap `block_ready` refuses the block. If every slot of the
+//! block retires one machine op and the block fits the fuel, it still
+//! runs deferred in *exact near-wrap mode*: the accumulator is armed
+//! with the PMU's remaining event budget, the driver checks the
+//! accumulated events after every op, and at the first op that crosses
+//! the budget it commits the prefix, delivers any overflow at that op's
+//! pc and re-arms — where per-op ticks would fire. Other refused blocks
+//! run their templates one by one with per-op ticks (exact overflow
+//! attribution, as everywhere else). A trap mid-block commits the
+//! partial accumulator first (counters are additive, so the split is
+//! unobservable) and propagates.
 //!
 //! **Adding a `DecodedOp`** means: decode it in [`decode`], give it a
 //! template thunk (generic over `const DEFER: bool` for the single/block
@@ -169,7 +175,11 @@
 //! batch's total events, no overflow can occur below the watermark, and
 //! the op that could cross it is ticked individually — so sampling
 //! interrupts still fire on exactly the op that wraps. See
-//! [`mperf_sim::Pmu::tick_batched`].
+//! [`mperf_sim::Pmu::tick_batched`]. Superblocks read the same rule as
+//! a budget, the events left below the watermark
+//! ([`mperf_sim::Pmu::batch_budget`]): a guarded block's bound fits it
+//! whole, and exact near-wrap mode commits at the first op that
+//! exceeds it, the op per-op retire would tick individually.
 //!
 //! The VM also maintains the guest call stack used for flame-graph
 //! callchains (built into a reusable scratch buffer, keeping sampling

@@ -47,11 +47,17 @@
 //! **The observable-invariance contract** is the same as regalloc's:
 //! cycles, instructions, PMU counter files, sampling IPs/callchains, and
 //! traps landing mid-block are bit-identical to the reference engine.
-//! Two mechanisms enforce it: the block-entry guard (whole-block fuel +
-//! PMU headroom, falling back to per-op template execution near a
-//! counter wrap) and eager timing with deferred ticks (so `Core::cycles`
-//! stays exact mid-block and a mid-block trap commits the partial
-//! accumulator — additive counters make the split unobservable).
+//! Three mechanisms enforce it:
+//! - the block-entry guard: whole-block fuel plus PMU headroom;
+//! - exact near-wrap mode where the headroom check fails: a block whose
+//!   every slot retires one machine op (no host call or profile
+//!   counter) stays deferred, checks the accumulated events against the
+//!   PMU's remaining budget after each op, and commits at the first op
+//!   that crosses it, delivering any overflow at that op. Other refused
+//!   blocks fall back to per-op template execution;
+//! - eager timing with deferred ticks, so `Core::cycles` stays exact
+//!   mid-block and a mid-block trap commits the partial accumulator —
+//!   additive counters make the split unobservable.
 //!
 //! **Adding a template for a new `DecodedOp`**: give it a thunk
 //! (generic over `const DEFER: bool` — `false` retires per op, `true`

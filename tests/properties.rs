@@ -501,19 +501,24 @@ proptest! {
 /// Overflow sampling is engine-exact: driving identical sampling setups
 /// through every engine configuration (reference, and the threaded
 /// engine with and without register allocation) produces the same
-/// number of samples with the same IPs and callchains — overflow
-/// interrupts fire on the same ops, including samples landing on
-/// elided-copy slots (which retire the same `Move` at the same pc as
-/// the original copy). Near a counter wrap the superblock guard
-/// (`block_ready`) degrades to per-op retire, which is what keeps the
-/// overflow attribution exact. Runs on every model that can sample:
-/// the X60 through its `u_mode_cycle` raw event (§3.3), the C910 and
-/// i5 on cycles; the U74 raises no overflow interrupts. Two programs:
-/// a scalar call tree, and the vectorized triad, whose unit-stride
-/// vector loads and store retire inside superblocks.
+/// sample records — IP, callchain, time, period and group-read values,
+/// plus any lost-record counts — the same final counter reads and the
+/// same `samples_taken`. So overflow interrupts fire on the same ops,
+/// including samples landing on elided-copy slots (which retire the same
+/// `Move` at the same pc as the original copy). Each run opens the group
+/// `record` opens: the leader plus its cycles (when the leader is not
+/// the cycle counter) and instructions members. Near a counter wrap the
+/// superblock guard (`block_ready`) refuses, and blocks run in exact
+/// near-wrap mode or per op; at period 331, just above the handler's 250
+/// cycles, every overflow leaves 81 cycles to the next one, so crossings
+/// land inside most blocks. Runs on every model that can sample: the X60
+/// through its `u_mode_cycle` raw event (§3.3), the C910 and i5 on
+/// cycles; the U74 raises no overflow interrupts. Two programs: a scalar
+/// call tree, and the vectorized triad, whose unit-stride vector loads
+/// and store retire inside superblocks.
 #[test]
 fn decoded_engine_sampling_matches_reference() {
-    use mperf_event::{EventKind, PerfEventAttr, PerfKernel, ReadFormat};
+    use mperf_event::{EventKind, HwCounter, PerfEventAttr, PerfKernel, ReadFormat};
 
     let src = r#"
         fn inner(p: *i64, n: i64) -> i64 {
@@ -533,17 +538,18 @@ fn decoded_engine_sampling_matches_reference() {
     "#;
     let module = mperf_ir::compile("sampling", src).unwrap();
 
-    let run = |module: &mperf_ir::Module, spec: &PlatformSpec, cfg: ExecConfig| {
+    let run = |module: &mperf_ir::Module, spec: &PlatformSpec, cfg: ExecConfig, period: u64| {
         let mut core = Core::new(spec.clone());
         let mut kernel = PerfKernel::new(&mut core);
-        let kind = if spec.name == PlatformSpec::x60().name {
+        let x60 = spec.name == PlatformSpec::x60().name;
+        let kind = if x60 {
             EventKind::Raw(core.spec.event_code(mperf_sim::HwEvent::UModeCycles))
         } else {
-            EventKind::Hardware(mperf_event::HwCounter::Cycles)
+            EventKind::Hardware(HwCounter::Cycles)
         };
         let attr = PerfEventAttr {
             kind,
-            sample_period: 700,
+            sample_period: period,
             sample_type: SampleType::full(),
             read_format: ReadFormat {
                 group: true,
@@ -552,13 +558,21 @@ fn decoded_engine_sampling_matches_reference() {
             disabled: true,
         };
         let fd = kernel.open(&mut core, attr, None).unwrap();
+        let mut members = vec![HwCounter::Instructions];
+        if x60 {
+            members.insert(0, HwCounter::Cycles);
+        }
+        for hw in members {
+            let member = PerfEventAttr::counting(EventKind::Hardware(hw));
+            kernel.open(&mut core, member, Some(fd)).unwrap();
+        }
         kernel.enable(&mut core, fd).unwrap();
         let mut vm = Vm::with_memory(module, Core::new(spec.clone()), 1 << 20);
         vm.core = core;
         vm.configure(cfg);
         vm.attach_kernel(kernel);
         if module.func_by_name("triad").is_some() {
-            let n = 4096u64;
+            let n = 16_384u64;
             let arrays: Vec<Value> = (0..3)
                 .map(|_| Value::I64(vm.mem.alloc(8 * n, 64).unwrap() as i64))
                 .collect();
@@ -572,19 +586,22 @@ fn decoded_engine_sampling_matches_reference() {
                     .write_u64(base + i * 8, i.wrapping_mul(2_654_435_761))
                     .unwrap();
             }
-            vm.call("main", &[Value::I64(base as i64), Value::I64(150)])
+            vm.call("main", &[Value::I64(base as i64), Value::I64(600)])
                 .unwrap();
         }
         let mut kernel = vm.kernel.take().unwrap();
+        let reads = kernel.read(&vm.core, fd).unwrap();
         let records = kernel.drain_records(fd).unwrap();
-        let samples: Vec<(u64, Vec<u64>)> = records
-            .iter()
-            .filter_map(|r| match r {
-                Record::Sample(s) => Some((s.ip.unwrap(), s.callchain.clone())),
-                _ => None,
-            })
+        let pmu: Vec<u64> = (0..mperf_sim::pmu::NUM_COUNTERS)
+            .map(|i| vm.core.pmu().read(i))
             .collect();
-        (samples, kernel.samples_taken())
+        (
+            records,
+            reads,
+            pmu,
+            vm.core.cycles(),
+            kernel.samples_taken(),
+        )
     };
 
     for platform in [
@@ -594,19 +611,39 @@ fn decoded_engine_sampling_matches_reference() {
     ] {
         let spec = platform.spec();
         let name = spec.name;
+        let group = if platform == mperf_sim::Platform::SpacemitX60 {
+            3
+        } else {
+            2
+        };
         for module in [&module, &miniperf::cli::triad_module(platform)] {
-            let (ref_samples, ref_taken) = run(module, &spec, REFERENCE);
-            assert!(
-                ref_taken > 5,
-                "expected a healthy sample stream on {name}: {ref_taken}"
-            );
-            for (label, cfg) in engine_matrix() {
-                let (samples, taken) = run(module, &spec, cfg);
-                assert_eq!(ref_taken, taken, "sample counts diverge ({label}, {name})");
-                assert_eq!(
-                    ref_samples, samples,
-                    "sample IPs/callchains diverge ({label}, {name})"
+            for period in [331, 700, 9973] {
+                let reference = run(module, &spec, REFERENCE, period);
+                let taken = reference.4;
+                assert!(
+                    taken > 5,
+                    "expected a healthy sample stream on {name} at period {period}: {taken}"
                 );
+                assert!(
+                    reference.0.iter().all(|r| match r {
+                        Record::Sample(s) => s.read_group.len() == group,
+                        Record::Lost(_) => true,
+                    }),
+                    "group reads carry the whole group ({name})"
+                );
+                for (label, cfg) in engine_matrix() {
+                    let got = run(module, &spec, cfg, period);
+                    let at = format!("{label}, {name}, period {period}");
+                    let first = reference.0.iter().zip(&got.0).position(|(a, b)| a != b);
+                    if let Some(i) = first {
+                        assert_eq!(reference.0[i], got.0[i], "record {i} diverges ({at})");
+                    }
+                    assert_eq!(reference.0.len(), got.0.len(), "record counts ({at})");
+                    assert_eq!(reference.1, got.1, "final group reads ({at})");
+                    assert_eq!(reference.2, got.2, "PMU counter files ({at})");
+                    assert_eq!(reference.3, got.3, "cycles ({at})");
+                    assert_eq!(reference.4, got.4, "samples_taken ({at})");
+                }
             }
         }
     }
