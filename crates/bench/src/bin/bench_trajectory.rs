@@ -1,23 +1,15 @@
 //! Perf-trajectory runner: executes the `vm/interp-throughput`,
-//! `vm/interp-sampled` and `sim/retire-*` benches in quick mode and
-//! emits `BENCH_interp.json`,
-//! then times the full `platform × workload` roofline sweep at 1/2/4
-//! worker threads and emits `BENCH_sweep.json` — so future PRs have
-//! checked-in baselines to compare against.
+//! `vm/interp-sampled` and `sim/retire-*` benches and emits
+//! `BENCH_interp.json`, so future PRs have a checked-in baseline of the
+//! interpreter and retire layers to compare against. The end-to-end
+//! commands (sweeps, shards, the daemon) are measured by `perfbench/`.
 //!
 //! ```text
-//! bench_trajectory [--out PATH] [--sweep-out PATH] [--jobs N] [--full]
-//!                  [--no-regalloc] [--check]
+//! bench_trajectory [--out PATH] [--full] [--check]
 //! ```
 //!
 //! `--full` uses the normal (longer) measurement budget; default is
-//! quick mode (~40 ms per bench, a scaled-down sweep matrix). `--jobs`
-//! caps the largest worker count the sweep-scaling section measures
-//! (default: 4, the trajectory baseline; thread counts beyond the
-//! host's cores are still measured and simply won't scale).
-//! `--no-regalloc` is the bisection escape hatch: the threaded row
-//! running the escaped pass is not measured (and its guards don't
-//! apply), leaving `threaded-noregalloc` plus `reference`/`seed`.
+//! quick mode (~40 ms per bench).
 //!
 //! `--check` is the CI gate: it runs only the guard-relevant rows
 //! (`threaded`, `threaded-noregalloc`, `seed`) on the short workloads,
@@ -34,30 +26,18 @@
 //! instead of being checked in silently), the `regalloc` copy-traffic
 //! section, the cache `mru` fast-probe hit rates, the `sampled` rows
 //! (`spin` under `record`'s period-1000 sampler, threaded vs reference:
-//! the near-wrap retire path), and ns/op for the retire microbenches;
-//! the sweep JSON reports wall-clock and speedup per worker count — for
-//! both the in-process thread pool and the multi-process sharded
-//! supervisor (this binary re-entered as a sweep worker via
-//! `MPERF_SWEEP_WORKER`) — after asserting every
-//! configuration is bit-identical to the serial sweep. Both reports
-//! embed (and the runner prints) the engine configuration they actually
-//! ran, so checked-in baselines are self-describing.
+//! the near-wrap retire path), and ns/op for the retire microbenches.
+//! The report embeds (and the runner prints) the engine configuration
+//! it ran, so checked-in baselines are self-describing.
 
 use criterion::Criterion;
-use miniperf::cli::{self, JobKind, JobSpec};
-use miniperf::sweep_supervisor::encode_run;
-use miniperf::{CommonOpts, RooflineRequest};
 use mperf_bench::interp_bench::{
-    register_interp_benches_filter, register_retire_benches, register_sampled_benches,
-    EngineConfig, InterpBenchInfo, SAMPLED_PERIOD,
+    register_interp_benches, register_interp_benches_filter, register_retire_benches,
+    register_sampled_benches, EngineConfig, InterpBenchInfo, SAMPLED_PERIOD,
 };
-use mperf_bench::sweep_bench::SweepMatrix;
-use mperf_sim::Platform;
-use mperf_sweep::proto::Msg;
-use mperf_sweep::serve::ClientSession;
-use mperf_vm::{Engine, ExecConfig};
+use mperf_vm::ExecConfig;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One evaluated guard row (for the report and the `--check` JSON).
 struct Guard {
@@ -87,47 +67,25 @@ impl Guard {
     }
 }
 
+/// The configuration every report's headline rows run: the threaded
+/// engine with register allocation on ([`ExecConfig::default`]).
+const HEADLINE: &str = "threaded";
+
 struct Opts {
     out_path: String,
-    sweep_out_path: String,
     full: bool,
-    regalloc: bool,
     check: bool,
-    max_jobs: usize,
-    journal: Option<std::path::PathBuf>,
-    resume: bool,
 }
 
 impl Opts {
-    /// The headline configuration this run measures.
-    fn headline(&self) -> &'static str {
-        if self.regalloc {
-            "threaded"
-        } else {
-            "threaded-noregalloc"
-        }
-    }
-
-    /// The `config:` header naming what actually ran (the bugfix for
-    /// silently-flagged runs: every report now self-describes). Shares
+    /// The `config:` header naming what actually ran. Shares
     /// [`ExecConfig::describe`] with `miniperf`'s header so the two
     /// formats cannot drift.
     fn config_line(&self) -> String {
-        let exec = ExecConfig {
-            engine: Engine::Threaded,
-            regalloc: self.regalloc,
-        };
+        let mode = if self.full { "full" } else { "quick" };
         format!(
-            "config: {} mode={} headline={}",
-            exec.describe(),
-            if self.check {
-                "check"
-            } else if self.full {
-                "full"
-            } else {
-                "quick"
-            },
-            self.headline(),
+            "config: {} mode={mode} headline={HEADLINE}",
+            ExecConfig::default().describe()
         )
     }
 }
@@ -135,20 +93,12 @@ impl Opts {
 fn parse_opts() -> Opts {
     let mut opts = Opts {
         out_path: String::from("BENCH_interp.json"),
-        sweep_out_path: String::from("BENCH_sweep.json"),
         full: false,
-        regalloc: true,
         check: false,
-        max_jobs: 4,
-        journal: None,
-        resume: false,
     };
     let usage = |msg: &str| -> ! {
         eprintln!("bench_trajectory: {msg}");
-        eprintln!(
-            "usage: bench_trajectory [--out PATH] [--sweep-out PATH] [--jobs N] [--full] \
-             [--no-regalloc] [--journal PATH] [--resume] [--check]"
-        );
+        eprintln!("usage: bench_trajectory [--out PATH] [--full] [--check]");
         std::process::exit(2);
     };
     let mut args = std::env::args().skip(1);
@@ -158,31 +108,10 @@ fn parse_opts() -> Opts {
                 Some(p) => opts.out_path = p,
                 None => usage("--out needs a path"),
             },
-            "--sweep-out" => match args.next() {
-                Some(p) => opts.sweep_out_path = p,
-                None => usage("--sweep-out needs a path"),
-            },
-            "--jobs" => match args.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(v)) if v >= 1 => opts.max_jobs = v,
-                Some(_) => usage("--jobs needs a positive integer"),
-                None => usage("--jobs needs a value"),
-            },
             "--full" => opts.full = true,
-            "--no-regalloc" => opts.regalloc = false,
-            "--journal" => match args.next() {
-                Some(p) => opts.journal = Some(std::path::PathBuf::from(p)),
-                None => usage("--journal needs a path"),
-            },
-            "--resume" => opts.resume = true,
             "--check" => opts.check = true,
             other => usage(&format!("unknown argument `{other}`")),
         }
-    }
-    if opts.check && !opts.regalloc {
-        usage("--check gates the production configuration; drop --no-regalloc");
-    }
-    if opts.resume && opts.journal.is_none() {
-        usage("--resume requires --journal");
     }
     opts
 }
@@ -198,30 +127,19 @@ fn ns_lookup<'a>(c: &'a Criterion) -> impl Fn(&str) -> f64 + 'a {
     }
 }
 
-/// The speedup guards over one engine's rows: `speedup_vs_seed ≥ 2`
-/// everywhere, plus a spin floor for the fully-optimized headline
-/// (`≥ 3.5`; `None` when the run escapes a pass).
-fn speedup_guards(
-    infos: &[InterpBenchInfo],
-    ns_of: &impl Fn(&str) -> f64,
-    engine: &str,
-    spin_floor: Option<f64>,
-) -> Vec<Guard> {
+/// The speedup guards over the headline rows: `speedup_vs_seed ≥ 2`
+/// everywhere and `≥ 3.5` on spin.
+fn speedup_guards(infos: &[InterpBenchInfo], ns_of: &impl Fn(&str) -> f64) -> Vec<Guard> {
     let mut guards = Vec::new();
-    for info in infos.iter().filter(|i| i.engine == engine) {
+    for info in infos.iter().filter(|i| i.engine == HEADLINE) {
         let ns = ns_of(&info.id);
-        let suffix = format!("-{}", info.engine);
-        let vs_seed = ns_of(&info.id.replace(&suffix, "-seed")) / ns;
-        let floor = match spin_floor {
-            Some(f) if info.workload == "spin" => f,
-            _ => 2.0,
-        };
+        let vs_seed = ns_of(&info.id.replace(&format!("-{HEADLINE}"), "-seed")) / ns;
         guards.push(Guard {
             name: "speedup_vs_seed",
             workload: info.workload.to_string(),
             platform: info.platform.to_string(),
             value: vs_seed,
-            floor,
+            floor: if info.workload == "spin" { 3.5 } else { 2.0 },
         });
     }
     guards
@@ -278,7 +196,7 @@ fn measure_check(budget_ms: u64) -> Vec<Guard> {
             );
         }
     }
-    let mut guards = speedup_guards(&infos, &ns_of, "threaded", Some(3.5));
+    let mut guards = speedup_guards(&infos, &ns_of);
     guards.extend(copy_reduction_guards(&infos));
     guards
 }
@@ -352,13 +270,6 @@ fn run_check(opts: &Opts) -> ! {
 }
 
 fn main() {
-    // Re-entry marker for the sweep-scaling section's *process-sharded*
-    // pass: the supervisor respawns this very binary with the marker
-    // set, and the child becomes a protocol-speaking sweep worker
-    // instead of a bench run.
-    if std::env::var_os("MPERF_SWEEP_WORKER").is_some() {
-        std::process::exit(miniperf::worker_main());
-    }
     let opts = parse_opts();
     if opts.check {
         run_check(&opts);
@@ -368,12 +279,7 @@ fn main() {
     let mut c = Criterion::default();
     c.measurement_time(Duration::from_millis(if opts.full { 600 } else { 40 }));
 
-    // The threaded config running an escaped pass is dropped; reference
-    // and seed always run (they are the speedup denominators).
-    let regalloc = opts.regalloc;
-    let infos = register_interp_benches_filter(&mut c, |cfg: &EngineConfig| {
-        cfg.engine == Engine::Reference || regalloc || !cfg.regalloc
-    });
+    let infos = register_interp_benches(&mut c);
     let sampled = register_sampled_benches(&mut c);
     register_retire_benches(&mut c);
     let ns_of = ns_lookup(&c);
@@ -384,9 +290,7 @@ fn main() {
     let _ = writeln!(json, "  \"quick\": {},", !opts.full);
     let _ = writeln!(
         json,
-        "  \"config\": {{\"regalloc\": {}, \"headline\": \"{}\"}},",
-        opts.regalloc,
-        opts.headline()
+        "  \"config\": {{\"regalloc\": true, \"headline\": \"{HEADLINE}\"}},"
     );
     json.push_str("  \"interp\": [\n");
     for (i, info) in infos.iter().enumerate() {
@@ -559,32 +463,26 @@ fn main() {
 
     // Surface the headline numbers (and fail loudly if the threaded
     // engine ever regresses below parity with the reference engine).
-    let headline = opts.headline();
-    for info in &infos {
-        if info.engine != headline {
-            continue;
-        }
+    for info in infos.iter().filter(|i| i.engine == HEADLINE) {
         let ns = ns_of(&info.id);
-        let suffix = format!("-{}", info.engine);
+        let suffix = format!("-{HEADLINE}");
         let vs_ref = ns_of(&info.id.replace(&suffix, "-reference")) / ns;
         let vs_seed = ns_of(&info.id.replace(&suffix, "-seed")) / ns;
         println!(
-            "{:<40} {headline} is {vs_ref:.2}x reference, {vs_seed:.2}x seed",
+            "{:<40} {HEADLINE} is {vs_ref:.2}x reference, {vs_seed:.2}x seed",
             format!("{}/{}", info.workload, info.platform),
         );
         assert!(
             vs_ref > 0.9,
-            "{headline} engine slower than reference on {}/{}",
+            "{HEADLINE} engine slower than reference on {}/{}",
             info.workload,
             info.platform
         );
     }
     // The ROADMAP's interpreter guards: the headline stays ≥ 2x the seed
-    // configuration — and, with register allocation on, ≥ 3.5x on spin.
-    // Hard in --full mode; quick mode (40 ms budgets) only warns, since
-    // it exists to smoke-test the flow.
-    let spin_floor = opts.regalloc.then_some(3.5);
-    for g in speedup_guards(&infos, &ns_of, headline, spin_floor) {
+    // configuration, and ≥ 3.5x on spin. Hard in --full mode; quick mode
+    // (40 ms budgets) only warns, since it exists to smoke-test the flow.
+    for g in speedup_guards(&infos, &ns_of) {
         if !g.pass() {
             let msg = format!(
                 "interpreter guard: only {:.2}x seed on {}/{} (need >= {})",
@@ -595,7 +493,7 @@ fn main() {
         }
     }
     // The regalloc guard: copy counts are deterministic, so it is
-    // enforced in every mode that measures both rows.
+    // enforced in every mode.
     for g in copy_reduction_guards(&infos) {
         assert!(
             g.pass(),
@@ -605,7 +503,7 @@ fn main() {
             g.platform
         );
     }
-    for info in infos.iter().filter(|i| i.engine == "threaded") {
+    for info in infos.iter().filter(|i| i.engine == HEADLINE) {
         let ra = &info.regalloc_dyn;
         println!(
             "{:<40} regalloc: {} copies moved, {} elided ({:.1}% of copy traffic)",
@@ -615,272 +513,4 @@ fn main() {
             ra.elision_rate() * 100.0,
         );
     }
-
-    run_sweep_scaling(&opts);
-}
-
-/// The sweep-scaling section: run the full `platform × workload`
-/// roofline sweep serially and at rising worker counts, check the
-/// results are bit-identical, and emit `BENCH_sweep.json`.
-fn run_sweep_scaling(opts: &Opts) {
-    let (out_path, full, max_jobs) = (&opts.sweep_out_path, opts.full, opts.max_jobs);
-    let host_cpus = mperf_sweep::default_jobs();
-    let matrix = SweepMatrix::build(if full { 1.0 } else { 0.25 });
-    println!(
-        "\nsweep scaling: {} cells on a {host_cpus}-cpu host",
-        matrix.len()
-    );
-
-    let mut thread_counts = vec![1usize, 2, 4];
-    thread_counts.retain(|&t| t <= max_jobs);
-    if !thread_counts.contains(&max_jobs) {
-        thread_counts.push(max_jobs);
-    }
-
-    // Warm-up pass so first-touch costs (lazy pages, allocator growth)
-    // don't land on the serial measurement. With `--journal` this pass
-    // checkpoints every cell; `--resume` then satisfies
-    // already-journaled cells so an interrupted run restarts with only
-    // the remaining cells.
-    let (_, sweep) = match matrix.run_supervised(1, opts.journal.clone(), opts.resume) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bench_trajectory: cannot open sweep journal: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let (Some(path), false) = (&opts.journal, sweep.resumed.is_empty()) {
-        println!(
-            "  reference pass: {}/{} cells resumed from {}",
-            sweep.resumed.len(),
-            matrix.len(),
-            path.display()
-        );
-    }
-    if !sweep.report.all_ok() {
-        for f in &sweep.report.failed {
-            eprintln!("  cell {} failed: {}", f.index, f.error);
-        }
-        eprintln!(
-            "bench_trajectory: {} sweep cell(s) failed, {} skipped; with --journal, \
-             completed cells are journaled — re-run with --resume to retry only the rest",
-            sweep.report.failed.len(),
-            sweep.report.skipped.len()
-        );
-        std::process::exit(1);
-    }
-    let reference: Vec<_> = sweep.report.results.into_iter().flatten().collect();
-
-    let mut rows = Vec::new();
-    let mut serial_ms = 0.0f64;
-    for &threads in &thread_counts {
-        let (wall, sweep) = matrix
-            .run_supervised(threads, None, false)
-            .expect("supervised sweep (no journal attached)");
-        assert!(sweep.report.all_ok(), "sweep at {threads} threads failed");
-        let runs: Vec<_> = sweep.report.results.into_iter().flatten().collect();
-        assert_eq!(
-            runs, reference,
-            "parallel sweep at {threads} threads diverges from the serial sweep"
-        );
-        let ms = wall.as_secs_f64() * 1e3;
-        if threads == 1 {
-            serial_ms = ms;
-        }
-        let speedup = if ms > 0.0 { serial_ms / ms } else { 0.0 };
-        println!("  jobs={threads}: {ms:9.1} ms  ({speedup:.2}x vs serial, results identical)");
-        rows.push((threads, ms, speedup));
-    }
-
-    // The sweep-scaling guard (ISSUE 2 acceptance): >= 1.8x at 4
-    // threads vs serial. Like the interpreter guard it is hard in
-    // --full mode — but only where the speedup is physically observable
-    // (a >= 4-cpu host); quick mode and smaller hosts warn. Judged on
-    // the smallest measured row with >= 4 threads, and never silently:
-    // a --jobs cap that excludes every such row prints that the guard
-    // did not run.
-    match rows
-        .iter()
-        .filter(|(t, _, _)| *t >= 4)
-        .min_by_key(|(t, _, _)| *t)
-    {
-        Some(&(threads, _, speedup)) => {
-            if host_cpus >= 4 && speedup < 1.8 {
-                let msg = format!(
-                    "sweep guard: only {speedup:.2}x at {threads} threads on a \
-                     {host_cpus}-cpu host (need >= 1.8)"
-                );
-                assert!(!full, "{msg}");
-                eprintln!("warning ({msg} — quick mode, not enforced)");
-            }
-        }
-        None => eprintln!(
-            "note: sweep guard (>= 1.8x at 4 threads) not evaluated — \
-             --jobs {max_jobs} measured no >= 4-thread row"
-        ),
-    }
-    if host_cpus < 4 {
-        println!(
-            "  note: host exposes {host_cpus} cpu(s); wall-clock scaling beyond \
-             {host_cpus} thread(s) is not observable here"
-        );
-    }
-
-    // Process-sharded pass: the same matrix through real worker
-    // processes (this binary, re-entered via `MPERF_SWEEP_WORKER`),
-    // checked bit-identical to the in-process serial reference. Spawn +
-    // recompile overhead makes this slower than threads on small
-    // matrices; the rows exist to track that overhead, not to win.
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut sharded_rows = Vec::new();
-    for &shards in &thread_counts {
-        let mut worker = mperf_sweep::WorkerCmd::new(&exe);
-        worker.envs.push(("MPERF_SWEEP_WORKER".into(), "1".into()));
-        let (wall, sweep) = matrix
-            .run_sharded(shards, worker)
-            .expect("sharded sweep (no journal attached)");
-        assert!(
-            sweep.all_ok(),
-            "sharded sweep at {shards} shards failed: {:?} / {} cell failures",
-            sweep.fatal,
-            sweep.failed.len()
-        );
-        let runs: Vec<_> = sweep.results.into_iter().flatten().collect();
-        assert_eq!(
-            runs, reference,
-            "sharded sweep at {shards} shards diverges from the serial sweep"
-        );
-        let ms = wall.as_secs_f64() * 1e3;
-        let speedup = if ms > 0.0 { serial_ms / ms } else { 0.0 };
-        println!(
-            "  shards={shards}: {ms:9.1} ms  ({speedup:.2}x vs serial threads, \
-             results identical, {} respawns)",
-            sweep.respawns
-        );
-        sharded_rows.push((shards, ms, speedup));
-    }
-
-    let serve = run_serve_row(full, max_jobs.clamp(1, 4));
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"mperf-bench-sweep/v4\",");
-    let _ = writeln!(json, "  \"quick\": {},", !full);
-    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(json, "  \"cells\": {},", matrix.len());
-    let _ = writeln!(json, "  \"identical_across_thread_counts\": true,");
-    json.push_str("  \"scaling\": [\n");
-    for (i, (threads, ms, speedup)) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {threads}, \"wall_ms\": {ms:.1}, \
-             \"speedup_vs_serial\": {speedup:.2}}}"
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"sharded\": [\n");
-    for (i, (shards, ms, speedup)) in sharded_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"shards\": {shards}, \"wall_ms\": {ms:.1}, \
-             \"speedup_vs_serial\": {speedup:.2}}}"
-        );
-        json.push_str(if i + 1 < sharded_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    let (serve_ms, batch_ms) = serve;
-    let _ = writeln!(
-        json,
-        "  \"serve\": {{\"wall_ms\": {serve_ms:.1}, \"batch_wall_ms\": {batch_ms:.1}, \
-         \"overhead_ms\": {:.1}, \"streamed_identical\": true}}",
-        serve_ms - batch_ms
-    );
-    json.push_str("}\n");
-    std::fs::write(out_path, &json).expect("write sweep trajectory json");
-    println!("wrote {out_path}");
-}
-
-/// The serve-path row: the CLI triad sweep submitted to an in-process
-/// `miniperf serve` daemon over a real Unix socket, timed against the
-/// identical sweep run directly in-process. The delta is the cost of
-/// the socket round-trip, job decode, and per-cell result streaming;
-/// the streamed `CellDone` payloads must be bit-identical to the batch
-/// cells' journal encodings.
-fn run_serve_row(full: bool, jobs: usize) -> (f64, f64) {
-    let n = if full {
-        cli::CLI_TRIAD_N
-    } else {
-        cli::CLI_TRIAD_N / 4
-    };
-
-    // Batch reference, timed from module compile (the daemon compiles
-    // inside its job too, so both sides carry the same setup work).
-    let t0 = Instant::now();
-    let modules: Vec<_> = Platform::ALL
-        .iter()
-        .map(|&p| cli::triad_module(p))
-        .collect();
-    let cells = cli::triad_sweep_cells(&modules, None, n);
-    let sweep = RooflineRequest::new()
-        .jobs(jobs)
-        .run_supervised(&cells)
-        .expect("batch triad sweep (no journal attached)");
-    let batch_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(sweep.report.all_ok(), "batch triad sweep failed");
-    let reference: Vec<Vec<u8>> = sweep
-        .report
-        .results
-        .iter()
-        .map(|r| encode_run(r.as_ref().expect("all_ok")))
-        .collect();
-
-    let socket =
-        std::env::temp_dir().join(format!("mperf-bench-serve-{}.sock", std::process::id()));
-    let handle = miniperf::serve::start(
-        &socket,
-        &CommonOpts::default(),
-        &miniperf::ServeOptions::default(),
-    )
-    .expect("start daemon");
-    let stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect to daemon");
-    let reader = std::io::BufReader::new(stream.try_clone().expect("clone socket"));
-    let mut session = ClientSession::connect(reader, stream).expect("serve handshake");
-
-    let spec = JobSpec {
-        n,
-        jobs,
-        ..JobSpec::from_opts(JobKind::Sweep, &CommonOpts::default())
-    };
-    let t0 = Instant::now();
-    let job = session.submit(spec.encode()).expect("submit sweep job");
-    let mut streamed: Vec<(u64, Vec<u8>)> = Vec::new();
-    let res = session
-        .drain_job(job, |m| {
-            if let Msg::CellDone { index, payload, .. } = m {
-                streamed.push((*index, payload.clone()));
-            }
-        })
-        .expect("drain sweep job");
-    let serve_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(res.code, 0, "serve sweep failed: {}", res.message);
-    streamed.sort_by_key(|(i, _)| *i);
-    let streamed: Vec<Vec<u8>> = streamed.into_iter().map(|(_, p)| p).collect();
-    assert_eq!(
-        streamed, reference,
-        "streamed serve cells diverge from the batch sweep"
-    );
-    drop(session);
-    handle.stop();
-
-    println!(
-        "  serve: {serve_ms:9.1} ms  (batch {batch_ms:.1} ms, +{:.1} ms socket/stream \
-         overhead, results identical)",
-        serve_ms - batch_ms
-    );
-    (serve_ms, batch_ms)
 }

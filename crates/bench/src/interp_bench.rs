@@ -245,9 +245,8 @@ pub fn register_interp_benches(c: &mut Criterion) -> Vec<InterpBenchInfo> {
 
 /// [`register_interp_benches`] with the engine-configuration set
 /// selectable: `keep` decides which [`engine_configs`] rows are
-/// measured. `bench_trajectory --no-regalloc` drops the configs running
-/// the escaped pass so its regressions can be bisected out of the
-/// picture; `--check` keeps only the guard-relevant rows.
+/// measured. `bench_trajectory --check` keeps only the guard-relevant
+/// rows.
 pub fn register_interp_benches_filter(
     c: &mut Criterion,
     keep: impl Fn(&EngineConfig) -> bool,

@@ -20,7 +20,6 @@
 use std::path::PathBuf;
 
 pub mod interp_bench;
-pub mod sweep_bench;
 
 /// Common CLI options for the figure/table binaries.
 #[derive(Debug, Clone)]

@@ -5,8 +5,8 @@
 //! the batch commands use — [`crate::record::record_streamed`] for
 //! sampling, [`RooflineRequest`] for rooflines, and the supervised
 //! sweep (worker threads, retry policy, journal-backed resume) for
-//! sweeps. Results are *streamed*: every sample, region measurement,
-//! and completed sweep cell is framed and flushed the moment it exists,
+//! sweeps. Results are *streamed*: every sample and completed roofline
+//! run or sweep cell is framed and flushed the moment it exists,
 //! so daemon memory is bounded by the per-connection outbound queue,
 //! not the job size. The wire format is [`mperf_sweep::proto`] — the
 //! same `MPSWIPC1` frames and handshake the sharded-sweep workers
@@ -94,7 +94,7 @@ use crate::cli::{self, CommonOpts, JobKind, JobSpec, SweepOutcome};
 use crate::detect::SamplingStrategy;
 use crate::profile::{ProfSample, Profile};
 use crate::record::{record_streamed, RecordConfig};
-use crate::roofline_runner::{RegionMeasurement, RooflineRequest, RooflineRun};
+use crate::roofline_runner::{RooflineRequest, RooflineRun};
 use crate::stat::{stat, StatReport};
 use crate::sweep_supervisor::{cell_key, decode_run, encode_run};
 use mperf_event::EventKind;
@@ -256,22 +256,6 @@ pub fn decode_stat(bytes: &[u8], events: &[EventKind]) -> Result<StatReport, Str
     d.finish()
         .map_err(|e| format!("malformed stat summary: {e}"))?;
     Ok(rep)
-}
-
-/// One streamed region measurement (informational: the final report
-/// renders from the bit-exact `RooflineRun` in the `CellDone` frame;
-/// this event exists so a client can watch correlation progress).
-fn encode_region(r: &RegionMeasurement) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(r.region_id);
-    e.str(&r.source_func);
-    e.u32(r.line);
-    e.u64(r.flops);
-    e.u64(r.loaded_bytes);
-    e.u64(r.stored_bytes);
-    e.u64(r.baseline_cycles);
-    e.u64(r.instrumented_cycles);
-    e.into_bytes()
 }
 
 // ---------------------------------------------------------------------
@@ -1396,15 +1380,6 @@ fn execute_job(
             let request = RooflineRequest::new().jobs(spec.jobs).config(spec.exec);
             match request.run_prepared(&module, &decoded, &spec.platform.spec(), "triad", &setup) {
                 Ok(run) => {
-                    for r in &run.regions {
-                        conn.send(
-                            ctx,
-                            Msg::Region {
-                                job,
-                                payload: encode_region(r),
-                            },
-                        );
-                    }
                     conn.send(
                         ctx,
                         Msg::CellDone {

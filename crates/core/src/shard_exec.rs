@@ -43,7 +43,6 @@ use mperf_sweep::shard::{run_sharded, ShardCell, ShardCellError, ShardOptions, W
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
 use mperf_sweep::{CellFailure, RetryPolicy};
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Value, Vm, VmError};
-use mperf_workloads::{matmul::MatmulBench, stencil::StencilBench, stream::StreamBench};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -52,8 +51,8 @@ use std::time::Duration;
 /// Cell-spec payload schema; bumped on any codec change (the protocol
 /// handshake already gates the frame layer — this versions the cell
 /// vocabulary inside it). Schema 2 carries the two-field
-/// [`ExecConfig`] wire form.
-const CELL_SCHEMA: u32 = 2;
+/// [`ExecConfig`] wire form; schema 3 keeps only the CLI triad setup.
+const CELL_SCHEMA: u32 = 3;
 
 /// How a worker stages a cell's guest operands. A recipe, not a
 /// closure: it must cross the process boundary and reproduce the
@@ -63,12 +62,6 @@ pub enum SetupSpec {
     /// The CLI triad staging (`miniperf roofline`/`sweep`): `b[i] = i`,
     /// `c[i] = 0.25`, scalar `k = 3.0`.
     CliTriad { n: u64 },
-    /// [`StreamBench::setup_triad`].
-    StreamTriad { elems: u64 },
-    /// [`MatmulBench::setup`].
-    Matmul { n: u64, tile: u64, seed: u64 },
-    /// [`StencilBench::setup`].
-    Stencil { n: u64, steps: u64 },
 }
 
 /// One cell of a sharded sweep, self-contained enough for a worker
@@ -114,25 +107,6 @@ pub fn cli_triad_setup(n: u64) -> impl Fn(&mut Vm) -> Result<Vec<Value>, VmError
 fn setup_closure(setup: &SetupSpec) -> BoxedSetupFn<'static> {
     match *setup {
         SetupSpec::CliTriad { n } => Box::new(cli_triad_setup(n)),
-        SetupSpec::StreamTriad { elems } => {
-            let bench = StreamBench { elems };
-            Box::new(move |vm: &mut Vm| bench.setup_triad(vm))
-        }
-        SetupSpec::Matmul { n, tile, seed } => {
-            let bench = MatmulBench {
-                n: n as usize,
-                tile: tile as usize,
-                seed,
-            };
-            Box::new(move |vm: &mut Vm| bench.setup(vm))
-        }
-        SetupSpec::Stencil { n, steps } => {
-            let bench = StencilBench {
-                n: n as usize,
-                steps: steps as usize,
-            };
-            Box::new(move |vm: &mut Vm| bench.setup(vm))
-        }
     }
 }
 
@@ -148,21 +122,6 @@ pub fn encode_cell(spec: &ShardedCellSpec, cfg: ExecConfig) -> Vec<u8> {
         SetupSpec::CliTriad { n } => {
             e.u8(0);
             e.u64(n);
-        }
-        SetupSpec::StreamTriad { elems } => {
-            e.u8(1);
-            e.u64(elems);
-        }
-        SetupSpec::Matmul { n, tile, seed } => {
-            e.u8(2);
-            e.u64(n);
-            e.u64(tile);
-            e.u64(seed);
-        }
-        SetupSpec::Stencil { n, steps } => {
-            e.u8(3);
-            e.u64(n);
-            e.u64(steps);
         }
     }
     enc_exec(&mut e, cfg);
@@ -196,18 +155,6 @@ pub fn decode_cell(bytes: &[u8]) -> Result<(ShardedCellSpec, ExecConfig), String
     let setup = match d.u8().map_err(wire)? {
         0 => SetupSpec::CliTriad {
             n: d.u64().map_err(wire)?,
-        },
-        1 => SetupSpec::StreamTriad {
-            elems: d.u64().map_err(wire)?,
-        },
-        2 => SetupSpec::Matmul {
-            n: d.u64().map_err(wire)?,
-            tile: d.u64().map_err(wire)?,
-            seed: d.u64().map_err(wire)?,
-        },
-        3 => SetupSpec::Stencil {
-            n: d.u64().map_err(wire)?,
-            steps: d.u64().map_err(wire)?,
         },
         t => return Err(format!("unknown setup tag {t}")),
     };
@@ -533,33 +480,23 @@ mod tests {
 
     #[test]
     fn cell_codec_roundtrips_every_setup_kind() {
-        let setups = [
-            SetupSpec::CliTriad { n: 32_768 },
-            SetupSpec::StreamTriad { elems: 1024 },
-            SetupSpec::Matmul {
-                n: 64,
-                tile: 8,
-                seed: 42,
-            },
-            SetupSpec::Stencil { n: 128, steps: 8 },
-        ];
         for platform in Platform::ALL {
-            for setup in &setups {
-                let mut s = spec(platform);
-                s.setup = setup.clone();
-                for cfg in [
-                    ExecConfig::default(),
-                    ExecConfig {
-                        engine: mperf_vm::Engine::Reference,
-                        regalloc: false,
-                    },
-                ] {
-                    let bytes = encode_cell(&s, cfg);
-                    let (back, back_cfg) = decode_cell(&bytes).unwrap();
-                    assert_eq!(back, s);
-                    assert_eq!(back_cfg, cfg);
-                    assert_eq!(encode_cell(&back, back_cfg), bytes, "byte-identical");
-                }
+            let s = ShardedCellSpec {
+                setup: SetupSpec::CliTriad { n: 32_768 },
+                ..spec(platform)
+            };
+            for cfg in [
+                ExecConfig::default(),
+                ExecConfig {
+                    engine: mperf_vm::Engine::Reference,
+                    regalloc: false,
+                },
+            ] {
+                let bytes = encode_cell(&s, cfg);
+                let (back, back_cfg) = decode_cell(&bytes).unwrap();
+                assert_eq!(back, s);
+                assert_eq!(back_cfg, cfg);
+                assert_eq!(encode_cell(&back, back_cfg), bytes, "byte-identical");
             }
         }
     }

@@ -150,7 +150,7 @@ proptest! {
             source: cli::KERNEL.into(),
             entry: "triad".into(),
             platform: Platform::SifiveU74,
-            setup: SetupSpec::Stencil { n: 8, steps: 2 },
+            setup: SetupSpec::CliTriad { n: 8 },
         };
         fuzz(&encode_cell(&cell, ExecConfig::default()), &raw, cut, |b| {
             let _ = decode_cell(b);

@@ -209,11 +209,6 @@ impl FunctionBuilder {
         &mut self.func
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     /// Whether the current block already has an explicit terminator.
     pub fn is_sealed(&self) -> bool {
         self.sealed

@@ -37,6 +37,9 @@ struct PerfEvent {
     ring: Option<RingBuffer>,
     /// Counter value at enable (counting reads return the delta).
     base: u64,
+    /// Whether the overflow handler's supervisor-mode cycles advance
+    /// this event's counter (`cycles`, `s_mode_cycle`).
+    counts_handler: bool,
 }
 
 /// The modeled `perf_event` subsystem for one hart.
@@ -85,11 +88,13 @@ impl PerfKernel {
     ///   overflow interrupts for this event (the stock-perf X60 failure);
     /// - `ENOSPC` — no free counter;
     /// - `EINVAL` — bad group fd (nonexistent or itself a member), or a
-    ///   sampling period of at most [`PerfKernel::sample_overhead_cycles`]
-    ///   on an event that counts supervisor-mode cycles (`cycles`,
-    ///   `s_mode_cycle`): the overflow handler's own cycles would wrap
-    ///   such a counter again inside the handler, where the wrap is
-    ///   lost, and sampling would stop after one sample.
+    ///   sampler on an event that counts supervisor-mode cycles
+    ///   (`cycles`, `s_mode_cycle`) whose period, together with the
+    ///   other such samplers', lets the overflow handler's own cycles
+    ///   wrap them at least once per handler run: each wrap inside the
+    ///   handler re-raises the interrupt, so the handler would never
+    ///   return. For a lone sampler that is a period of at most
+    ///   [`PerfKernel::sample_overhead_cycles`].
     pub fn open(
         &mut self,
         core: &mut Core,
@@ -103,11 +108,22 @@ impl PerfKernel {
         let Some(event) = core.spec.decode_event(code) else {
             return Err(Errno::ENOENT);
         };
-        if attr.is_sampling()
-            && attr.sample_period <= self.sample_overhead_cycles
-            && matches!(event, HwEvent::CpuCycles | HwEvent::SModeCycles)
-        {
-            return Err(Errno::EINVAL);
+        let counts_handler = matches!(event, HwEvent::CpuCycles | HwEvent::SModeCycles);
+        if attr.is_sampling() && counts_handler {
+            // Wraps per handler run, summed over every sampler the
+            // handler's cycles advance.
+            let load: f64 = self
+                .events
+                .iter()
+                .flatten()
+                .filter(|e| e.counts_handler && e.attr.is_sampling())
+                .map(|e| e.attr.sample_period)
+                .chain([attr.sample_period])
+                .map(|period| self.sample_overhead_cycles as f64 / period as f64)
+                .sum();
+            if load >= 1.0 {
+                return Err(Errno::EINVAL);
+            }
         }
         let leader_idx = match group {
             None => None,
@@ -145,6 +161,7 @@ impl PerfKernel {
             enabled: false,
             ring,
             base: 0,
+            counts_handler,
         };
         self.next_id += 1;
         self.events.push(Some(ev));
@@ -303,10 +320,23 @@ impl PerfKernel {
     /// counter bitmask reported by [`Core::retire`]; `ctx` carries the
     /// interrupted context. Builds samples, writes ring buffers, re-arms
     /// periods, and charges handler overhead in Supervisor mode.
+    ///
+    /// A counter that wraps during the handler's own cycles latches its
+    /// overflow, as an Sscofpmf overflow bit does, and the interrupt is
+    /// raised again at the same context once the handler returns. The
+    /// sampler rule in [`PerfKernel::open`] bounds how often that
+    /// repeats.
     pub fn on_overflow(&mut self, core: &mut Core, overflow_mask: u32, ctx: &OverflowCtx) {
-        if overflow_mask == 0 {
-            return;
+        let mut mask = overflow_mask;
+        while mask != 0 {
+            mask = self.handle_overflow(core, mask, ctx);
         }
+    }
+
+    /// One run of the overflow handler: samples and re-arms every
+    /// sampler in `overflow_mask`, charges the handler's cycles, and
+    /// returns the overflows those cycles latched.
+    fn handle_overflow(&mut self, core: &mut Core, overflow_mask: u32, ctx: &OverflowCtx) -> u32 {
         let prev_mode = core.mode();
         core.set_mode(PrivMode::Supervisor);
 
@@ -328,7 +358,7 @@ impl PerfKernel {
                     .into_iter()
                     .map(|m| {
                         let me = self.events[m].as_ref().expect("group index valid");
-                        (me.id, self.counter_delta_now(core, me))
+                        (me.id, self.counter_delta(core, me))
                     })
                     .collect()
             } else {
@@ -358,22 +388,20 @@ impl PerfKernel {
         }
 
         // Handler overhead: cycles burned in supervisor mode.
-        let _ = core.idle(self.sample_overhead_cycles);
+        let latched = core.idle(self.sample_overhead_cycles);
         core.set_mode(prev_mode);
+        latched
     }
 
+    /// Counter value since enable. Samples' group reads use it too:
+    /// tools consume deltas between samples, so the offset is
+    /// irrelevant, but subtracting `base` keeps counting and sampling
+    /// reads consistent.
     fn counter_delta(&self, core: &Core, e: &PerfEvent) -> u64 {
         self.sbi
             .counter_read(core, e.counter)
             .unwrap_or(0)
             .wrapping_sub(e.base)
-    }
-
-    /// Raw counter value for group reads in samples (tools consume
-    /// deltas between samples, so the absolute offset is irrelevant, but
-    /// subtracting `base` keeps counting and sampling reads consistent).
-    fn counter_delta_now(&self, core: &Core, e: &PerfEvent) -> u64 {
-        self.counter_delta(core, e)
     }
 
     fn event_ref(&self, fd: EventFd) -> Result<&PerfEvent, Errno> {
@@ -737,6 +765,111 @@ mod tests {
             "u_mode_cycle keeps sampling at period 200: {}",
             kernel.samples_taken()
         );
+    }
+
+    /// Opens and enables one sampler per `(event, period)`, runs `ops`
+    /// ALU ops, and returns each sampler's sample count after checking
+    /// that its ring lost nothing.
+    fn sample_counts(
+        core: &mut Core,
+        kernel: &mut PerfKernel,
+        samplers: &[(EventKind, u64)],
+        ops: u64,
+    ) -> Vec<u64> {
+        let fds: Vec<EventFd> = samplers
+            .iter()
+            .map(|&(kind, period)| {
+                let fd = kernel
+                    .open(core, PerfEventAttr::sampling(kind, period), None)
+                    .unwrap();
+                kernel.enable(core, fd).unwrap();
+                fd
+            })
+            .collect();
+        run_ops(core, kernel, ops);
+        fds.into_iter()
+            .map(|fd| {
+                let records = kernel.drain_records(fd).unwrap();
+                assert!(records.iter().all(|r| matches!(r, Record::Sample(_))));
+                records.len() as u64
+            })
+            .collect()
+    }
+
+    /// Asserts that a sampler whose event counted `total` took one
+    /// sample per period to the end of the run. A re-arm drops the
+    /// events counted past the wrap, fewer than `slack`, so a sample
+    /// covers at least `period` and less than `period + slack` events.
+    fn assert_sampled_to_the_end(what: &str, samples: u64, total: u64, period: u64, slack: u64) {
+        assert!(total / period > 20, "{what}: {total} events");
+        assert!(
+            (total / (period + slack)..=total / period).contains(&samples),
+            "{what}: {samples} samples over {total} events at period {period}"
+        );
+    }
+
+    /// A cycles sampler counts the handler's own cycles, so it can wrap
+    /// while the handler serves another sampler. That wrap is latched
+    /// and delivered when the handler returns, so both samplers keep
+    /// sampling to the end of the run.
+    #[test]
+    fn two_samplers_both_sample_to_the_end_of_the_run() {
+        let (mut core, mut kernel) = boot(PlatformSpec::c910());
+        let samplers = [
+            (EventKind::Hardware(HwCounter::Cycles), 1_009),
+            (EventKind::Hardware(HwCounter::Instructions), 997),
+        ];
+        let samples = sample_counts(&mut core, &mut kernel, &samplers, 200_000);
+        let slack = kernel.sample_overhead_cycles;
+        assert_sampled_to_the_end("cycles", samples[0], core.cycles(), 1_009, slack);
+        assert_sampled_to_the_end("instructions", samples[1], core.instructions(), 997, 1);
+    }
+
+    /// Samplers whose counters the handler's cycles advance are refused
+    /// once together they would wrap at least once per handler run: a
+    /// C910 `cycles` and `s_mode_cycle` sampler at twice the handler's
+    /// cycles can keep re-raising the interrupt, each wrapping in the
+    /// other's handler run. Below that rate the latched wraps die out:
+    /// on the X60, `s_mode_cycle` samplers advanced only by the handler
+    /// runs a `u_mode_cycle` sampler starts sample to the end of the
+    /// run.
+    #[test]
+    fn handler_cycle_samplers_are_refused_at_one_wrap_per_handler_run() {
+        let (mut core, mut kernel) = boot(PlatformSpec::c910());
+        let overhead = kernel.sample_overhead_cycles;
+        let smc = EventKind::Raw(core.spec.event_code(mperf_sim::HwEvent::SModeCycles));
+        let cycles = EventKind::Hardware(HwCounter::Cycles);
+        kernel
+            .open(
+                &mut core,
+                PerfEventAttr::sampling(cycles, 2 * overhead),
+                None,
+            )
+            .unwrap();
+        let err = kernel
+            .open(&mut core, PerfEventAttr::sampling(smc, 2 * overhead), None)
+            .unwrap_err();
+        assert_eq!(err, Errno::EINVAL, "two samplers at half a wrap per run");
+        // Instructions do not advance in the handler: any period goes.
+        let instructions = EventKind::Hardware(HwCounter::Instructions);
+        kernel
+            .open(&mut core, PerfEventAttr::sampling(instructions, 100), None)
+            .unwrap();
+
+        let (mut core, mut kernel) = boot(PlatformSpec::x60());
+        let smc = EventKind::Raw(core.spec.event_code(mperf_sim::HwEvent::SModeCycles));
+        let umc = EventKind::Raw(core.spec.event_code(mperf_sim::HwEvent::UModeCycles));
+        let s_cycles = kernel
+            .open(&mut core, PerfEventAttr::counting(smc), None)
+            .unwrap();
+        kernel.enable(&mut core, s_cycles).unwrap();
+        let periods = [2 * overhead + 1, 3 * overhead];
+        let samplers = [(umc, 1_000), (smc, periods[0]), (smc, periods[1])];
+        let samples = sample_counts(&mut core, &mut kernel, &samplers, 200_000);
+        let supervisor = kernel.read(&core, s_cycles).unwrap()[0].1;
+        for (period, &samples) in periods.into_iter().zip(&samples[1..]) {
+            assert_sampled_to_the_end("s_mode_cycle", samples, supervisor, period, overhead);
+        }
     }
 
     #[test]

@@ -52,14 +52,6 @@ impl BranchPredictor {
     pub fn stats(&self) -> (u64, u64) {
         (self.predictions, self.mispredictions)
     }
-
-    /// Reset history and counters.
-    pub fn reset(&mut self) {
-        self.table.fill(1);
-        self.history = 0;
-        self.predictions = 0;
-        self.mispredictions = 0;
-    }
 }
 
 #[cfg(test)]
@@ -113,13 +105,5 @@ mod tests {
             }
         }
         assert!(miss > 250, "random outcomes can't be predicted: {miss}");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut bp = BranchPredictor::new(8);
-        bp.predict_and_update(0, true);
-        bp.reset();
-        assert_eq!(bp.stats(), (0, 0));
     }
 }

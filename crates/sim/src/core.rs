@@ -167,22 +167,6 @@ impl Core {
         &self.mem
     }
 
-    /// Flush caches and reset the branch predictor (between benchmark
-    /// phases; the PMU and clocks are *not* reset).
-    pub fn reset_microarch(&mut self) {
-        self.mem.flush();
-        self.bp.reset();
-    }
-
-    /// Read a CSR at the current privilege mode.
-    ///
-    /// # Errors
-    /// Propagates [`CsrError`] (illegal instruction) on privilege or
-    /// decode failures.
-    pub fn csr_read(&self, addr: u16) -> Result<u64, CsrError> {
-        self.csr.read(addr, self.mode, &self.pmu)
-    }
-
     /// Read a CSR as if in `mode` (the firmware runs in M-mode while the
     /// core state says otherwise during a trap; this keeps the model
     /// simple without a full trap unit).

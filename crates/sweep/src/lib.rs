@@ -97,7 +97,6 @@
 //! | `Hello` | client → daemon, then daemon → client | magic + schema; mismatch drops the connection |
 //! | `Submit {job, payload}` | client → daemon | one encoded job description (`JobSpec` codec); `job` is client-chosen and echoed in every event |
 //! | `Sample {job, payload}` | daemon → client | one profiling sample, flushed as drained from the PMU ring |
-//! | `Region {job, payload}` | daemon → client | one roofline region measurement, flushed as correlated |
 //! | `CellDone {job, index, payload}` | daemon → client | one sweep cell result — the bit-exact `RooflineRun` journal codec |
 //! | `Progress {job, done, total}` | daemon → client | informational: `done` of `total` sweep cells finished (journal-resumed cells count); safe to ignore |
 //! | `Cancel {job}` | client → daemon | stop `job` at the next cell/drain boundary |

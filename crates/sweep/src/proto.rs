@@ -5,7 +5,7 @@
 //! ([`crate::shard`]) and its worker processes use the
 //! `Cell`/`Done`/`Fail`/`Shutdown` subset over the workers'
 //! stdin/stdout. Socket clients of the `miniperf serve` daemon use the
-//! `Submit`/`Sample`/`Region`/`CellDone`/`Cancel`/`JobStatus` subset
+//! `Submit`/`Sample`/`CellDone`/`Progress`/`Cancel`/`JobStatus` subset
 //! over a Unix-domain socket ([`crate::serve`] holds the session
 //! layer). Both subsets share one schema version, one frame format,
 //! and one handshake, so a single binary can be supervisor, worker,
@@ -60,8 +60,9 @@ pub const MAGIC: &[u8; 8] = b"MPSWIPC1";
 /// Message-set schema version; bumped on any wire-visible change.
 /// Schema 2 added the serve-daemon subset (`Submit` through
 /// `JobStatus`); schema 3 added `Progress` and the supervision status
-/// codes ([`CODE_REJECTED`], [`CODE_TIMEOUT`], [`CODE_STALLED`]).
-pub const SCHEMA: u32 = 3;
+/// codes ([`CODE_REJECTED`], [`CODE_TIMEOUT`], [`CODE_STALLED`]);
+/// schema 4 dropped the `Region` event (tag 8), which no client read.
+pub const SCHEMA: u32 = 4;
 
 /// Upper bound on one frame body. A length field beyond this is
 /// treated as corruption, never allocated.
@@ -106,7 +107,7 @@ pub fn fault_key(index: u64, attempt: u32) -> u64 {
 /// `Cell`/`Shutdown` flow supervisor → worker.
 ///
 /// Serve subset: `Submit`/`Cancel` flow client → daemon;
-/// `Sample`/`Region`/`CellDone`/`JobStatus` flow daemon → client.
+/// `Sample`/`CellDone`/`Progress`/`JobStatus` flow daemon → client.
 /// `job` identifiers are chosen by the client and echoed back opaquely,
 /// so one connection can tell its own jobs apart. Event payloads are
 /// opaque to this layer: the job-execution bridge defines their codecs
@@ -143,9 +144,6 @@ pub enum Msg {
     /// One profiling sample, streamed as it is drained from the PMU
     /// ring — never accumulated daemon-side.
     Sample { job: u64, payload: Vec<u8> },
-    /// One roofline region measurement, streamed as correlation
-    /// produces it.
-    Region { job: u64, payload: Vec<u8> },
     /// One sweep cell completed; `payload` is the bit-exact
     /// `RooflineRun` codec the journal uses, `index` the cell's slot.
     CellDone {
@@ -220,7 +218,6 @@ const TAG_FAIL: u8 = 4;
 const TAG_SHUTDOWN: u8 = 5;
 const TAG_SUBMIT: u8 = 6;
 const TAG_SAMPLE: u8 = 7;
-const TAG_REGION: u8 = 8;
 const TAG_CELL_DONE: u8 = 9;
 const TAG_CANCEL: u8 = 10;
 const TAG_JOB_STATUS: u8 = 11;
@@ -293,11 +290,6 @@ fn encode_body(msg: &Msg) -> Vec<u8> {
         }
         Msg::Sample { job, payload } => {
             e.u8(TAG_SAMPLE);
-            e.u64(*job);
-            e.bytes(payload);
-        }
-        Msg::Region { job, payload } => {
-            e.u8(TAG_REGION);
             e.u64(*job);
             e.bytes(payload);
         }
@@ -388,10 +380,6 @@ fn decode_body(body: &[u8]) -> Result<Msg, ProtoError> {
             payload: d.bytes().map_err(corrupt)?,
         },
         TAG_SAMPLE => Msg::Sample {
-            job: d.u64().map_err(corrupt)?,
-            payload: d.bytes().map_err(corrupt)?,
-        },
-        TAG_REGION => Msg::Region {
             job: d.u64().map_err(corrupt)?,
             payload: d.bytes().map_err(corrupt)?,
         },
@@ -627,10 +615,6 @@ mod tests {
         roundtrip(Msg::Sample {
             job: 2,
             payload: vec![1, 2, 3, 4],
-        });
-        roundtrip(Msg::Region {
-            job: 3,
-            payload: Vec::new(),
         });
         roundtrip(Msg::CellDone {
             job: 4,

@@ -13,7 +13,7 @@
 //!   │ ── Hello ───────────────────────▶ │   (client speaks first)
 //!   │ ◀─────────────────────── Hello ── │   (mismatch ⇒ drop)
 //!   │ ── Submit{job, spec} ───────────▶ │
-//!   │ ◀── Sample/Region/CellDone ────── │   (streamed as produced)
+//!   │ ◀── Sample/CellDone ───────────── │   (streamed as produced)
 //!   │ ◀── Progress{job, done, total} ── │   (informational, sweeps)
 //!   │ ◀── JobStatus{job, code, …} ───── │   (terminal, exactly one)
 //!   │ ── Cancel{job} ─────────────────▶ │   (any time before status)
@@ -149,8 +149,8 @@ impl<R: Read, W: Write> ClientSession<R, W> {
         read_msg(&mut self.r)
     }
 
-    /// Drain `job`'s event stream: feed every `Sample`/`Region`/
-    /// `CellDone`/`Progress` for it to `on_event` as it arrives, and
+    /// Drain `job`'s event stream: feed every `Sample`/`CellDone`/
+    /// `Progress` for it to `on_event` as it arrives, and
     /// return when the terminal [`Msg::JobStatus`] lands.
     ///
     /// # Errors
@@ -164,10 +164,9 @@ impl<R: Read, W: Write> ClientSession<R, W> {
         loop {
             let msg = self.next_event()?;
             let event_job = match &msg {
-                Msg::Sample { job, .. }
-                | Msg::Region { job, .. }
-                | Msg::CellDone { job, .. }
-                | Msg::Progress { job, .. } => *job,
+                Msg::Sample { job, .. } | Msg::CellDone { job, .. } | Msg::Progress { job, .. } => {
+                    *job
+                }
                 Msg::JobStatus {
                     job: status_job,
                     code,

@@ -1,5 +1,5 @@
 //! Property tests over the serve subset of the framed IPC protocol:
-//! arbitrary `Submit`/`Sample`/`Region`/`CellDone`/`Cancel`/`JobStatus`
+//! arbitrary `Submit`/`Sample`/`Progress`/`CellDone`/`Cancel`/`JobStatus`
 //! messages round-trip byte-identically, and *every* truncation or
 //! byte flip of a valid frame surfaces as [`ProtoError::Corrupt`] (the
 //! error class the shard supervisor burns a transient attempt on —
@@ -17,7 +17,11 @@ fn serve_msg(kind: usize, job: u64, index: u64, code: u32, payload: Vec<u8>, tex
     match kind {
         0 => Msg::Submit { job, payload },
         1 => Msg::Sample { job, payload },
-        2 => Msg::Region { job, payload },
+        2 => Msg::Progress {
+            job,
+            done: index,
+            total: u64::from(code),
+        },
         3 => Msg::CellDone {
             job,
             index,

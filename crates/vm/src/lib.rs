@@ -139,8 +139,8 @@
 //! template thunk (generic over `const DEFER: bool` for the single/block
 //! retire lanes), bind it in `threaded::bind`, and classify it in
 //! `threaded::unit_cost`; the equivalence properties gate the
-//! observables. `--engine threaded|reference` is wired through
-//! `miniperf` and `bench_trajectory` for bisection.
+//! observables. `miniperf --engine threaded|reference` selects the
+//! engine for bisection; `bench_trajectory` measures both.
 //!
 //! ## The `Arc`/`Send` contract
 //!

@@ -56,24 +56,6 @@ pub struct RegallocStats {
     pub regs_after: u64,
 }
 
-impl RegallocStats {
-    /// Fraction of static `Copy` ops coalesced away.
-    pub fn coalesce_rate(&self) -> f64 {
-        if self.copies_static == 0 {
-            return 0.0;
-        }
-        self.copies_coalesced as f64 / self.copies_static as f64
-    }
-
-    /// Fraction of register-file slots eliminated by compaction.
-    pub fn reg_reduction(&self) -> f64 {
-        if self.regs_before == 0 {
-            return 0.0;
-        }
-        1.0 - self.regs_after as f64 / self.regs_before as f64
-    }
-}
-
 /// Word-granular bitset helpers over `&[u64]` rows.
 #[inline]
 fn bit_set(row: &mut [u64], i: usize) {

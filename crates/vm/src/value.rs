@@ -189,17 +189,6 @@ impl Value {
         }
     }
 
-    /// The f64 payload.
-    ///
-    /// # Panics
-    /// Panics on other variants.
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            Value::F64(v) => *v,
-            other => panic!("expected f64, found {other:?}"),
-        }
-    }
-
     /// The bool payload.
     ///
     /// # Panics

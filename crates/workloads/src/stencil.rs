@@ -64,13 +64,6 @@ impl StencilBench {
             Value::I64(self.steps as i64),
         ])
     }
-
-    /// FLOPs per full sweep (4 adds + 1 mul per interior point, counted
-    /// as the instrumentation pass counts them).
-    pub fn flops_per_step(&self) -> u64 {
-        let interior = (self.n as u64 - 2) * (self.n as u64 - 2);
-        interior * 4
-    }
 }
 
 #[cfg(test)]

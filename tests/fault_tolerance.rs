@@ -4,12 +4,13 @@
 //! actionably, and resumes from a checkpoint journal — including a
 //! torn-tail journal — to a byte-identical final report.
 
+use miniperf::roofline_runner::BoxedSetupFn;
 use miniperf::sweep_supervisor::encode_run;
 use miniperf::{RooflineJob, RooflineRequest, RooflineRun};
 use mperf_sim::Platform;
 use mperf_sweep::{run_jobs_supervised, FailureClass, RetryPolicy};
 use mperf_vm::{Value, Vm};
-use mperf_workloads::stream::StreamBench;
+use mperf_workloads::{matmul, stencil, stream};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -36,30 +37,56 @@ fn quiet_injected_panics() {
     });
 }
 
-/// The 4-platform triad sweep used throughout (modules leaked: tests).
+/// One cell: workload `name` compiled (instrumented) for `platform`
+/// (module leaked: tests).
+fn cell(
+    platform: Platform,
+    name: &str,
+    source: &str,
+    entry: &str,
+    setup: BoxedSetupFn<'static>,
+) -> RooflineJob<'static> {
+    let module = mperf_workloads::compile_for(name, source, platform, true)
+        .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
+    RooflineJob {
+        module: Box::leak(Box::new(module)),
+        decoded: None,
+        spec: platform.spec(),
+        entry: entry.into(),
+        setup,
+    }
+}
+
+/// The 4-platform triad sweep used throughout.
 fn triad_cells(elems: u64) -> Vec<RooflineJob<'static>> {
+    let bench = stream::StreamBench { elems };
     Platform::ALL
         .iter()
         .map(|&p| {
-            let module = Box::leak(Box::new(
-                mperf_workloads::compile_for(
-                    "stream-triad",
-                    mperf_workloads::stream::SOURCE,
-                    p,
-                    true,
-                )
-                .expect("stream compiles"),
-            ));
-            let bench = StreamBench { elems };
-            RooflineJob {
-                module: &*module,
-                decoded: None,
-                spec: p.spec(),
-                entry: "triad".into(),
-                setup: Box::new(move |vm: &mut Vm| bench.setup_triad(vm)),
-            }
+            let setup = Box::new(move |vm: &mut Vm| bench.setup_triad(vm));
+            cell(p, "stream-triad", stream::SOURCE, "triad", setup)
         })
         .collect()
+}
+
+/// The triad sweep plus small matmul and stencil cells on every
+/// platform: a multi-workload matrix whose cells differ in shape and
+/// cost.
+fn workload_cells() -> Vec<RooflineJob<'static>> {
+    let mm = matmul::MatmulBench {
+        n: 16,
+        tile: 8,
+        seed: 0x3a7_5eed,
+    };
+    let st = stencil::StencilBench { n: 16, steps: 2 };
+    let mut cells = triad_cells(1024);
+    for p in Platform::ALL {
+        let setup = Box::new(move |vm: &mut Vm| mm.setup(vm));
+        cells.push(cell(p, "matmul", matmul::SOURCE, matmul::ENTRY, setup));
+        let setup = Box::new(move |vm: &mut Vm| st.setup(vm));
+        cells.push(cell(p, "stencil", stencil::SOURCE, stencil::ENTRY, setup));
+    }
+    cells
 }
 
 /// The serial oracle: each cell run alone through the plain
@@ -170,12 +197,13 @@ proptest! {
     }
 }
 
-/// The supervised sweep (parallel, journaling) is bit-identical to the
-/// plain serial sweep; a journal torn mid-frame resumes to a
-/// byte-identical final report, re-executing only the missing cells.
+/// The supervised sweep (parallel, journaling) over triad, matmul and
+/// stencil cells is bit-identical to the plain serial sweep; a journal
+/// torn mid-frame resumes to a byte-identical final report,
+/// re-executing only the missing cells.
 #[test]
 fn supervised_sweep_matches_serial_and_resumes_byte_identically() {
-    let cells = triad_cells(1024);
+    let cells = workload_cells();
     let serial = serial_runs(&cells);
     let serial_bytes: Vec<Vec<u8>> = serial.iter().map(encode_run).collect();
 
