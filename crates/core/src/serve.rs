@@ -6,9 +6,9 @@
 //! sampling, [`RooflineRequest`] for rooflines, and the supervised
 //! sweep (worker threads, retry policy, journal-backed resume) for
 //! sweeps. Results are *streamed*: every sample and completed roofline
-//! run or sweep cell is framed and flushed the moment it exists,
-//! so daemon memory is bounded by the per-connection outbound queue,
-//! not the job size. The wire format is [`mperf_sweep::proto`] — the
+//! run or sweep cell is framed and written the moment it exists, so
+//! each connection has at most one frame in flight, whatever the job
+//! size. The wire format is [`mperf_sweep::proto`] — the
 //! same `MPSWIPC1` frames and handshake the sharded-sweep workers
 //! speak — and the session choreography is [`mperf_sweep::serve`].
 //!
@@ -20,11 +20,11 @@
 //! [`ServeOptions::tick`], never raw wall-clock, so every decision is
 //! reproducible under fault injection. Concretely:
 //!
-//! - **No daemon thread blocks indefinitely on a client.** Each
-//!   connection owns a bounded outbound queue drained by a dedicated
-//!   writer thread; job threads *enqueue* events instead of writing to
-//!   the socket. A client that has not drained a frame within
-//!   [`ServeOptions::stall_ticks`] ticks is declared stalled: its
+//! - **No daemon thread blocks indefinitely on a client.** Job threads
+//!   write their own frames, one at a time per connection, to a socket
+//!   whose write timeout is [`ServeOptions::stall_ticks`] ticks; the
+//!   kernel socket buffer is the only queue. A write that makes no
+//!   progress for that long declares the client stalled: its
 //!   connection is torn down, its jobs are cancelled at the next cell
 //!   boundary with [`CODE_STALLED`], and `stalled_clients` is counted
 //!   in [`ServeStats`].
@@ -108,7 +108,7 @@ use mperf_sweep::supervise::panic_payload;
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
 use mperf_sweep::{Journal, RetryPolicy};
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Vm};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::os::fd::AsRawFd;
 use std::os::unix::fs::MetadataExt;
@@ -116,7 +116,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -278,16 +278,13 @@ pub struct ServeOptions {
     /// A job running longer than this many ticks is cancelled with
     /// [`CODE_TIMEOUT`]. `0` disables the per-job deadline.
     pub job_deadline_ticks: u32,
-    /// A client that has not drained a frame for this many ticks while
-    /// the outbound queue is full is declared stalled and torn down.
+    /// A write that makes no progress for this many ticks (the
+    /// socket's write timeout) declares its client stalled and tears
+    /// the connection down.
     pub stall_ticks: u32,
     /// Drain mode gives in-flight jobs this many ticks to finish (or
     /// checkpoint to their journal) before force-cancelling them.
     pub drain_deadline_ticks: u32,
-    /// Bounded per-connection outbound queue, in frames. Job threads
-    /// block (tick-bounded) when it is full — backpressure, not
-    /// unbounded buffering.
-    pub queue_frames: usize,
     /// The heartbeat quantum every deadline above is counted in.
     pub tick: Duration,
     /// Per-job-key sweep journals live here, making keyed sweep
@@ -308,7 +305,6 @@ impl Default for ServeOptions {
             job_deadline_ticks: 12_000,
             stall_ticks: 600,
             drain_deadline_ticks: 600,
-            queue_frames: 256,
             tick: Duration::from_millis(50),
             state_dir: None,
             cache_dir: None,
@@ -597,206 +593,76 @@ fn cancel_status(state: &JobState, sopts: &ServeOptions) -> (u32, String, Vec<u8
 }
 
 // ---------------------------------------------------------------------
-// The bounded outbound queue: backpressure toward job threads, stall
-// detection toward the client.
+// The connection: job threads write their own frames.
 
-enum SendFail {
-    /// The connection is gone (client dead, stalled, or being torn
-    /// down); the frame was dropped.
-    Closed,
-    /// *This* send declared the client stalled: the queue stayed full
-    /// for the whole stall deadline.
-    Stalled,
-}
-
-struct OutState {
-    q: VecDeque<Msg>,
-    /// A frame is between "popped" and "written" in the writer thread;
-    /// `close_when_idle` must not cut the socket under it.
-    in_flight: bool,
-    closed: bool,
-}
-
-/// The per-connection outbound path. Job threads [`Outbound::send`]
-/// into the bounded queue; one writer thread drains it to the socket.
-/// Senders never block longer than `stall_ticks × tick`.
-struct Outbound {
-    state: Mutex<OutState>,
-    /// Signalled by the writer after draining a frame.
-    space: Condvar,
-    /// Signalled by senders after enqueueing (and by close).
-    ready: Condvar,
-    /// Owned handle used to force-shutdown the socket; the writer
-    /// thread writes through its own clone.
-    stream: UnixStream,
-    capacity: usize,
-    stall_ticks: u32,
-    tick: Duration,
-}
-
-impl Outbound {
-    fn new(stream: UnixStream, sopts: &ServeOptions) -> Outbound {
-        Outbound {
-            state: Mutex::new(OutState {
-                q: VecDeque::new(),
-                in_flight: false,
-                closed: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-            stream,
-            capacity: sopts.queue_frames.max(1),
-            stall_ticks: sopts.stall_ticks.max(1),
-            tick: sopts.tick,
-        }
-    }
-
-    /// Enqueue one frame, waiting (in ticks) for space. A full queue
-    /// that makes no progress for `stall_ticks` consecutive ticks
-    /// declares the client stalled: the connection is shut down and
-    /// `Err(Stalled)` tells the caller to do the accounting.
-    fn send(&self, msg: Msg) -> Result<(), SendFail> {
-        let mut st = self.state.lock().unwrap();
-        let mut waited: u32 = 0;
-        while st.q.len() >= self.capacity {
-            if st.closed {
-                return Err(SendFail::Closed);
-            }
-            let before = st.q.len();
-            let (guard, timeout) = self.space.wait_timeout(st, self.tick).unwrap();
-            st = guard;
-            if st.closed {
-                return Err(SendFail::Closed);
-            }
-            if st.q.len() < before {
-                // The writer drained something: progress resets the
-                // stall clock.
-                waited = 0;
-                continue;
-            }
-            if timeout.timed_out() {
-                waited += 1;
-                if waited >= self.stall_ticks {
-                    st.closed = true;
-                    let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                    self.ready.notify_all();
-                    self.space.notify_all();
-                    return Err(SendFail::Stalled);
-                }
-            }
-        }
-        if st.closed {
-            return Err(SendFail::Closed);
-        }
-        st.q.push_back(msg);
-        drop(st);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Tear the connection down now: wake every blocked sender, error
-    /// out any in-flight write, and EOF the client's reader.
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Close, but first give the writer up to `grace_ticks` ticks to
-    /// flush already-queued frames (terminal statuses must reach a
-    /// healthy client before the socket drops).
-    fn close_when_idle(&self, grace_ticks: u32) {
-        for _ in 0..grace_ticks {
-            if self.is_idle() {
-                break;
-            }
-            thread::sleep(self.tick);
-        }
-        self.close();
-    }
-
-    fn is_idle(&self) -> bool {
-        let st = self.state.lock().unwrap();
-        (st.q.is_empty() && !st.in_flight) || st.closed
-    }
-}
-
-/// Everything a connection's threads share: the outbound path and the
-/// connection's own job table (client job id → state), so a stall or
-/// disconnect can cancel exactly this client's jobs.
+/// Everything a connection's threads share: the socket job threads
+/// write their frames to, and the connection's own job table (client
+/// job id → state), so a stall or disconnect can cancel exactly this
+/// client's jobs.
 struct ConnShared {
-    out: Outbound,
+    /// Its write timeout is the stall deadline, `stall_ticks × tick`.
+    stream: UnixStream,
+    /// Held for a whole frame, so frames of concurrent jobs never
+    /// interleave on the wire.
+    frame: Mutex<()>,
     jobs: Mutex<HashMap<u64, Arc<JobState>>>,
     stalled: AtomicBool,
     id: u64,
 }
 
 impl ConnShared {
-    /// Best-effort send with stall accounting: the first sender to see
-    /// the stall deadline expire tears the connection down, counts the
-    /// stalled client, and cancels all of its jobs at their next cell
-    /// boundary.
-    fn send(&self, ctx: &DaemonCtx, msg: Msg) -> bool {
-        match self.out.send(msg) {
-            Ok(()) => true,
-            Err(SendFail::Closed) => false,
-            Err(SendFail::Stalled) => {
-                if !self.stalled.swap(true, Ordering::SeqCst) {
-                    ctx.stalled_clients.fetch_add(1, Ordering::SeqCst);
-                    for st in self.jobs.lock().unwrap().values() {
-                        st.cancel_with(REASON_STALLED);
-                    }
-                }
-                false
-            }
-        }
+    fn new(stream: UnixStream, sopts: &ServeOptions, id: u64) -> io::Result<ConnShared> {
+        // std refuses a zero timeout.
+        stream.set_write_timeout(Some(sopts.tick * sopts.stall_ticks.max(1)))?;
+        Ok(ConnShared {
+            stream,
+            frame: Mutex::new(()),
+            jobs: Mutex::new(HashMap::new()),
+            stalled: AtomicBool::new(false),
+            id,
+        })
     }
 
-    /// The writer thread: pop frames and write them to the socket.
+    /// Write one frame; false if the connection is gone. A write that
+    /// times out declares the client stalled, exactly once: the
+    /// connection is torn down, the stalled client counted, and all of
+    /// its jobs cancelled at their next cell boundary. Any other write
+    /// error only tears the connection down.
+    ///
     /// The `serve.client_stall` failpoint (keyed by connection id)
-    /// simulates a client that stopped draining — the writer parks
-    /// without writing, exactly as a full kernel buffer would block it,
-    /// until the stall machinery tears the connection down.
-    fn writer_loop(&self) {
-        let Ok(mut stream) = self.out.stream.try_clone() else {
-            self.out.close();
-            return;
+    /// makes the write behave like one to a client that stopped
+    /// reading: it waits out the stall deadline, then times out.
+    fn send(&self, ctx: &DaemonCtx, msg: Msg) -> bool {
+        let _frame = self.frame.lock().unwrap();
+        let written = match mperf_fault::hit("serve.client_stall", self.id) {
+            Some(mperf_fault::FaultKind::Stall) => {
+                thread::sleep(ctx.sopts.tick * ctx.sopts.stall_ticks);
+                Err(io::ErrorKind::TimedOut.into())
+            }
+            _ => write_msg(&mut &self.stream, &msg),
         };
-        loop {
-            let msg = {
-                let mut st = self.out.state.lock().unwrap();
-                loop {
-                    if st.closed {
-                        return;
-                    }
-                    if let Some(m) = st.q.pop_front() {
-                        st.in_flight = true;
-                        self.out.space.notify_all();
-                        break m;
-                    }
-                    st = self.out.ready.wait(st).unwrap();
-                }
-            };
-            if let Some(mperf_fault::FaultKind::Stall) =
-                mperf_fault::hit("serve.client_stall", self.id)
-            {
-                while !self.out.state.lock().unwrap().closed {
-                    thread::sleep(self.out.tick);
-                }
-                return;
-            }
-            let ok = write_msg(&mut stream, &msg).is_ok();
-            {
-                let mut st = self.out.state.lock().unwrap();
-                st.in_flight = false;
-            }
-            if !ok {
-                self.out.close();
-                return;
+        let Err(e) = written else {
+            return true;
+        };
+        self.close();
+        let timed_out = matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        );
+        if timed_out && !self.stalled.swap(true, Ordering::SeqCst) {
+            ctx.stalled_clients.fetch_add(1, Ordering::SeqCst);
+            for st in self.jobs.lock().unwrap().values() {
+                st.cancel_with(REASON_STALLED);
             }
         }
+        false
+    }
+
+    /// Tear the connection down now: a blocked write fails at once and
+    /// the client's reader sees EOF. Takes no lock, so it never waits
+    /// behind a write.
+    fn close(&self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -805,6 +671,7 @@ impl ConnShared {
 
 /// Daemon-wide shared state: options, the warm cache, the global job
 /// and connection tables, and the exact supervision counters.
+#[derive(Default)]
 struct DaemonCtx {
     opts: CommonOpts,
     sopts: ServeOptions,
@@ -829,10 +696,6 @@ struct DaemonCtx {
 impl DaemonCtx {
     fn running(&self) -> usize {
         self.jobs.lock().unwrap().len()
-    }
-
-    fn conns_idle(&self) -> bool {
-        self.conns.lock().unwrap().values().all(|c| c.out.is_idle())
     }
 }
 
@@ -900,8 +763,8 @@ impl ServeHandle {
 
     /// Graceful drain, then stop: stop accepting (the socket file is
     /// removed), shed new submits, give in-flight jobs the drain
-    /// deadline to finish, force-cancel the rest, flush terminal
-    /// statuses, and tear every connection down.
+    /// deadline to finish, force-cancel the rest, and tear every
+    /// connection down.
     pub fn drain(&mut self) {
         self.drain_until(|| false);
     }
@@ -944,18 +807,11 @@ impl ServeHandle {
             thread::sleep(tick);
             ticks = ticks.saturating_add(1);
         }
-        // Give writers a bounded window to flush terminal statuses,
-        // then tear every connection down so blocked readers see EOF.
-        if !force() {
-            for _ in 0..self.ctx.sopts.stall_ticks {
-                if self.ctx.conns_idle() {
-                    break;
-                }
-                thread::sleep(tick);
-            }
-        }
+        // A job writes its terminal status before it leaves the job
+        // table, so nothing is left to flush: tear every connection
+        // down so blocked readers see EOF.
         for c in self.ctx.conns.lock().unwrap().values() {
-            c.out.close();
+            c.close();
         }
         for _ in 0..1000 {
             if self.ctx.active.load(Ordering::SeqCst) == 0 {
@@ -1095,16 +951,7 @@ pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Resu
         opts: opts.clone(),
         sopts: sopts.clone(),
         cache,
-        active: AtomicU64::new(0),
-        jobs: Mutex::new(HashMap::new()),
-        conns: Mutex::new(HashMap::new()),
-        job_seq: AtomicU64::new(0),
-        conn_seq: AtomicU64::new(0),
-        draining: AtomicBool::new(false),
-        rejected: AtomicU64::new(0),
-        timed_out: AtomicU64::new(0),
-        stalled_clients: AtomicU64::new(0),
-        shed_conns: AtomicU64::new(0),
+        ..DaemonCtx::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
     let accept = thread::Builder::new()
@@ -1174,20 +1021,19 @@ fn accept_loop(
                     ctx.active.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+            // Nothing to accept, or a failed accept (out of descriptors,
+            // say): back off one poll and keep serving. Only `stop` ends
+            // the loop, which unlinks the socket.
+            Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// One accepted connection: handshake, spawn the writer thread, then a
-/// read loop that admits jobs (scoped thread per `Submit`) and flips
-/// cancel flags on `Cancel`. The scope joins all job threads before
-/// the connection closes, so every *admitted* job gets its terminal
-/// `JobStatus` enqueued; `close_when_idle` then gives the writer a
-/// bounded window to flush it.
+/// One accepted connection: handshake, then a read loop that admits
+/// jobs (scoped thread per `Submit`) and flips cancel flags on
+/// `Cancel`. The scope joins all job threads before the connection
+/// closes, and each writes its terminal `JobStatus` itself, so every
+/// *admitted* job's status is on the wire before the socket shuts.
 fn handle_conn(ctx: &Arc<DaemonCtx>, mut stream: UnixStream, conn_id: u64) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -1196,23 +1042,11 @@ fn handle_conn(ctx: &Arc<DaemonCtx>, mut stream: UnixStream, conn_id: u64) {
     if handshake_accept(&mut reader, &mut stream).is_err() {
         return;
     }
-    let conn = Arc::new(ConnShared {
-        out: Outbound::new(stream, &ctx.sopts),
-        jobs: Mutex::new(HashMap::new()),
-        stalled: AtomicBool::new(false),
-        id: conn_id,
-    });
-    ctx.conns.lock().unwrap().insert(conn_id, Arc::clone(&conn));
-    let writer = thread::Builder::new()
-        .name("miniperf-serve-writer".into())
-        .spawn({
-            let conn = Arc::clone(&conn);
-            move || conn.writer_loop()
-        });
-    if writer.is_err() {
-        ctx.conns.lock().unwrap().remove(&conn_id);
+    let Ok(conn) = ConnShared::new(stream, &ctx.sopts, conn_id) else {
         return;
-    }
+    };
+    let conn = Arc::new(conn);
+    ctx.conns.lock().unwrap().insert(conn_id, Arc::clone(&conn));
     thread::scope(|s| {
         loop {
             match read_msg(&mut reader) {
@@ -1293,7 +1127,7 @@ fn handle_conn(ctx: &Arc<DaemonCtx>, mut stream: UnixStream, conn_id: u64) {
                     }
                 }
                 // Polite end of session: let in-flight jobs finish and
-                // flush their terminal statuses.
+                // write their terminal statuses.
                 Ok(Msg::Shutdown) => break,
                 // A vanished client or a stream that lost framing:
                 // cancel its in-flight work at the next cell boundary.
@@ -1306,13 +1140,13 @@ fn handle_conn(ctx: &Arc<DaemonCtx>, mut stream: UnixStream, conn_id: u64) {
             }
         }
     });
-    conn.out.close_when_idle(ctx.sopts.stall_ticks);
+    conn.close();
     ctx.conns.lock().unwrap().remove(&conn_id);
 }
 
 // ---------------------------------------------------------------------
-// Job execution. Runs on a scoped thread inside `handle_conn`; all
-// output goes through the connection's bounded queue.
+// Job execution. Runs on a scoped thread inside `handle_conn`, which
+// writes all of its output through `ConnShared::send`.
 
 fn execute_job(
     ctx: &DaemonCtx,
@@ -1953,28 +1787,47 @@ mod tests {
     }
 
     #[test]
-    fn outbound_send_is_tick_bounded_and_declares_the_stall() {
-        let (a, _b) = UnixStream::pair().unwrap();
-        let sopts = ServeOptions {
-            queue_frames: 2,
-            stall_ticks: 3,
-            tick: Duration::from_millis(1),
-            ..ServeOptions::default()
+    fn timed_out_send_declares_the_stall_once() {
+        let ctx = DaemonCtx {
+            sopts: ServeOptions {
+                stall_ticks: 3,
+                tick: Duration::from_millis(50),
+                ..ServeOptions::default()
+            },
+            ..DaemonCtx::default()
         };
-        let out = Outbound::new(a, &sopts);
-        // No writer thread: the queue fills and stays full, exactly
-        // like a client that stopped reading with full kernel buffers.
-        assert!(out.send(Msg::Shutdown).is_ok());
-        assert!(out.send(Msg::Shutdown).is_ok());
-        let t0 = std::time::Instant::now();
-        assert!(matches!(out.send(Msg::Shutdown), Err(SendFail::Stalled)));
+        let stall = ctx.sopts.tick * ctx.sopts.stall_ticks;
+        // The client end never reads: 64 KiB frames fill the kernel
+        // buffer until a write makes no progress for the stall deadline.
+        let (daemon_end, _client_end) = UnixStream::pair().unwrap();
+        let conn = ConnShared::new(daemon_end, &ctx.sopts, 1).unwrap();
+        let job = Arc::new(JobState::default());
+        conn.jobs.lock().unwrap().insert(7, Arc::clone(&job));
+        let frame = || Msg::Sample {
+            job: 7,
+            payload: vec![0; 64 << 10],
+        };
+        let mut sent = 0;
+        let mut t0 = std::time::Instant::now();
+        while conn.send(&ctx, frame()) {
+            sent += 1;
+            assert!(sent < 256, "the kernel buffer never filled");
+            t0 = std::time::Instant::now();
+        }
+        let waited = t0.elapsed();
         assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "send must give up after stall_ticks ticks, not block forever"
+            waited >= stall && waited < Duration::from_secs(5),
+            "the stalled write gave up after {waited:?}, deadline {stall:?}"
         );
-        // The stall closed the connection: later sends fail fast.
-        assert!(matches!(out.send(Msg::Shutdown), Err(SendFail::Closed)));
-        assert!(out.is_idle(), "a closed queue counts as idle");
+        assert_eq!(ctx.stalled_clients.load(Ordering::SeqCst), 1);
+        assert_eq!(job.reason.load(Ordering::SeqCst), REASON_STALLED);
+        assert!(job.cancel.load(Ordering::SeqCst));
+        // The stall tore the connection down: later sends fail at once
+        // and count nothing.
+        let t1 = std::time::Instant::now();
+        assert!(!conn.send(&ctx, frame()));
+        assert!(t1.elapsed() < stall, "a torn-down send waited");
+        assert_eq!(ctx.stalled_clients.load(Ordering::SeqCst), 1);
     }
 
     #[test]

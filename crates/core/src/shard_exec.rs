@@ -5,10 +5,9 @@
 //! [`ShardedCellSpec`] (workload source, entry, platform, operand
 //! staging recipe, and [`ExecConfig`]) so a worker needs nothing but
 //! the payload to reproduce the cell bit-identically: compilation,
-//! decode, and simulation are all deterministic. Workers keep a warm
-//! decode cache keyed by `(workload, source, platform, config)` —
-//! cells sharing a module pay for compilation + decode once per worker
-//! incarnation — and run each cell on the same cell executor as the
+//! decode, and simulation are all deterministic. Workers compile and
+//! decode every cell afresh (a sweep sends one cell per platform, so
+//! no module repeats) and run it on the same cell executor as the
 //! in-process sweep.
 //!
 //! The supervisor runs inside the same journaled-sweep frame as the
@@ -40,12 +39,10 @@ use mperf_sim::{Platform, PlatformSpec};
 use mperf_sweep::journal::JournalError;
 use mperf_sweep::proto::{fault_key, serve_worker, WorkerFailure};
 use mperf_sweep::shard::{run_sharded, ShardCell, ShardCellError, ShardOptions, WorkerCmd};
-use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
+use mperf_sweep::wire::{Dec, Enc, WireError};
 use mperf_sweep::{CellFailure, RetryPolicy};
-use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Value, Vm, VmError};
-use std::collections::HashMap;
+use mperf_vm::{decode_module_cfg, ExecConfig, Value, Vm, VmError};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Cell-spec payload schema; bumped on any codec change (the protocol
@@ -193,11 +190,6 @@ fn kill_self_hard() -> ! {
     std::process::abort();
 }
 
-struct WarmModule {
-    module: Module,
-    decoded: Arc<DecodedModule>,
-}
-
 /// The hidden `miniperf sweep-worker` entry point: serve cells over
 /// stdin/stdout until the supervisor shuts us down. Returns the
 /// process exit code.
@@ -230,10 +222,6 @@ pub fn worker_main() -> i32 {
         }
     }
 
-    // Warm decode shared across the cells this worker executes: keyed
-    // by everything that determines the compiled module + decode.
-    let mut warm: HashMap<u64, WarmModule> = HashMap::new();
-
     let served = serve_worker(
         std::io::stdin().lock(),
         std::io::stdout().lock(),
@@ -260,31 +248,19 @@ pub fn worker_main() -> i32 {
                 message: msg,
                 trap: None,
             })?;
-            let warm_key = {
-                let mut e = Enc::new();
-                e.str(&spec.workload);
-                e.str(&spec.source);
-                e.str(spec.platform.spec().name);
-                e.str(&cfg.describe());
-                fnv1a(&e.into_bytes())
-            };
-            if let std::collections::hash_map::Entry::Vacant(slot) = warm.entry(warm_key) {
-                let module = compile_spec(&spec).map_err(|msg| WorkerFailure {
-                    class: mperf_sweep::FailureClass::Permanent,
-                    message: msg,
-                    trap: None,
-                })?;
-                let decoded = decode_module_cfg(&module, cfg.decode());
-                slot.insert(WarmModule { module, decoded });
-            }
-            let wm = &warm[&warm_key];
+            let module = compile_spec(&spec).map_err(|msg| WorkerFailure {
+                class: mperf_sweep::FailureClass::Permanent,
+                message: msg,
+                trap: None,
+            })?;
+            let decoded = decode_module_cfg(&module, cfg.decode());
 
             let setup = setup_closure(&spec.setup);
             let run = RooflineRequest::new()
                 .config(cfg)
                 .execute(
-                    &wm.module,
-                    &wm.decoded,
+                    &module,
+                    &decoded,
                     &spec.platform.spec(),
                     &spec.entry,
                     &*setup,

@@ -14,7 +14,7 @@ use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A short, per-test socket path (bind fails past ~100 bytes).
 fn socket_path(tag: &str) -> PathBuf {
@@ -744,4 +744,128 @@ fn killed_daemon_restarts_and_resumes_a_keyed_sweep_byte_identically() {
     drop(session);
     handle.stop();
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A `miniperf serve` process, killed when dropped so a failed
+/// assertion leaves no daemon behind.
+struct Daemon(std::process::Child);
+
+impl Daemon {
+    /// Spawn `cmd` (a daemon serving on `socket`) and wait for the
+    /// socket: the path appears only once the daemon listens.
+    fn spawn(mut cmd: std::process::Command, socket: &Path) -> Daemon {
+        let _ = std::fs::remove_file(socket);
+        let child = cmd
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn daemon");
+        let daemon = Daemon(child);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !socket.exists() {
+            assert!(Instant::now() < deadline, "daemon did not come up");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        daemon
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// How many entries `/proc/<pid>/<dir>` lists (threads under `task`,
+/// descriptors under `fd`).
+fn proc_entries(pid: u32, dir: &str) -> usize {
+    std::fs::read_dir(format!("/proc/{pid}/{dir}"))
+        .expect("the daemon is alive")
+        .count()
+}
+
+/// The daemon's thread and descriptor counts once five readings 20 ms
+/// apart agree.
+fn settled_cost(pid: u32) -> (usize, usize) {
+    let read = || (proc_entries(pid, "task"), proc_entries(pid, "fd"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (mut last, mut same) = (read(), 0);
+    while same < 5 {
+        assert!(Instant::now() < deadline, "never settled: {last:?}");
+        std::thread::sleep(Duration::from_millis(20));
+        let now = read();
+        same = if now == last { same + 1 } else { 0 };
+        last = now;
+    }
+    last
+}
+
+/// Job threads write their own frames, so an idle connection holds
+/// only its reading thread and two descriptors (the accepted stream
+/// and its read clone).
+#[test]
+fn a_connection_costs_one_thread_and_two_descriptors() {
+    let socket = socket_path("conn-cost");
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_miniperf"));
+    cmd.args(["serve", "--socket", socket.to_str().unwrap()]);
+    let daemon = Daemon::spawn(cmd, &socket);
+    let (threads, fds) = settled_cost(daemon.0.id());
+    let sessions: Vec<Session> = (0..8).map(|_| connect(&socket)).collect();
+    let (threads_after, fds_after) = settled_cost(daemon.0.id());
+    assert_eq!(
+        (threads_after - threads, fds_after - fds),
+        (8, 16),
+        "8 connections: (threads, descriptors) added"
+    );
+    drop(sessions);
+    drop(daemon);
+    let _ = std::fs::remove_file(&socket);
+}
+
+/// An accept that fails (here: out of descriptors) must not end the
+/// accept loop, which would unlink the socket and leave the daemon
+/// serving nobody until a signal.
+#[test]
+fn a_failed_accept_keeps_the_daemon_serving() {
+    let socket = socket_path("accept-emfile");
+    let bin = env!("CARGO_BIN_EXE_miniperf");
+    // 24 descriptors: ten idle connections (two each) take what the
+    // daemon leaves free, and the next accept fails with EMFILE.
+    let mut cmd = std::process::Command::new("sh");
+    cmd.args([
+        "-c",
+        "ulimit -n 24; exec \"$0\" serve --socket \"$1\"",
+        bin,
+        socket.to_str().unwrap(),
+    ]);
+    let daemon = Daemon::spawn(cmd, &socket);
+    let idle: Vec<UnixStream> = (0..30)
+        .map(|_| UnixStream::connect(&socket).expect("the backlog takes 30"))
+        .collect();
+    // Once the daemon's descriptors settle, its accepts are failing.
+    settled_cost(daemon.0.id());
+    drop(idle);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let served = socket.exists()
+            && std::process::Command::new(bin)
+                .args(["submit", "stat", "--socket", socket.to_str().unwrap()])
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::null())
+                .status()
+                .expect("run submit")
+                .success();
+        if served {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the daemon stopped serving after a failed accept"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    drop(daemon);
+    let _ = std::fs::remove_file(&socket);
 }

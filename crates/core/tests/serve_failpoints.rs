@@ -90,8 +90,9 @@ fn batch_reference(n: u64) -> Vec<Vec<u8>> {
 fn stalled_client_is_torn_down_within_its_deadline_and_counted_once() {
     const N: u64 = 256;
     let socket = socket_path("stall");
-    // Conn 1's writer parks on its first frame — exactly what a full
-    // kernel buffer under a non-reading client does to a write.
+    // Conn 1's first frame write times out after the stall deadline —
+    // exactly what a full kernel buffer under a non-reading client does
+    // to a write.
     let _armed = mperf_fault::arm_scoped(FaultPlan::new(1).inject(
         "serve.client_stall",
         1,
@@ -99,15 +100,14 @@ fn stalled_client_is_torn_down_within_its_deadline_and_counted_once() {
         1,
     ));
     let sopts = ServeOptions {
-        queue_frames: 2,
         stall_ticks: 10,
         ..fast_opts()
     };
     let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
 
-    // Conn 1: submit, then never read. The job streams into the bounded
-    // queue, the parked writer never drains it, and the sending job
-    // thread — not any daemon poll loop — detects the stall.
+    // Conn 1: submit, then never read. The sending job thread — not any
+    // daemon poll loop — sees its write time out and declares the
+    // stall.
     let mut stalled = connect(&socket);
     stalled.submit(sweep_spec(N).encode()).unwrap();
     let t0 = Instant::now();
@@ -393,7 +393,6 @@ fn combined_stall_and_hang_account_exactly_and_spare_the_healthy_client() {
             .inject("serve.job_hang", 2, FaultKind::Stall, 1),
     );
     let sopts = ServeOptions {
-        queue_frames: 2,
         stall_ticks: 10,
         job_deadline_ticks: 500,
         ..fast_opts()

@@ -35,7 +35,8 @@ enum Role {
     /// Submits, then vanishes (dropped socket mid-job).
     Dead,
     /// Submits, then never reads: the armed `serve.client_stall`
-    /// failpoint parks the writer exactly as full kernel buffers would.
+    /// failpoint times its first write out exactly as full kernel
+    /// buffers would.
     Stalled,
 }
 
@@ -137,7 +138,6 @@ proptest! {
         let _armed = mperf_fault::arm_scoped(plan);
 
         let sopts = ServeOptions {
-            queue_frames: 2,
             stall_ticks: 10,
             tick: Duration::from_millis(2),
             ..ServeOptions::default()
