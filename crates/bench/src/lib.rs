@@ -1,7 +1,6 @@
 //! # mperf-bench — evaluation harness
 //!
-//! One binary per table/figure of the paper's evaluation section (see
-//! DESIGN.md §4 for the index):
+//! One binary per table/figure of the paper's evaluation section:
 //!
 //! | target | regenerates |
 //! |--------|-------------|

@@ -129,10 +129,8 @@ options:
   --state-dir <DIR>              serve: keyed sweep jobs checkpoint their
                                  journals here; a restarted daemon resumes
                                  them when the same spec + key is resubmitted
-  --cache-dir <DIR>              serve: persist the warm decode cache as one
-                                 crash-safe journal, DIR/decode-cache.jrnl
-                                 (created at the first fresh decode), so a
-                                 restarted daemon performs zero decodes
+  --cache-dir <DIR>              serve: accepted and ignored; the daemon
+                                 writes nothing to DIR
   --max-jobs <N>                 serve: concurrent job cap — submits beyond
                                  it are rejected immediately, never queued
                                  silently (default: 32)
@@ -222,12 +220,10 @@ pub enum Command {
     Sweep(CommonOpts),
     /// Hidden worker entry point for `sweep --shards N` children.
     SweepWorker,
-    /// The profiling daemon. `opts` supplies daemon-side defaults
-    /// (journal/resume for sweep jobs); `serve` carries the
-    /// supervision knobs and state/cache directories.
+    /// The profiling daemon. `serve` carries the supervision knobs and
+    /// the state directory; every job brings its own options.
     Serve {
         socket: PathBuf,
-        opts: CommonOpts,
         serve: crate::serve::ServeOptions,
     },
     /// The serve client: ship `spec` to the daemon at `socket`, stream
@@ -372,11 +368,17 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
         }
     }
     let (opts, socket) = parse_opts(&rest, true)?;
-    Ok(Command::Serve {
-        socket,
-        opts,
-        serve,
-    })
+    // Sweeps that need a journal submit a job key to a daemon with a
+    // state directory; a daemon-wide journal would mix sweeps of
+    // different specs.
+    if opts.journal.is_some() || opts.resume {
+        return Err(
+            "serve does not take --journal/--resume (keyed sweeps journal under \
+             --state-dir; pass --job-key to `miniperf submit sweep`)"
+                .into(),
+        );
+    }
+    Ok(Command::Serve { socket, serve })
 }
 
 fn parse_submit(args: &[String]) -> Result<Command, String> {
@@ -418,7 +420,7 @@ fn parse_submit(args: &[String]) -> Result<Command, String> {
     if opts.journal.is_some() || opts.resume || opts.shards > 0 {
         return Err(
             "submit does not take --journal/--resume/--shards (daemon-side options; \
-             pass them to `miniperf serve`)"
+             to checkpoint a sweep, pass --job-key to a daemon started with --state-dir)"
                 .into(),
         );
     }
@@ -447,11 +449,7 @@ pub fn run(cmd: Command) -> i32 {
         Command::Roofline(o) => cmd_roofline(&o),
         Command::Sweep(o) => cmd_sweep(&o),
         Command::SweepWorker => crate::worker_main(),
-        Command::Serve {
-            socket,
-            opts,
-            serve,
-        } => crate::serve::run_daemon(&socket, &opts, &serve),
+        Command::Serve { socket, serve } => crate::serve::run_daemon(&socket, &serve),
         Command::Submit {
             socket,
             spec,
@@ -599,8 +597,8 @@ pub(crate) fn platform_from_code(b: u8) -> Option<Platform> {
     }
 }
 
-/// The one wire form of an [`ExecConfig`], shared by the job-spec,
-/// sharded-cell, and decode-cache codecs: engine code, then regalloc.
+/// The one wire form of an [`ExecConfig`], shared by the job-spec and
+/// sharded-cell codecs: engine code, then regalloc.
 pub(crate) fn enc_exec(e: &mut Enc, exec: ExecConfig) {
     e.u8(match exec.engine {
         Engine::Threaded => 0,
@@ -627,7 +625,7 @@ pub(crate) fn dec_exec(d: &mut Dec) -> Result<ExecConfig, WireError> {
 
 /// Build the demo VM for `record`/`stat` on one platform. Leaks the
 /// compiled module: batch commands run once per process. The daemon
-/// uses its warm cache instead.
+/// compiles the demo per job with [`compile_demo`] instead.
 pub fn demo_vm(platform: Platform) -> (Vm<'static>, Vec<Value>) {
     let module = Box::leak(Box::new(compile_demo(platform)));
     let mut vm = Vm::new(module, Core::new(platform.spec()));
@@ -1030,8 +1028,9 @@ pub fn platform_names() -> Vec<String> {
 }
 
 /// Build the CLI triad sweep cells (one per platform model) over
-/// caller-owned modules. The daemon passes pre-decoded modules from its
-/// warm cache via `decoded`.
+/// caller-owned modules. With `decoded` (one per module, in order) the
+/// cells run on those decodes instead of decoding their own; the
+/// daemon passes its counted per-job decodes this way.
 pub fn triad_sweep_cells<'a>(
     modules: &'a [mperf_ir::Module],
     decoded: Option<Vec<std::sync::Arc<mperf_vm::DecodedModule>>>,
@@ -1325,6 +1324,20 @@ mod tests {
         assert!(parse(&args(&["serve", "--state-dir"]))
             .unwrap_err()
             .contains("needs a value"));
+        // `--cache-dir` is still accepted, and ignored.
+        assert!(matches!(
+            parse(&args(&["serve", "--cache-dir", "/tmp/mp-cache"])),
+            Ok(Command::Serve { .. })
+        ));
+        // Only keyed sweeps journal on a daemon: a daemon-wide journal
+        // is a usage error.
+        assert!(parse(&args(&["serve", "--journal", "/tmp/j"]))
+            .unwrap_err()
+            .contains("serve does not take --journal/--resume"));
+        assert!(parse(&args(&["serve", "--journal", "/tmp/j", "--resume"]))
+            .unwrap_err()
+            .contains("serve does not take --journal/--resume"));
+        assert!(parse(&args(&["serve", "--resume"])).is_err());
         // The serve-only flags stay serve-only.
         assert!(parse(&args(&["sweep", "--state-dir", "/tmp/x"]))
             .unwrap_err()

@@ -348,8 +348,8 @@ impl RooflineRequest {
     }
 
     /// [`Self::run`] over a pre-built decode (must have been built with
-    /// this request's [`ExecConfig`]) — the serve daemon's warm-cache
-    /// path, where many jobs share one `Arc<DecodedModule>`.
+    /// this request's [`ExecConfig`]) — the serve daemon's path, which
+    /// decodes each job's module itself so it can count the decodes.
     ///
     /// # Errors
     /// See [`Self::run`].

@@ -54,25 +54,11 @@
 //! reconnects and resubmits the *same spec with the same key* resumes
 //! server-side: only unjournaled cells re-execute, journaled cells are
 //! replayed through the same event stream, and the reassembled result
-//! is byte-identical to a fault-free run.
-//!
-//! ## Warm decode cache
-//!
-//! All connections share one `DecodeCache` keyed by
-//! [`cell_key`] — the sweep journal's content-hash key (platform ×
-//! entry × exec config × module text) — so the second identical job
-//! performs **zero** module decodes. With
-//! [`ServeOptions::cache_dir`] set, each fresh decode also appends its
-//! *recipe* (workload source + config) under its `cell_key` to one
-//! crash-safe sweep [`Journal`], `<cache-dir>/decode-cache.jrnl`; on
-//! restart the daemon re-derives those decodes synchronously before
-//! accepting clients, so a warm restart performs zero decodes on the
-//! job path (`preloaded` counts the re-derived entries). A torn tail is
-//! recovered by the journal itself; a malformed, stale or foreign
-//! record is a miss, and a foreign file at that path turns persistence
-//! off — never an error, and never overwritten. The journal is created
-//! at the first fresh decode, not at daemon start. [`ServeHandle::stats`]
-//! exposes all counters so tests can assert exact accounting.
+//! is byte-identical to a fault-free run. These keyed journals are the
+//! daemon's only persistent state: every job compiles and decodes its
+//! own modules, and an unkeyed sweep runs without a journal.
+//! [`ServeHandle::stats`] exposes every counter so tests can assert
+//! exact accounting.
 //!
 //! ## Exit-status contract
 //!
@@ -96,7 +82,7 @@ use crate::profile::{ProfSample, Profile};
 use crate::record::{record_streamed, RecordConfig};
 use crate::roofline_runner::{RooflineRequest, RooflineRun};
 use crate::stat::{stat, StatReport};
-use crate::sweep_supervisor::{cell_key, decode_run, encode_run};
+use crate::sweep_supervisor::{decode_run, encode_run};
 use mperf_event::EventKind;
 use mperf_sim::{Core, Platform};
 use mperf_sweep::proto::{
@@ -106,7 +92,7 @@ use mperf_sweep::proto::{
 use mperf_sweep::serve::{handshake_accept, ClientSession};
 use mperf_sweep::supervise::panic_payload;
 use mperf_sweep::wire::{fnv1a, Dec, Enc, WireError};
-use mperf_sweep::{Journal, RetryPolicy};
+use mperf_sweep::RetryPolicy;
 use mperf_vm::{decode_module_cfg, DecodedModule, ExecConfig, Vm};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -290,8 +276,8 @@ pub struct ServeOptions {
     /// Per-job-key sweep journals live here, making keyed sweep
     /// submits crash-resumable across daemon restarts.
     pub state_dir: Option<PathBuf>,
-    /// The decode-cache journal (`decode-cache.jrnl`) lives here,
-    /// making the warm cache survive daemon restarts.
+    /// Accepted and ignored: the daemon writes nothing here. It stays
+    /// only while perfbench still sets it, and goes once it stops.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -312,19 +298,18 @@ impl Default for ServeOptions {
     }
 }
 
-/// Exact counters from a running daemon: decode-cache activity plus
+/// Exact counters from a running daemon: module decodes plus
 /// supervision accounting. Every counter is incremented at the single
 /// point where the corresponding decision fires, so tests can match
 /// them one-to-one against injected faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
-    /// Module decodes actually performed on the job path.
+    /// Module decodes performed: one per record, stat or roofline job,
+    /// one per platform per sweep.
     pub decodes: u64,
-    /// Jobs served from an already-warm decode.
+    /// Always 0: the daemon keeps no decodes between jobs. It stays
+    /// only while perfbench still reads it.
     pub hits: u64,
-    /// Decodes re-derived from the on-disk cache at startup (off the
-    /// job path; a warm restart serves with `decodes == 0`).
-    pub preloaded: u64,
     /// Submits shed by admission control or drain mode
     /// ([`CODE_REJECTED`]).
     pub rejected: u64,
@@ -335,212 +320,6 @@ pub struct ServeStats {
     /// Connections dropped at accept (over `max_conns`, or an injected
     /// accept fault).
     pub shed_conns: u64,
-}
-
-// ---------------------------------------------------------------------
-// The warm decode cache (in-memory + optional on-disk persistence).
-
-/// What a decode was *made from* — enough to persist a cache entry that
-/// a restarted daemon can re-derive and verify against its `cell_key`.
-#[derive(Clone, Copy)]
-struct CacheSource {
-    workload: &'static str,
-    source: &'static str,
-    instrument: bool,
-}
-
-/// The demo workload `record`/`stat` run (uninstrumented).
-const DEMO_SOURCE: CacheSource = CacheSource {
-    workload: "cli",
-    source: cli::DEMO,
-    instrument: false,
-};
-
-/// The triad kernel `roofline`/`sweep` run (instrumented).
-const TRIAD_SOURCE: CacheSource = CacheSource {
-    workload: "cli",
-    source: cli::KERNEL,
-    instrument: true,
-};
-
-/// The decode-cache journal's file name inside the cache directory.
-const CACHE_JOURNAL: &str = "decode-cache.jrnl";
-/// Bumped on any recipe-codec change; entries of another schema are a
-/// silent miss. Schema 2 carries the two-field [`ExecConfig`] wire form.
-const CACHE_SCHEMA: u32 = 2;
-
-/// One decode-cache journal payload: the decode recipe, journaled under
-/// the decode's `cell_key`.
-fn encode_cache_entry(
-    src: CacheSource,
-    platform: Platform,
-    entry: &str,
-    exec: ExecConfig,
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(CACHE_SCHEMA);
-    e.u8(cli::platform_code(platform));
-    e.str(entry);
-    cli::enc_exec(&mut e, exec);
-    e.str(src.workload);
-    e.str(src.source);
-    e.u8(src.instrument as u8);
-    e.into_bytes()
-}
-
-/// Decoded recipe: `(platform, entry, exec, workload, source,
-/// instrument)`. Any malformation — unknown schema or code, truncation,
-/// trailing bytes — is `None`: a miss, never an error.
-#[allow(clippy::type_complexity)]
-fn decode_cache_entry(
-    bytes: &[u8],
-) -> Option<(Platform, String, ExecConfig, String, String, bool)> {
-    let mut d = Dec::new(bytes);
-    let inner = |d: &mut Dec| -> Option<(Platform, String, ExecConfig, String, String, bool)> {
-        if d.u32().ok()? != CACHE_SCHEMA {
-            return None;
-        }
-        let platform = cli::platform_from_code(d.u8().ok()?)?;
-        let entry = d.str().ok()?;
-        let exec = cli::dec_exec(d).ok()?;
-        let workload = d.str().ok()?;
-        let source = d.str().ok()?;
-        let instrument = d.u8().ok()? != 0;
-        Some((platform, entry, exec, workload, source, instrument))
-    };
-    let out = inner(&mut d)?;
-    d.finish().ok()?;
-    Some(out)
-}
-
-/// The decode cache's on-disk half.
-#[derive(Default)]
-enum CacheStore {
-    /// No cache directory, or its journal path holds something that is
-    /// not a journal: nothing persists for the daemon's life.
-    #[default]
-    Off,
-    /// Not opened yet. Opening creates (and fsyncs) a missing file, so
-    /// that waits for the first fresh decode, never daemon start.
-    Closed(PathBuf),
-    Open(Journal),
-}
-
-impl CacheStore {
-    /// The journal, opened on first use; a failed open (a foreign file
-    /// is refused untouched) turns persistence off.
-    fn journal(&mut self) -> Option<&mut Journal> {
-        if let CacheStore::Closed(path) = self {
-            *self = Journal::open(path).map_or(CacheStore::Off, CacheStore::Open);
-        }
-        match self {
-            CacheStore::Open(j) => Some(j),
-            _ => None,
-        }
-    }
-}
-
-/// All connections share one decoded-module cache keyed by
-/// [`cell_key`] — the same content hash the sweep journal files cells
-/// under — so identical jobs across clients share one decode. With a
-/// cache directory, each on-demand decode also appends its recipe to
-/// the cache journal, and [`DecodeCache::preload`] re-derives those
-/// decodes at startup.
-#[derive(Default)]
-struct DecodeCache {
-    map: Mutex<HashMap<u64, Arc<DecodedModule>>>,
-    decodes: AtomicU64,
-    hits: AtomicU64,
-    preloaded: AtomicU64,
-    /// Locked after `map`, never before.
-    store: Mutex<CacheStore>,
-}
-
-impl DecodeCache {
-    fn new(dir: Option<&Path>) -> DecodeCache {
-        DecodeCache {
-            store: Mutex::new(dir.map_or(CacheStore::Off, |d| {
-                CacheStore::Closed(d.join(CACHE_JOURNAL))
-            })),
-            ..DecodeCache::default()
-        }
-    }
-
-    /// The decoded form of `module` under `exec`, built at most once
-    /// per key. The decode happens *under* the map lock: two identical
-    /// jobs racing on a cold cache must still produce exactly one
-    /// decode (the zero-decode warm-cache guarantee is deterministic,
-    /// not probabilistic).
-    fn decoded_for(
-        &self,
-        module: &mperf_ir::Module,
-        platform: Platform,
-        entry: &str,
-        exec: ExecConfig,
-        src: CacheSource,
-    ) -> Arc<DecodedModule> {
-        let key = cell_key(&platform.spec(), entry, exec, &module.to_string());
-        let mut map = self.map.lock().unwrap();
-        if let Some(d) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(d);
-        }
-        let d = decode_module_cfg(module, exec.decode());
-        self.decodes.fetch_add(1, Ordering::Relaxed);
-        map.insert(key, Arc::clone(&d));
-        // A failed append costs a future preload, never this job.
-        if let Some(journal) = self.store.lock().unwrap().journal() {
-            let _ = journal.append(key, &encode_cache_entry(src, platform, entry, exec));
-        }
-        d
-    }
-
-    /// Re-derive every valid journaled recipe into the in-memory map.
-    /// Runs synchronously at startup, before the daemon accepts
-    /// clients, so a warm restart performs zero decodes on the job
-    /// path. Only an existing journal is opened here. A record that
-    /// fails any check — a malformed or stale recipe, one that no
-    /// longer compiles, or a `cell_key` that does not match the
-    /// record's key (a foreign or tampered entry) — is skipped
-    /// silently: a miss, never an error.
-    fn preload(&self) {
-        let mut map = self.map.lock().unwrap();
-        let mut store = self.store.lock().unwrap();
-        if !matches!(&*store, CacheStore::Closed(path) if path.exists()) {
-            return;
-        }
-        let Some(journal) = store.journal() else {
-            return;
-        };
-        for (claimed, recipe) in journal.entries() {
-            let Some((platform, entry, exec, workload, source, instrument)) =
-                decode_cache_entry(recipe)
-            else {
-                continue;
-            };
-            let Ok(module) = mperf_workloads::compile_for(&workload, &source, platform, instrument)
-            else {
-                continue;
-            };
-            let key = cell_key(&platform.spec(), &entry, exec, &module.to_string());
-            if key != *claimed {
-                continue;
-            }
-            if let std::collections::hash_map::Entry::Vacant(e) = map.entry(key) {
-                e.insert(decode_module_cfg(&module, exec.decode()));
-                self.preloaded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn stats(&self) -> ServeStats {
-        ServeStats {
-            decodes: self.decodes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            preloaded: self.preloaded.load(Ordering::Relaxed),
-            ..ServeStats::default()
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -669,13 +448,12 @@ impl ConnShared {
 // ---------------------------------------------------------------------
 // The daemon.
 
-/// Daemon-wide shared state: options, the warm cache, the global job
-/// and connection tables, and the exact supervision counters.
+/// Daemon-wide shared state: options, the global job and connection
+/// tables, and the exact counters.
 #[derive(Default)]
 struct DaemonCtx {
-    opts: CommonOpts,
     sopts: ServeOptions,
-    cache: DecodeCache,
+    decodes: AtomicU64,
     /// Live connection threads (accept increments, wind-down
     /// decrements).
     active: AtomicU64,
@@ -696,6 +474,12 @@ struct DaemonCtx {
 impl DaemonCtx {
     fn running(&self) -> usize {
         self.jobs.lock().unwrap().len()
+    }
+
+    /// Decode one of a job's modules for `exec`, counted.
+    fn decode(&self, module: &mperf_ir::Module, exec: ExecConfig) -> Arc<DecodedModule> {
+        self.decodes.fetch_add(1, Ordering::Relaxed);
+        decode_module_cfg(module, exec.decode())
     }
 }
 
@@ -751,14 +535,16 @@ impl ServeHandle {
         &self.socket
     }
 
-    /// Exact decode-cache and supervision counters.
+    /// Exact decode and supervision counters.
     pub fn stats(&self) -> ServeStats {
-        let mut s = self.ctx.cache.stats();
-        s.rejected = self.ctx.rejected.load(Ordering::SeqCst);
-        s.timed_out = self.ctx.timed_out.load(Ordering::SeqCst);
-        s.stalled_clients = self.ctx.stalled_clients.load(Ordering::SeqCst);
-        s.shed_conns = self.ctx.shed_conns.load(Ordering::SeqCst);
-        s
+        ServeStats {
+            decodes: self.ctx.decodes.load(Ordering::Relaxed),
+            hits: 0,
+            rejected: self.ctx.rejected.load(Ordering::SeqCst),
+            timed_out: self.ctx.timed_out.load(Ordering::SeqCst),
+            stalled_clients: self.ctx.stalled_clients.load(Ordering::SeqCst),
+            shed_conns: self.ctx.shed_conns.load(Ordering::SeqCst),
+        }
     }
 
     /// Graceful drain, then stop: stop accepting (the socket file is
@@ -928,29 +714,25 @@ fn bind_listening(socket: &Path) -> io::Result<(UnixListener, SocketGuard)> {
 /// A stale socket file from a dead daemon is reclaimed (under a lock on
 /// the socket's directory, so racing starts never delete each other's
 /// socket); a live daemon's socket (or a non-socket file) refuses the
-/// start with `AddrInUse`. With a cache directory, an existing decode-cache
-/// journal is preloaded synchronously before the first accept.
+/// start with `AddrInUse`.
+///
+/// `_opts` is ignored: every job carries its own options in its
+/// [`JobSpec`]. The parameter stays only while perfbench still passes
+/// it.
 ///
 /// # Errors
 /// Bind/listen failures (bad path, permissions, a live listener).
-pub fn start(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> io::Result<ServeHandle> {
+pub fn start(socket: &Path, _opts: &CommonOpts, sopts: &ServeOptions) -> io::Result<ServeHandle> {
     let publish = lock_socket_dir(socket)?;
     reclaim_stale_socket(socket)?;
     if let Some(dir) = &sopts.state_dir {
         std::fs::create_dir_all(dir)?;
     }
-    if let Some(dir) = &sopts.cache_dir {
-        std::fs::create_dir_all(dir)?;
-    }
     let (listener, guard) = bind_listening(socket)?;
     drop(publish);
     listener.set_nonblocking(true)?;
-    let cache = DecodeCache::new(sopts.cache_dir.as_deref());
-    cache.preload();
     let ctx = Arc::new(DaemonCtx {
-        opts: opts.clone(),
         sopts: sopts.clone(),
-        cache,
         ..DaemonCtx::default()
     });
     let stop = Arc::new(AtomicBool::new(false));
@@ -1174,9 +956,7 @@ fn execute_job(
     match spec.kind {
         JobKind::Record | JobKind::Stat => {
             let module = cli::compile_demo(spec.platform);
-            let decoded =
-                ctx.cache
-                    .decoded_for(&module, spec.platform, "demo", spec.exec, DEMO_SOURCE);
+            let decoded = ctx.decode(&module, spec.exec);
             let mut vm = Vm::new(&module, Core::new(spec.platform.spec()));
             vm.configure(spec.exec);
             vm.set_decoded(decoded);
@@ -1207,9 +987,7 @@ fn execute_job(
         }
         JobKind::Roofline => {
             let module = cli::triad_module(spec.platform);
-            let decoded =
-                ctx.cache
-                    .decoded_for(&module, spec.platform, "triad", spec.exec, TRIAD_SOURCE);
+            let decoded = ctx.decode(&module, spec.exec);
             let setup = crate::shard_exec::cli_triad_setup(spec.n);
             let request = RooflineRequest::new().jobs(spec.jobs).config(spec.exec);
             match request.run_prepared(&module, &decoded, &spec.platform.spec(), "triad", &setup) {
@@ -1239,31 +1017,22 @@ fn execute_job(
                 .iter()
                 .map(|&p| cli::triad_module(p))
                 .collect();
-            let decodeds: Vec<Arc<DecodedModule>> = modules
-                .iter()
-                .zip(Platform::ALL)
-                .map(|(m, p)| {
-                    ctx.cache
-                        .decoded_for(m, p, "triad", spec.exec, TRIAD_SOURCE)
-                })
-                .collect();
+            let decodeds = modules.iter().map(|m| ctx.decode(m, spec.exec)).collect();
             let cells = cli::triad_sweep_cells(&modules, Some(decodeds), spec.n);
             // A keyed sweep journals under the daemon's state directory
             // so a crashed daemon resumes it when the client resubmits
             // the same spec with the same key. The filename hashes the
             // key *and* the full spec: `cell_key` alone does not cover
             // runtime setup (e.g. the triad size), and two specs under
-            // one key must not share a journal.
-            let (journal, resume) = match (&ctx.sopts.state_dir, spec.job_key.is_empty()) {
-                (Some(dir), false) => (
-                    Some(dir.join(format!(
-                        "job-{:016x}-{:016x}.jrnl",
-                        fnv1a(spec.job_key.as_bytes()),
-                        fnv1a(&spec.encode())
-                    ))),
-                    true,
-                ),
-                _ => (ctx.opts.journal.clone(), ctx.opts.resume),
+            // one key must not share a journal. An unkeyed sweep runs
+            // without one.
+            let journal = match &ctx.sopts.state_dir {
+                Some(dir) if !spec.job_key.is_empty() => Some(dir.join(format!(
+                    "job-{:016x}-{:016x}.jrnl",
+                    fnv1a(spec.job_key.as_bytes()),
+                    fnv1a(&spec.encode())
+                ))),
+                _ => None,
             };
             let request = RooflineRequest::new()
                 .jobs(spec.jobs)
@@ -1272,8 +1041,8 @@ fn execute_job(
                     max_attempts: spec.retries,
                     retry_panics: true,
                 })
-                .journal_opt(journal)
-                .resume(resume);
+                .resume(journal.is_some())
+                .journal_opt(journal);
             let total = cells.len() as u64;
             let done = AtomicU64::new(0);
             let on_cell = |i: usize, run: &RooflineRun| {
@@ -1352,7 +1121,7 @@ const M_MMAP_THRESHOLD: i32 = -3;
 /// Returns the process exit code: 0 after a graceful drain, 130 when a
 /// second signal forced the exit, 4 when another live daemon already
 /// owns the socket.
-pub fn run_daemon(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> i32 {
+pub fn run_daemon(socket: &Path, sopts: &ServeOptions) -> i32 {
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
@@ -1367,7 +1136,7 @@ pub fn run_daemon(socket: &Path, opts: &CommonOpts, sopts: &ServeOptions) -> i32
     unsafe {
         mallopt(M_MMAP_THRESHOLD, 128 * 1024);
     }
-    let mut handle = match start(socket, opts, sopts) {
+    let mut handle = match start(socket, &CommonOpts::default(), sopts) {
         Ok(h) => h,
         Err(e) if e.kind() == io::ErrorKind::AddrInUse => {
             eprintln!("serve: {e}");
@@ -1644,118 +1413,6 @@ mod tests {
         // silently mislabel counters.
         let short = cli::stat_events(Platform::SifiveU74);
         assert!(decode_stat(&bytes, &short).is_err());
-    }
-
-    #[test]
-    fn decode_cache_decodes_each_key_exactly_once() {
-        let cache = DecodeCache::default();
-        let module = cli::compile_demo(Platform::SpacemitX60);
-        let exec = ExecConfig::default();
-        let a = cache.decoded_for(&module, Platform::SpacemitX60, "demo", exec, DEMO_SOURCE);
-        let b = cache.decoded_for(&module, Platform::SpacemitX60, "demo", exec, DEMO_SOURCE);
-        assert!(Arc::ptr_eq(&a, &b), "second job reuses the warm decode");
-        assert_eq!(
-            cache.stats(),
-            ServeStats {
-                decodes: 1,
-                hits: 1,
-                ..ServeStats::default()
-            }
-        );
-        // A different exec flavour is a different key.
-        let no_regalloc = ExecConfig {
-            regalloc: false,
-            ..ExecConfig::default()
-        };
-        cache.decoded_for(
-            &module,
-            Platform::SpacemitX60,
-            "demo",
-            no_regalloc,
-            DEMO_SOURCE,
-        );
-        assert_eq!(
-            cache.stats(),
-            ServeStats {
-                decodes: 2,
-                hits: 1,
-                ..ServeStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn cache_entry_codec_treats_any_malformation_as_a_miss() {
-        let body = encode_cache_entry(
-            TRIAD_SOURCE,
-            Platform::SpacemitX60,
-            "triad",
-            ExecConfig::default(),
-        );
-        let (platform, entry, exec, workload, source, instrument) =
-            decode_cache_entry(&body).expect("well-formed entry decodes");
-        assert_eq!(platform, Platform::SpacemitX60);
-        assert_eq!(entry, "triad");
-        assert_eq!(exec, ExecConfig::default());
-        assert_eq!(workload, "cli");
-        assert_eq!(source, cli::KERNEL);
-        assert!(instrument);
-        // Every malformation is None, never a panic or error: another
-        // schema, truncation, trailing bytes.
-        let mut alien = body.clone();
-        alien[0] ^= 0xff;
-        assert!(decode_cache_entry(&alien).is_none());
-        assert!(decode_cache_entry(&body[..body.len() - 1]).is_none());
-        let mut trailing = body.clone();
-        trailing.push(0);
-        assert!(decode_cache_entry(&trailing).is_none());
-        assert!(decode_cache_entry(b"").is_none());
-    }
-
-    /// An entry written by an older codec (schema 1: engine, fuse, and
-    /// regalloc bytes) under the very key the current daemon would use
-    /// is skipped silently at startup — no error, nothing preloaded —
-    /// while the same recipe at the current schema preloads.
-    #[test]
-    fn stale_schema_cache_entries_are_skipped_silently() {
-        let dir = std::env::temp_dir().join(format!("mperf-stale-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let platform = Platform::SpacemitX60;
-        let module = cli::triad_module(platform);
-        let exec = ExecConfig::default();
-        let key = cell_key(&platform.spec(), "triad", exec, &module.to_string());
-        let append = |recipe: &[u8]| {
-            let mut store = DecodeCache::new(Some(&dir)).store.into_inner().unwrap();
-            store.journal().unwrap().append(key, recipe).unwrap();
-        };
-        let mut e = Enc::new();
-        e.u32(1);
-        e.u8(cli::platform_code(platform));
-        e.str("triad");
-        e.u8(0);
-        e.u8(1);
-        e.u8(1);
-        e.str("cli");
-        e.str(cli::KERNEL);
-        e.u8(1);
-        append(&e.into_bytes());
-
-        let socket = dir.join("d.sock");
-        let sopts = ServeOptions {
-            cache_dir: Some(dir.clone()),
-            ..ServeOptions::default()
-        };
-        let handle =
-            start(&socket, &CommonOpts::default(), &sopts).expect("stale entry is no error");
-        assert_eq!(handle.stats().preloaded, 0, "stale schema is a miss");
-        handle.stop();
-
-        append(&encode_cache_entry(TRIAD_SOURCE, platform, "triad", exec));
-        let cache = DecodeCache::new(Some(&dir));
-        cache.preload();
-        assert_eq!(cache.stats().preloaded, 1, "the current schema preloads");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

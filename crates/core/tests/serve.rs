@@ -1,7 +1,8 @@
 //! End-to-end tests for the `miniperf serve` daemon: concurrent
 //! clients over a real Unix-domain socket, streamed results checked
-//! bit-identical against the in-process batch path, the shared warm
-//! decode cache, cancellation, and malformed-job rejection.
+//! bit-identical against the in-process batch path, exact decode
+//! counts, keyed-journal resume, cancellation, and malformed-job
+//! rejection.
 
 use miniperf::cli::{self, JobKind, JobSpec};
 use miniperf::serve::{self, decode_profile_meta, decode_sample, encode_sample};
@@ -100,36 +101,64 @@ fn two_concurrent_clients_stream_bit_identical_sweeps() {
     assert!(!socket.exists(), "socket file cleaned up on shutdown");
 }
 
+/// Every job compiles and decodes its own modules: two identical
+/// sweeps decode four modules each, a stat job and a roofline job one
+/// each, and nothing is ever served from an earlier job's decode.
 #[test]
-fn second_identical_job_hits_the_warm_cache_with_zero_decodes() {
+fn every_job_decodes_its_own_modules() {
     const N: u64 = 256;
-    let socket = socket_path("warm-cache");
+    let socket = socket_path("decodes");
     let handle = serve::start(&socket, &CommonOpts::default(), &ServeOptions::default()).unwrap();
     let mut session = connect(&socket);
 
     let (code, first) = run_sweep(&mut session, &sweep_spec(N, 1));
     assert_eq!(code, 0);
-    let after_first = handle.stats();
-    assert_eq!(
-        after_first.decodes,
-        Platform::ALL.len() as u64,
-        "cold daemon decodes each platform module exactly once"
-    );
-
     let (code, second) = run_sweep(&mut session, &sweep_spec(N, 1));
     assert_eq!(code, 0);
-    assert_eq!(second, first, "warm result is bit-identical to cold");
-    let after_second = handle.stats();
-    assert_eq!(
-        after_second.decodes, after_first.decodes,
-        "second identical job performs zero decodes"
-    );
-    assert_eq!(
-        after_second.hits,
-        after_first.hits + Platform::ALL.len() as u64
-    );
+    assert_eq!(second, first, "identical sweeps stream identical cells");
+    let sweeps = Platform::ALL.len() as u64 * 2;
+    let stats = handle.stats();
+    assert_eq!((stats.decodes, stats.hits), (sweeps, 0));
+
+    for (kind, decodes) in [(JobKind::Stat, sweeps + 1), (JobKind::Roofline, sweeps + 2)] {
+        let spec = JobSpec {
+            n: N,
+            ..JobSpec::from_opts(kind, &CommonOpts::default())
+        };
+        let job = session.submit(spec.encode()).unwrap();
+        assert_eq!(session.drain_job(job, |_| {}).unwrap().code, 0, "{kind:?}");
+        let stats = handle.stats();
+        assert_eq!((stats.decodes, stats.hits), (decodes, 0), "{kind:?}");
+    }
     drop(session);
     handle.stop();
+}
+
+/// A journal and resume passed to `serve::start` are ignored: unkeyed
+/// sweeps run without a journal. A cell's journal key does not cover
+/// the triad size, so a daemon-wide journal would answer every sweep
+/// from the first one's cells.
+#[test]
+fn unkeyed_sweeps_of_different_sizes_match_their_batch_references() {
+    let socket = socket_path("daemon-journal");
+    let journal =
+        std::env::temp_dir().join(format!("mperf-daemon-journal-{}.jrnl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let opts = CommonOpts {
+        journal: Some(journal.clone()),
+        resume: true,
+        ..CommonOpts::default()
+    };
+    let handle = serve::start(&socket, &opts, &ServeOptions::default()).unwrap();
+    let mut session = connect(&socket);
+    for n in [64, 128] {
+        let (code, cells) = run_sweep(&mut session, &sweep_spec(n, 1));
+        assert_eq!(code, 0);
+        assert_eq!(cells, batch_reference(n, 1), "n = {n}: streamed ≡ batch");
+    }
+    drop(session);
+    handle.stop();
+    assert!(!journal.exists(), "an unkeyed sweep writes no journal");
 }
 
 #[test]
@@ -545,115 +574,6 @@ fn graceful_drain_lets_the_in_flight_job_finish() {
         cells, expected,
         "drained job's stream ≡ batch, byte for byte"
     );
-}
-
-#[test]
-fn warm_restart_from_the_cache_dir_performs_zero_decodes() {
-    const N: u64 = 256;
-    let socket = socket_path("warm-restart");
-    let cache_dir = std::env::temp_dir().join(format!("mperf-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let sopts = ServeOptions {
-        cache_dir: Some(cache_dir.clone()),
-        ..ServeOptions::default()
-    };
-
-    let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
-    let mut session = connect(&socket);
-    let (code, first) = run_sweep(&mut session, &sweep_spec(N, 1));
-    assert_eq!(code, 0);
-    let stats = handle.stats();
-    assert_eq!(stats.decodes, Platform::ALL.len() as u64);
-    assert_eq!(stats.preloaded, 0, "cold start had nothing to preload");
-    drop(session);
-    handle.stop();
-
-    // Corrupt and foreign entries must read as misses, never errors.
-    std::fs::write(cache_dir.join("zzzz.mpdc"), b"not hex, not valid").unwrap();
-    std::fs::write(cache_dir.join("0000000000000000.mpdc"), b"garbage").unwrap();
-    std::fs::write(cache_dir.join("README"), b"ignore me").unwrap();
-
-    let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
-    let stats = handle.stats();
-    assert_eq!(
-        stats.preloaded,
-        Platform::ALL.len() as u64,
-        "every valid entry re-derived at startup; junk skipped silently"
-    );
-    assert_eq!(stats.decodes, 0);
-    let mut session = connect(&socket);
-    let (code, second) = run_sweep(&mut session, &sweep_spec(N, 1));
-    assert_eq!(code, 0);
-    assert_eq!(second, first, "warm-restart result is bit-identical");
-    let stats = handle.stats();
-    assert_eq!(stats.decodes, 0, "a warm restart performs zero decodes");
-    assert_eq!(stats.hits, Platform::ALL.len() as u64);
-    drop(session);
-    handle.stop();
-    let _ = std::fs::remove_dir_all(&cache_dir);
-}
-
-/// A daemon options block persisting its decode cache under a fresh,
-/// empty per-test directory.
-fn cache_opts(tag: &str) -> (PathBuf, ServeOptions) {
-    let dir = std::env::temp_dir().join(format!("mperf-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let sopts = ServeOptions {
-        cache_dir: Some(dir.clone()),
-        ..ServeOptions::default()
-    };
-    (dir, sopts)
-}
-
-/// The decode cache journal is created at the first fresh decode, not
-/// at daemon start, and a torn tail still preloads every complete
-/// entry.
-#[test]
-fn cache_journal_is_created_lazily_and_survives_a_torn_tail() {
-    let socket = socket_path("lazy-cache");
-    let (dir, sopts) = cache_opts("lazy-cache");
-    let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
-    assert_eq!(
-        std::fs::read_dir(&dir).unwrap().count(),
-        0,
-        "start writes nothing"
-    );
-    let (code, _) = run_sweep(&mut connect(&socket), &sweep_spec(128, 1));
-    assert_eq!(code, 0);
-    handle.stop();
-    // A crash mid-append: a frame header promising more than follows.
-    let path = dir.join("decode-cache.jrnl");
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes.extend_from_slice(&[200, 0, 0, 0, 1, 2, 3, 4, 5]);
-    std::fs::write(&path, &bytes).unwrap();
-
-    let handle = serve::start(&socket, &CommonOpts::default(), &sopts).unwrap();
-    let stats = handle.stats();
-    assert_eq!(stats.preloaded, Platform::ALL.len() as u64);
-    assert_eq!(stats.decodes, 0);
-    handle.stop();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_foreign_file_at_the_cache_journal_path_disables_persistence() {
-    let socket = socket_path("foreign-cache");
-    let (dir, sopts) = cache_opts("foreign-cache");
-    let path = dir.join("decode-cache.jrnl");
-    std::fs::write(&path, b"precious data").unwrap();
-    let handle = serve::start(&socket, &CommonOpts::default(), &sopts)
-        .expect("a foreign cache file is no error");
-    assert_eq!(handle.stats().preloaded, 0);
-    let (code, _) = run_sweep(&mut connect(&socket), &sweep_spec(128, 1));
-    assert_eq!(code, 0, "jobs still run");
-    handle.stop();
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        b"precious data",
-        "never overwritten"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

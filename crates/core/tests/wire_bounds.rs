@@ -1,4 +1,4 @@
-//! Decoders of socket, pipe, journal, and cache bytes must return `Err`
+//! Decoders of socket, pipe, and journal bytes must return `Err`
 //! on bad input, never panic or abort. Count-prefixed decoders must
 //! refuse a count the payload cannot hold — returning `Err` instead of
 //! sizing an allocation from it (a `u32::MAX` count once aborted the

@@ -2,8 +2,9 @@
 //!
 //! The instruction set is deliberately LLVM-IR-shaped: explicit loads and
 //! stores, typed arithmetic, a call instruction, and block terminators.
-//! Differences from LLVM that matter for this project are documented in
-//! `DESIGN.md` (non-SSA registers, multi-value returns).
+//! Two differences from LLVM matter for this project: registers are not
+//! SSA (a [`Reg`] may be written many times), and calls and returns carry
+//! any number of values ([`Inst::Call`], [`Term::Ret`]).
 
 use crate::types::{MemTy, Ty};
 use crate::value::{Operand, Reg};

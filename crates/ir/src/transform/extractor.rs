@@ -4,7 +4,7 @@
 //! Inputs are the registers live into the region from outside; outputs are
 //! the registers defined inside the region and live after it. Unlike LLVM,
 //! MIR calls support multiple results, so outputs are returned directly
-//! rather than through out-pointers (documented divergence, DESIGN.md §5).
+//! rather than through out-pointers.
 
 use crate::analysis::regions::SeseRegion;
 use crate::analysis::{Cfg, Liveness};

@@ -25,7 +25,10 @@
 //!
 //! Pointers are assumed not to alias (MiniC has no `restrict`; this
 //! mirrors compiling the paper's kernels with aggressive flags), and FP
-//! reductions are reassociated (fast-math). Documented in DESIGN.md.
+//! reductions are reassociated (fast-math). A caller whose pointer
+//! arguments overlap, or whose FP reduction is sensitive to summation
+//! order, can therefore get results that differ from the unvectorized
+//! build.
 
 use super::loop_simplify::ensure_preheader;
 use super::ModulePass;

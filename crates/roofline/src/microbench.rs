@@ -71,8 +71,9 @@ fn vector_label(spec: &PlatformSpec) -> String {
 }
 
 /// The vectorizer capabilities the "compiler" has for a platform. The X60
-/// model deliberately lacks strided vector codegen (DESIGN.md §5), which
-/// is what leaves the paper's matmul kernel scalar on that core.
+/// model deliberately lacks strided vector codegen
+/// ([`TargetVecCaps::rvv_256_unit_stride`]), which is what leaves the
+/// paper's matmul kernel scalar on that core.
 pub fn vec_caps_for(platform: Platform) -> TargetVecCaps {
     match platform {
         Platform::IntelI5_1135G7 => TargetVecCaps::avx2(),

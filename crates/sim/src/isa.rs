@@ -6,9 +6,10 @@
 //! x86 folds it into addressing modes, while x86 two-operand destructive
 //! encodings, register pressure, and CISC decomposition inflate its
 //! dynamic count on branchy integer code. Real ratios come from real
-//! compilers; these tables are *calibrated inputs* (see DESIGN.md §5) so
-//! that the sqlite workload reproduces Table 2's ~1.8× x86/RISC-V
-//! retired-instruction ratio. The claim the reproduction makes is about
+//! compilers; these tables are *calibrated inputs* so that the sqlite
+//! workload reproduces Table 2's ~1.8× x86/RISC-V retired-instruction
+//! ratio (`tests/evaluation_shape.rs` at the repository root pins it
+//! within 1.5–2.3×). The claim the reproduction makes is about
 //! IPC and hotspot shape, not about deriving codegen from first
 //! principles.
 

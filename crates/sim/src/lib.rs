@@ -20,8 +20,10 @@
 //! Timing is a calibrated throughput/latency model, not microarchitectural
 //! simulation: absolute cycle counts are plausible rather than exact, but
 //! ratios (in-order vs out-of-order IPC, cache-miss exposure, vector
-//! speedups, DRAM bandwidth ceilings) follow the paper's shape. See
-//! `DESIGN.md` for the calibration targets.
+//! speedups, DRAM bandwidth ceilings) follow the paper's shape. The
+//! calibration targets are pinned by `tests/evaluation_shape.rs` at the
+//! repository root (Table 2's IPC gap and instruction ratio) and by
+//! `mperf-roofline`'s `stored_table_matches_measurement` (the roofs).
 
 pub mod branch;
 pub mod cache;

@@ -16,7 +16,8 @@
 //! [`builder::compile_for`] compiles any of them "for a platform":
 //! standard optimizations plus loop vectorization with that platform's
 //! compiler capabilities (the X60 model lacks strided vector codegen,
-//! which is what leaves the matmul kernel scalar there — DESIGN.md §5).
+//! which is what leaves the matmul kernel scalar there; see
+//! `mperf_roofline::microbench::vec_caps_for`).
 
 pub mod builder;
 pub mod matmul;

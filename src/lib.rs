@@ -3,8 +3,8 @@
 //! Facade crate re-exporting the whole reproduction stack of
 //! *Dissecting RISC-V Performance* (PACT 2025): the `miniperf` tool, the
 //! compiler substrate, the simulated RISC-V platforms, and the roofline
-//! machinery. See `README.md` for a tour and `DESIGN.md` for the system
-//! inventory.
+//! machinery. The `miniperf` crate docs map the paper's three
+//! contributions onto its modules.
 
 pub use miniperf;
 pub use mperf_event;
